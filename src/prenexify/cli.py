@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import oracle
@@ -96,10 +95,31 @@ def _parse_formula_arg(text: str, signature) -> Formula:
         raise SystemExit(EXIT_INPUT, f"parse error: {exc}") from exc
 
 
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return value
+
+
+def _naturals(text: str) -> list[int]:
+    return [_natural(part) for part in text.split(",") if part.strip() != ""]
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit code 2 through ``main``."""
+
+    def error(self, message: str):
+        raise SystemExit((EXIT_INPUT, f"{self.prog}: error: {message}"))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         if isinstance(exc.code, tuple):
@@ -110,7 +130,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="prenexify",
         description="Semi-classical prenex class checks, normalization and search",
     )
@@ -126,17 +146,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a corpus file (JSON lines)")
     p.add_argument("input", help="corpus file, one formula per line")
     p.add_argument(
-        "--n", default="0,1,2", help="comma-separated degrees (default 0,1,2)"
+        "--n",
+        type=_naturals,
+        default="0,1,2",
+        help="comma-separated degrees (default 0,1,2)",
     )
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--k-max", type=_natural, default=4)
     p.add_argument("--sig", help="signature overriding the corpus header")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("normalize", help="extract a prenex form with trace")
     p.add_argument("formula")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
+    p.add_argument("-n", type=_natural, required=True)
     p.add_argument("--target", choices=("sigma", "pi"), default="sigma")
     p.add_argument("--sig")
     p.add_argument("--trace-out", help="write the trace (text format) here")
@@ -148,9 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive reachability query")
     p.add_argument("formula")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_natural, required=True)
     p.add_argument("--target", choices=("sigma", "pi", "j", "r"), required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--sig")
     p.add_argument("--trace-out")
@@ -201,7 +223,6 @@ def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> 
 
 
 def cmd_classify(args) -> int:
-    degrees = [int(part) for part in args.n.split(",") if part.strip() != ""]
     signature = _signature_from(args)
     try:
         with open(args.input, encoding="utf-8") as handle:
@@ -234,21 +255,9 @@ def cmd_classify(args) -> int:
         return EXIT_INPUT
 
     checker = Classifier()
-    k_max = args.k_max
-
-    def work(item: tuple[int, Formula]) -> str:
-        _, phi = item
-        return json.dumps(
-            _classify_record(phi, degrees, k_max, checker), sort_keys=True
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for line in pool.map(work, formulas):
-                print(line)
-    else:
-        for item in formulas:
-            print(work(item))
+    for _, phi in formulas:
+        record = _classify_record(phi, args.n, args.k_max, checker)
+        print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 

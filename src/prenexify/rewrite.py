@@ -393,6 +393,16 @@ def trace_to_text(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _degree(value) -> int:
+    try:
+        degree = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"trace degree is not an integer: {value!r}") from None
+    if degree < 0:
+        raise ValueError(f"trace degree must be a natural number, got {degree}")
+    return degree
+
+
 def trace_from_text(text: str) -> Trace:
     degree: Optional[int] = None
     start: Optional[Formula] = None
@@ -402,7 +412,7 @@ def trace_from_text(text: str) -> Trace:
         if not line:
             continue
         if line.startswith("degree:"):
-            degree = int(line.split(":", 1)[1].strip())
+            degree = _degree(line.split(":", 1)[1].strip())
         elif line.startswith("start:"):
             start = parse(line.split(":", 1)[1].strip())
         else:
@@ -429,13 +439,21 @@ def trace_to_json(trace: Trace) -> dict:
 
 
 def trace_from_json(data: dict) -> Trace:
+    if not isinstance(data, dict):
+        raise ValueError("a JSON trace must be an object")
     if data.get("schema") != TRACE_SCHEMA:
         raise ValueError(f"unsupported trace schema {data.get('schema')!r}")
-    steps = tuple(
-        RewriteStep(item["rule"], parse_position(item["path"]), item.get("fresh"))
-        for item in data["steps"]
-    )
+    if not isinstance(data.get("steps"), list):
+        raise ValueError("trace needs a 'steps' list")
+    try:
+        steps = tuple(
+            RewriteStep(item["rule"], parse_position(item["path"]), item.get("fresh"))
+            for item in data["steps"]
+        )
+        start = data["start"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed trace field: {exc}") from None
     for step in steps:
         if step.rule not in RULES:
             raise ValueError(f"unknown rule {step.rule!r}")
-    return Trace(parse(data["start"]), steps, int(data["degree"]))
+    return Trace(parse(start), steps, _degree(data.get("degree")))

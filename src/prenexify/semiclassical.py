@@ -2,32 +2,46 @@
 R_k^n and D_k^n = J_k^n u R_k^n.
 
 Level 0 of every class is the set of quantifier-free formulas.  At level
-k+1 a formula enters J/R either by already lying in D_k^n or through one
-generation clause determined by its top connective; which clauses exist
-depends on how n compares to k:
+k >= 1 a formula enters J/R either by already lying in D_{k-1}^n (the
+``lift`` clause) or through one generation clause determined by its top
+connective; which clauses exist depends on how k-1 compares to n:
 
-    n > k:   J: E&E', E|E', U->E, exists x E      R: U&U', U|U', E->U, forall x U
-    n = k:   J: E&E', E|E', D->E, exists x E      R: U&U', U|D, D|U, E->U, forall x U
-    n < k:   J: E&E', E|E1, E1|E, D0->E, ex x E   R: U&U', U|D0, D0|U, E1->U, fa x U
+    k-1 < n:  J: E&E', E|E', U->E, exists x E      R: U&U', U|U', E->U, forall x U
+    k-1 = n:  J: E&E', E|E', D->E, exists x E      R: U&U', U|D, D|U, E->U, forall x U
+    k-1 > n:  J: E&E', E|E1, E1|E, D->E, ex x E    R: U&U', U|D, D|U, E1->U, fa x U
 
-with E, E' ranging over J_{k+1}^n, U, U' over R_{k+1}^n, D over D_k^n,
-D0 over D_n^n and E1 over J_{n+1}^n.  Because the classes are inductively
-generated, checking the D alternative plus the structural clause for the
-top connective is a complete decision procedure; no search is involved.
+with E, E' ranging over J_k^n, U, U' over R_k^n, D over D_n^n and E1
+over J_{n+1}^n.  ``_CLAUSES`` is this table, and it alone drives the
+least levels, witness construction and ``validate_witness``.
 
-The checker memoizes (alpha-canonical formula, k, n) triples; membership
-depends only on the connective/quantifier skeleton, so alpha-variants
-share one entry.  Queries are safe from multiple threads: results are
-pure functions of the key, so racing writers can only duplicate work,
-never disagree.
+Least levels.  The lift clause makes every class cumulative in k
+(S_k^n is inside D_k^n, which is inside S_{k+1}^n), so membership of a
+formula is fixed by its pair of least levels (k_J, k_R), with infinity
+for "in no level": phi is in S_k^n exactly when k >= k_S.  Each
+hash-consed node gets this pair once per degree, bottom-up from the
+pairs of its operands, and ``decide`` is two comparisons.
+
+Why a few candidate levels suffice.  Take a formula with quantifiers,
+so in no level 0.  Below the first level k0 >= 1 at which some
+generation clause applies, the lift clause cannot apply either, so k0 is the lesser least level and the other side follows at
+k0 or k0 + 1 by lift.  A clause predicate, as a function of k, reads
+the operands' memberships at level k (true from an operand's own least
+level on), at n or at n + 1 (constant in k), and switches case at
+k = n + 1 and k = n + 2.  It is therefore constant between consecutive
+points of {1, the operands' finite least levels, n + 1, n + 2}, and k0,
+the start of the first interval on which it holds, is one of these
+candidates.  If no candidate admits a clause, no level does.  At most
+seven candidates are tried, so a node costs the same whatever n is.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import And, Exists, Forall, Formula, Imp, Or, alpha_canonical, size
+from .formula import And, Exists, Forall, Formula, Imp, Or, _Binary, _Quant
 
 __all__ = [
     "Witness",
@@ -45,6 +59,93 @@ __all__ = [
 
 J = "J"
 R = "R"
+D = "D"  # either side: a premise in D_level^n
+
+# premise levels: indices into (k, n, n + 1) of the clause's own k and n
+K, N, N1 = 0, 1, 2
+
+INF = math.inf
+_QF = (0, 0)
+
+
+def _every_case(*alternatives):
+    return (alternatives,) * 3
+
+
+# (connective, side) -> alternatives for k-1 < n, k-1 = n, k-1 > n.  An
+# alternative is a clause name and one (side, level) premise per operand;
+# they are tried in order, and a D premise is witnessed on J before R.
+_CLAUSES = {
+    (And, J): _every_case(("and", (J, K), (J, K))),
+    (And, R): _every_case(("and", (R, K), (R, K))),
+    (Or, J): (
+        (("or", (J, K), (J, K)),),
+        (("or", (J, K), (J, K)),),
+        (("or-left", (J, K), (J, N1)), ("or-right", (J, N1), (J, K))),
+    ),
+    (Or, R): (
+        (("or", (R, K), (R, K)),),
+        (("or-left", (R, K), (D, N)), ("or-right", (D, N), (R, K))),
+        (("or-left", (R, K), (D, N)), ("or-right", (D, N), (R, K))),
+    ),
+    (Imp, J): (
+        (("imp", (R, K), (J, K)),),
+        (("imp", (D, N), (J, K)),),
+        (("imp", (D, N), (J, K)),),
+    ),
+    (Imp, R): (
+        (("imp", (J, K), (R, K)),),
+        (("imp", (J, K), (R, K)),),
+        (("imp", (J, N1), (R, K)),),
+    ),
+    (Exists, J): _every_case(("exists", (J, K))),
+    (Forall, R): _every_case(("forall", (R, K))),
+}
+_NO_CLAUSES = _every_case()
+
+
+def _operands(phi: Formula) -> tuple[Formula, ...]:
+    if isinstance(phi, _Binary):
+        return (phi.left, phi.right)
+    if isinstance(phi, _Quant):
+        return (phi.body,)
+    return ()
+
+
+def _alternatives(phi: Formula, side: str, k: int, n: int) -> tuple:
+    case = 0 if k <= n else 1 if k == n + 1 else 2
+    return _CLAUSES.get((type(phi), side), _NO_CLAUSES)[case]
+
+
+def _clause(phi: Formula, side: str, k: int, n: int, pairs: list) -> Optional[tuple]:
+    """The first table alternative deriving ``phi`` on ``side`` at level
+    ``k >= 1`` from operands with least-level ``pairs``, or ``None``."""
+    at = (k, n, n + 1)
+    for alternative in _alternatives(phi, side, k, n):
+        for (s, level), (k_j, k_r) in zip(alternative[1:], pairs):
+            if at[level] < (k_j if s == J else k_r if s == R else min(k_j, k_r)):
+                break
+        else:
+            return alternative
+    return None
+
+
+def _least_levels(phi: Formula, n: int, pairs: list) -> tuple:
+    """(k_J, k_R) of a non-quantifier-free ``phi`` from its operands'."""
+    candidates = {1, n + 1, n + 2}
+    candidates.update(level for pair in pairs for level in pair if 1 <= level < INF)
+    for k in sorted(candidates):
+        j = _clause(phi, J, k, n, pairs) is not None
+        r = _clause(phi, R, k, n, pairs) is not None
+        if j or r:
+            return (k if j else k + 1, k if r else k + 1)
+    return (INF, INF)
+
+
+def _premises(operands: tuple, alternative: tuple, k: int, n: int) -> list:
+    """(operand, side, level) premises of a table alternative."""
+    at = (k, n, n + 1)
+    return [(c, s, at[level]) for c, (s, level) in zip(operands, alternative[1:])]
 
 
 @dataclass(frozen=True)
@@ -89,24 +190,50 @@ class ClassVerdict:
         return self.in_J or self.in_R
 
 
+def _check_levels(k: int, n: int) -> None:
+    if k < 0:
+        raise ValueError("level k must be a natural number")
+    if n < 0:
+        raise ValueError("degree n must be a natural number")
+
+
 class Classifier:
-    """Memoizing membership checker for J_k^n and R_k^n."""
+    """Membership checker for J_k^n and R_k^n that caches, per degree n,
+    the least levels (k_J, k_R) of every node it has seen."""
 
     def __init__(self):
-        # (formula, k, n) -> 2-bit mask: bit 0 = in_J, bit 1 = in_R
-        self._memo: dict[tuple[Formula, int, int], int] = {}
+        # n -> {non-quantifier-free node: (k_J, k_R)}
+        self._levels: defaultdict[int, dict[Formula, tuple]] = defaultdict(dict)
 
     def clear(self) -> None:
-        self._memo.clear()
+        self._levels.clear()
+
+    def _pair(self, phi: Formula, n: int) -> tuple:
+        """(k_J, k_R) of ``phi`` at degree ``n``, computed bottom-up."""
+        if phi.is_qf:
+            return _QF
+        cache = self._levels[n]
+        pair = cache.get(phi)
+        if pair is not None:
+            return pair
+        stack = [phi]
+        while stack:
+            psi = stack[-1]
+            operands = _operands(psi)
+            pending = [c for c in operands if not c.is_qf and c not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            pairs = [_QF if c.is_qf else cache[c] for c in operands]
+            cache[psi] = _least_levels(psi, n, pairs)
+        return cache[phi]
 
     def decide(self, phi: Formula, k: int, n: int) -> tuple[bool, bool]:
         """(in_J, in_R) for ``phi`` at level ``k``, degree ``n``."""
-        if k < 0:
-            raise ValueError("level k must be a natural number")
-        if n < 0:
-            raise ValueError("degree n must be a natural number")
-        mask = self._mask(phi, k, n)
-        return bool(mask & 1), bool(mask & 2)
+        _check_levels(k, n)
+        k_j, k_r = self._pair(phi, n)
+        return k >= k_j, k >= k_r
 
     def in_J(self, phi: Formula, k: int, n: int) -> bool:
         return self.decide(phi, k, n)[0]
@@ -118,211 +245,45 @@ class Classifier:
         j, r = self.decide(phi, k, n)
         return j or r
 
-    def _mask(self, phi: Formula, k: int, n: int) -> int:
-        if k == 0:
-            return 3 if phi.is_qf else 0
-        # Membership depends only on the connective/quantifier skeleton, so
-        # alpha-variants share one memo entry.
-        key = (alpha_canonical(phi), k, n)
-        mask = self._memo.get(key)
-        if mask is None:
-            mask = self._compute(phi, k, n)
-            self._memo[key] = mask
-        return mask
-
-    def _compute(self, phi: Formula, k: int, n: int) -> int:
-        kk = k - 1  # the generation step defines J_{kk+1} from level kk
-        if self._mask(phi, kk, n) != 0:
-            return 3  # D clause feeds both polarities
-        mask = 0
-        if self._generate(phi, k, n, J):
-            mask |= 1
-        if self._generate(phi, k, n, R):
-            mask |= 2
-        return mask
-
-    def _generate(self, phi: Formula, k: int, n: int, side: str) -> bool:
-        """Structural generation clause for phi in J/R at level k (k >= 1)."""
-        kk = k - 1
-        if isinstance(phi, And):
-            want = 1 if side == J else 2
-            return bool(self._mask(phi.left, k, n) & want) and bool(
-                self._mask(phi.right, k, n) & want
-            )
-        if isinstance(phi, Or):
-            if side == J:
-                if kk <= n:
-                    return bool(self._mask(phi.left, k, n) & 1) and bool(
-                        self._mask(phi.right, k, n) & 1
-                    )
-                low = n + 1
-                return (
-                    bool(self._mask(phi.left, k, n) & 1)
-                    and bool(self._mask(phi.right, low, n) & 1)
-                ) or (
-                    bool(self._mask(phi.left, low, n) & 1)
-                    and bool(self._mask(phi.right, k, n) & 1)
-                )
-            if kk < n:
-                return bool(self._mask(phi.left, k, n) & 2) and bool(
-                    self._mask(phi.right, k, n) & 2
-                )
-            # kk == n uses D_kk^n = D_n^n, kk > n uses D_n^n directly
-            return (
-                bool(self._mask(phi.left, k, n) & 2)
-                and self._mask(phi.right, n, n) != 0
-            ) or (
-                self._mask(phi.left, n, n) != 0
-                and bool(self._mask(phi.right, k, n) & 2)
-            )
-        if isinstance(phi, Imp):
-            if side == J:
-                if kk < n:
-                    ante = bool(self._mask(phi.left, k, n) & 2)
-                elif kk == n:
-                    ante = self._mask(phi.left, kk, n) != 0
-                else:
-                    ante = self._mask(phi.left, n, n) != 0
-                return ante and bool(self._mask(phi.right, k, n) & 1)
-            if kk <= n:
-                ante = bool(self._mask(phi.left, k, n) & 1)
-            else:
-                ante = bool(self._mask(phi.left, n + 1, n) & 1)
-            return ante and bool(self._mask(phi.right, k, n) & 2)
-        if isinstance(phi, Exists):
-            return side == J and bool(self._mask(phi.body, k, n) & 1)
-        if isinstance(phi, Forall):
-            return side == R and bool(self._mask(phi.body, k, n) & 2)
-        return False  # prime or falsum above level 0 only enter via D
-
     # -- witnesses ---------------------------------------------------------
 
     def witness(self, phi: Formula, k: int, n: int, side: str) -> Optional[Witness]:
-        """Derivation tree for a positive verdict, or ``None``.
-
-        Witnesses are rebuilt on demand from the memoized boolean answers,
-        so building one is linear in the derivation size.
-        """
-        want = 1 if side == J else 2
-        if k == 0:
-            return Witness(side, 0, n, "qf") if phi.is_qf else None
-        if not self._mask(phi, k, n) & want:
+        """Derivation tree for a positive verdict, or ``None``."""
+        _check_levels(k, n)
+        if k < self._pair(phi, n)[0 if side == J else 1]:
             return None
-        kk = k - 1
-        dmask = self._mask(phi, kk, n)
-        if dmask != 0:
-            sub_side = J if dmask & 1 else R
-            child = self.witness(phi, kk, n, sub_side)
-            assert child is not None
-            return Witness(side, k, n, "lift", (child,))
-        return self._generate_witness(phi, k, n, side)
-
-    def _generate_witness(self, phi: Formula, k: int, n: int, side: str) -> Witness:
-        kk = k - 1
-        if isinstance(phi, And):
-            return Witness(
-                side,
-                k,
-                n,
-                "and",
-                (
-                    self.witness(phi.left, k, n, side),
-                    self.witness(phi.right, k, n, side),
-                ),
-            )
-        if isinstance(phi, Or):
-            if side == J:
-                if kk <= n:
-                    return Witness(
-                        side,
-                        k,
-                        n,
-                        "or",
-                        (
-                            self.witness(phi.left, k, n, J),
-                            self.witness(phi.right, k, n, J),
-                        ),
-                    )
-                low = n + 1
-                if self._mask(phi.left, k, n) & 1 and self._mask(phi.right, low, n) & 1:
-                    return Witness(
-                        side,
-                        k,
-                        n,
-                        "or-left",
-                        (
-                            self.witness(phi.left, k, n, J),
-                            self.witness(phi.right, low, n, J),
-                        ),
-                    )
-                return Witness(
-                    side,
-                    k,
-                    n,
-                    "or-right",
-                    (
-                        self.witness(phi.left, low, n, J),
-                        self.witness(phi.right, k, n, J),
-                    ),
-                )
-            if kk < n:
-                return Witness(
-                    side,
-                    k,
-                    n,
-                    "or",
-                    (
-                        self.witness(phi.left, k, n, R),
-                        self.witness(phi.right, k, n, R),
-                    ),
-                )
-            dmask_r = self._mask(phi.right, n, n)
-            if self._mask(phi.left, k, n) & 2 and dmask_r != 0:
-                low_side = J if dmask_r & 1 else R
-                return Witness(
-                    side,
-                    k,
-                    n,
-                    "or-left",
-                    (
-                        self.witness(phi.left, k, n, R),
-                        self.witness(phi.right, n, n, low_side),
-                    ),
-                )
-            dmask_l = self._mask(phi.left, n, n)
-            low_side = J if dmask_l & 1 else R
-            return Witness(
-                side,
-                k,
-                n,
-                "or-right",
-                (
-                    self.witness(phi.left, n, n, low_side),
-                    self.witness(phi.right, k, n, R),
-                ),
-            )
-        if isinstance(phi, Imp):
-            if side == J:
-                if kk < n:
-                    ante = self.witness(phi.left, k, n, R)
-                elif kk == n:
-                    dmask = self._mask(phi.left, kk, n)
-                    ante = self.witness(phi.left, kk, n, J if dmask & 1 else R)
-                else:
-                    dmask = self._mask(phi.left, n, n)
-                    ante = self.witness(phi.left, n, n, J if dmask & 1 else R)
-                return Witness(
-                    side, k, n, "imp", (ante, self.witness(phi.right, k, n, J))
-                )
-            if kk <= n:
-                ante = self.witness(phi.left, k, n, J)
+        levels = self._levels[n].get  # filled by _pair
+        # Plan the goals top-down in preorder, then build them in reverse:
+        # each node finds its children's witnesses on top of ``values``.
+        plans = []
+        stack = [(phi, side, k)]
+        while stack:
+            psi, s, level = stack.pop()
+            k_j, k_r = levels(psi, _QF)
+            if level > k_j or level > k_r:  # psi lies in D_{level-1}^n
+                clause, premises = "lift", [(psi, J if level > k_j else R, level - 1)]
+            elif level == 0:
+                clause, premises = "qf", []
             else:
-                ante = self.witness(phi.left, n + 1, n, J)
-            return Witness(side, k, n, "imp", (ante, self.witness(phi.right, k, n, R)))
-        if isinstance(phi, Exists):
-            return Witness(side, k, n, "exists", (self.witness(phi.body, k, n, J),))
-        assert isinstance(phi, Forall)
-        return Witness(side, k, n, "forall", (self.witness(phi.body, k, n, R),))
+                operands = _operands(psi)
+                pairs = [levels(c, _QF) for c in operands]
+                alternative = _clause(psi, s, level, n, pairs)
+                clause, premises = alternative[0], _premises(operands, alternative, level, n)
+                for i, ((c, p_side, at), pair) in enumerate(zip(premises, pairs)):
+                    if p_side == D:
+                        premises[i] = (c, J if at >= pair[0] else R, at)
+            plans.append((s, level, clause, len(premises)))
+            stack.extend(premises)
+        values: list[Witness] = []
+        for s, level, clause, arity in reversed(plans):
+            if arity == 0:
+                values.append(Witness(s, level, n, clause))
+            elif arity == 1:
+                values[-1] = Witness(s, level, n, clause, (values[-1],))
+            else:
+                right = values.pop()
+                values[-1] = Witness(s, level, n, clause, (values[-1], right))
+        return values[0]
 
     def verdict(self, phi: Formula, k: int, n: int) -> ClassVerdict:
         j, r = self.decide(phi, k, n)
@@ -339,23 +300,16 @@ class Classifier:
     def min_levels(
         self, phi: Formula, n: int, k_max: Optional[int] = None
     ) -> tuple[Optional[int], Optional[int]]:
-        """Least levels k <= k_max admitting phi into J (resp. R).
+        """Least levels k admitting phi into J (resp. R) at degree n.
 
-        The default cutoff n + size(phi) + 1 is an empirically validated
-        bound, not a proven one, so ``None`` means "absent up to k_max".
+        The levels are exact; ``None`` means "in no level", or above
+        ``k_max`` when one is given.
         """
-        if k_max is None:
-            k_max = n + size(phi) + 1
-        k_j: Optional[int] = None
-        k_r: Optional[int] = None
-        for k in range(k_max + 1):
-            j, r = self.decide(phi, k, n)
-            if k_j is None and j:
-                k_j = k
-            if k_r is None and r:
-                k_r = k
-            if k_j is not None and k_r is not None:
-                break
+        _check_levels(0, n)
+        k_j, k_r = (
+            k if k < INF and (k_max is None or k <= k_max) else None
+            for k in self._pair(phi, n)
+        )
         return k_j, k_r
 
 
@@ -392,92 +346,38 @@ def verdict(phi: Formula, k: int, n: int) -> ClassVerdict:
     return _default.verdict(phi, k, n)
 
 
+def _claimed_premises(psi: Formula, node: Witness) -> Optional[list]:
+    """(operand, side, level) premises of the clause ``node`` names for
+    ``psi``, or ``None`` when no such clause derives ``psi``."""
+    k, n = node.k, node.n
+    if node.clause == "qf":
+        return [] if k == 0 and psi.is_qf else None
+    if k < 1:
+        return None
+    if node.clause == "lift":
+        return [(psi, D, k - 1)]
+    for alternative in _alternatives(psi, node.side, k, n):
+        if alternative[0] == node.clause:
+            return _premises(_operands(psi), alternative, k, n)
+    return None
+
+
 def validate_witness(phi: Formula, w: Witness, checker: Optional[Classifier] = None) -> bool:
-    """Replay a witness clause-by-clause against the generating rules.
+    """Replay a witness clause-by-clause against the clause table.
 
     Returns True when every node of the derivation is a legitimate
-    application of a clause for the formula it certifies.
+    application of a clause for the formula it certifies, with every
+    child at the level, side and degree the clause requires.  The replay
+    is purely syntactic; ``checker`` is accepted for symmetry and unused.
     """
-    c = checker or _default
-
-    def check(psi: Formula, node: Witness) -> bool:
-        k, n, side = node.k, node.n, node.side
-        if node.clause == "qf":
-            return k == 0 and psi.is_qf
-        if k == 0:
+    stack = [(phi, w)]
+    while stack:
+        psi, node = stack.pop()
+        premises = _claimed_premises(psi, node)
+        if premises is None or len(premises) != len(node.children):
             return False
-        kk = k - 1
-        if node.clause == "lift":
-            (child,) = node.children
-            return child.k == kk and child.n == n and check(psi, child)
-        if node.clause == "and":
-            if not isinstance(psi, And):
+        for (operand, side, level), child in zip(premises, node.children):
+            if child.n != node.n or child.k != level or side not in (D, child.side):
                 return False
-            lw, rw = node.children
-            return (
-                lw.side == side
-                and rw.side == side
-                and lw.k == k
-                and rw.k == k
-                and check(psi.left, lw)
-                and check(psi.right, rw)
-            )
-        if node.clause in ("or", "or-left", "or-right"):
-            if not isinstance(psi, Or):
-                return False
-            lw, rw = node.children
-            if not (check(psi.left, lw) and check(psi.right, rw)):
-                return False
-            if side == J:
-                if kk <= n:
-                    return (
-                        node.clause == "or"
-                        and (lw.side, lw.k) == (J, k)
-                        and (rw.side, rw.k) == (J, k)
-                    )
-                if node.clause == "or-left":
-                    return (lw.side, lw.k) == (J, k) and (rw.side, rw.k) == (J, n + 1)
-                if node.clause == "or-right":
-                    return (lw.side, lw.k) == (J, n + 1) and (rw.side, rw.k) == (J, k)
-                return False
-            if kk < n:
-                return (
-                    node.clause == "or"
-                    and (lw.side, lw.k) == (R, k)
-                    and (rw.side, rw.k) == (R, k)
-                )
-            if node.clause == "or-left":
-                return (lw.side, lw.k) == (R, k) and rw.k == n
-            if node.clause == "or-right":
-                return lw.k == n and (rw.side, rw.k) == (R, k)
-            return False
-        if node.clause == "imp":
-            if not isinstance(psi, Imp):
-                return False
-            lw, rw = node.children
-            if not (check(psi.left, lw) and check(psi.right, rw)):
-                return False
-            if side == J:
-                if rw.side != J or rw.k != k:
-                    return False
-                if kk < n:
-                    return (lw.side, lw.k) == (R, k)
-                return lw.k == (kk if kk == n else n)
-            if rw.side != R or rw.k != k:
-                return False
-            if kk <= n:
-                return (lw.side, lw.k) == (J, k)
-            return (lw.side, lw.k) == (J, n + 1)
-        if node.clause == "exists":
-            if not (isinstance(psi, Exists) and side == J):
-                return False
-            (child,) = node.children
-            return (child.side, child.k) == (J, k) and check(psi.body, child)
-        if node.clause == "forall":
-            if not (isinstance(psi, Forall) and side == R):
-                return False
-            (child,) = node.children
-            return (child.side, child.k) == (R, k) and check(psi.body, child)
-        return False
-
-    return check(phi, w)
+            stack.append((operand, child))
+    return True

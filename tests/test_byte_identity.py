@@ -1,0 +1,65 @@
+"""Output bytes pinned by SHA-256 digests of the size-4 corpus (884
+formulas over P/1 Q/1 with variables x y).  A change to the classifier's
+verdicts, least levels or witness choices shows up here even when every
+answer stays correct.
+"""
+
+import hashlib
+
+from prenexify.cli import main
+from prenexify.normalizer import normalize_J, normalize_R
+from prenexify.oracle import enumerate_formulas
+from prenexify.parser import render
+from prenexify.rewrite import trace_to_text
+from prenexify.selftest import default_signature
+from prenexify.semiclassical import Classifier
+
+CORPUS = list(enumerate_formulas(default_signature(4)))
+
+# `prenexify classify corpus --n 0,1,2 --k-max 4` on the corpus, rendered
+# one formula per line
+CLASSIFY_SHA256 = "9dc815524f31c0e6fd2dcd8824b032db999290f915abfde16ec50d0b0eb98bc1"
+# the text traces of every positive normalization with k <= 4, n <= 2
+TRACES_SHA256 = "9dd60b1fad6fe2ad527a3d264c1491c8c9f90967d1a7cbfbbd769b6f09579c94"
+# the repr of every positive witness with k <= 4, n <= 2, J before R
+WITNESSES_SHA256 = "33d2eedf6e616d0b12b36a164f527e3ceeeec359099f448220f69e350934db16"
+
+
+def test_classify_output_is_byte_identical(tmp_path, capsys):
+    assert len(CORPUS) == 884
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(render(phi) + "\n" for phi in CORPUS))
+    code = main(["classify", str(corpus), "--n", "0,1,2", "--k-max", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256
+
+
+def test_normalizer_traces_are_byte_identical():
+    checker = Classifier()
+    digest = hashlib.sha256()
+    count = 0
+    for phi in CORPUS:
+        for n in range(3):
+            for k in range(5):
+                in_j, in_r = checker.decide(phi, k, n)
+                for member, normalize in ((in_j, normalize_J), (in_r, normalize_R)):
+                    if member:
+                        trace = normalize(phi, k, n, checker).trace
+                        digest.update(trace_to_text(trace).encode())
+                        count += 1
+    assert count == 18403
+    assert digest.hexdigest() == TRACES_SHA256
+
+
+def test_witnesses_are_byte_identical():
+    checker = Classifier()
+    digest = hashlib.sha256()
+    for phi in CORPUS:
+        for n in range(3):
+            for k in range(5):
+                for side in ("J", "R"):
+                    w = checker.witness(phi, k, n, side)
+                    if w is not None:
+                        digest.update(repr(w).encode())
+    assert digest.hexdigest() == WITNESSES_SHA256

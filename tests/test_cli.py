@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from prenexify.cli import main
 
 
@@ -61,16 +63,6 @@ def test_classify_reports_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "classify", str(corpus))
     assert code == 2
     assert "1:7" in err
-
-
-def test_classify_jobs_preserve_order(tmp_path, capsys):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("P(x)\nQ(y)\nexists x. P(x)\n")
-    code, sequential, _ = run(capsys, "classify", str(corpus))
-    assert code == 0
-    code, parallel, _ = run(capsys, "classify", str(corpus), "--jobs", "4")
-    assert code == 0
-    assert sequential == parallel
 
 
 def test_normalize_roundtrip(tmp_path, capsys):
@@ -135,6 +127,56 @@ def test_verify_malformed_exit_2(tmp_path, capsys):
     trace_file.write_text("no trace here\n")
     code, _, err = run(capsys, "verify", str(trace_file))
     assert code == 2
+
+
+def test_verify_rejects_negative_degree(tmp_path, capsys):
+    trace_file = tmp_path / "negative.trace"
+    trace_file.write_text("degree: -1\nstart: P(x)\n")
+    code, out, err = run(capsys, "verify", str(trace_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("malformed trace")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"degree": 0, "start": "P(x)"},
+        {"degree": 0, "start": "P(x)", "steps": "ExistsAnd@/"},
+        {"degree": 0, "start": "P(x)", "steps": [{"path": "/"}]},
+        {"degree": 0, "start": "P(x)", "steps": ["ExistsAnd@/"]},
+        {"degree": -1, "start": "P(x)", "steps": []},
+        {"start": "P(x)", "steps": []},
+    ],
+)
+def test_verify_malformed_json_trace_exit_2(tmp_path, capsys, fields):
+    trace_file = tmp_path / "malformed.json"
+    trace_file.write_text(json.dumps({"schema": "prenexify.trace/1", **fields}))
+    code, _, err = run(capsys, "verify", str(trace_file))
+    assert code == 2
+    assert err.startswith("malformed trace")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normalize", "P(x)", "-k", "-1", "-n", "0"),
+        ("normalize", "P(x)", "-k", "1", "-n", "-1"),
+        ("normalize", "P(x)", "-k", "one", "-n", "0"),
+        ("search", "P(x)", "-n", "-1", "--target", "j", "-k", "0"),
+        ("search", "P(x)", "-n", "0", "--target", "j", "-k", "1.5"),
+        ("classify", "corpus.txt", "--n", "a"),
+        ("classify", "corpus.txt", "--n", "0,-1"),
+        ("classify", "corpus.txt", "--k-max", "-1"),
+    ],
+)
+def test_levels_must_be_natural_numbers(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text("P(x)\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "natural number" in err
 
 
 def test_search_yes(capsys):

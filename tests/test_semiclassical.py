@@ -1,15 +1,17 @@
 """The derived expectations here are computed by an independent oracle: a
 least-fixpoint iteration of the generating clauses over the subformula
-universe, as opposed to the checker's memoized syntax-directed recursion.
+universe, as opposed to the checker's clause table and per-node least
+levels.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from prenexify.formula import And, Exists, Forall, Imp, Or, subformulas
+from prenexify.formula import FALSUM, And, Exists, Forall, Imp, Or, Prime, subformulas
 from prenexify.parser import parse
 from prenexify.semiclassical import (
     Classifier,
+    Witness,
     in_D,
     in_E_plus,
     in_J,
@@ -138,7 +140,7 @@ def test_min_levels():
 
 def test_min_levels_default_cutoff():
     phi = parse("(forall x. P(x)) -> false")
-    k_j, k_r = min_levels(phi, 0)  # default k_max = n + size + 1 = 6
+    k_j, k_r = min_levels(phi, 0)  # no k_max: exact, and in no level
     assert (k_j, k_r) == (None, None)
 
 
@@ -174,6 +176,12 @@ def test_witness_tracks_asymmetric_or():
     w = checker.witness(phi, 2, 0, "J")
     assert w.clause in ("or-left", "or-right")
     assert validate_witness(phi, w, checker)
+    # at k - 1 = n both R-side disjunction clauses apply here; or-left is
+    # tried first, and its D premise is witnessed on R as it is not in J
+    both = parse("(exists x. P(x)) | (forall y. Q(y))")
+    w = checker.witness(both, 2, 1, "R")
+    assert w.clause == "or-left"
+    assert [child.side for child in w.children] == ["R", "R"]
 
 
 def test_invalid_levels_rejected():
@@ -181,6 +189,22 @@ def test_invalid_levels_rejected():
         in_J(parse("P(x)"), -1, 0)
     with pytest.raises(ValueError):
         in_J(parse("P(x)"), 0, -2)
+    checker = Classifier()
+    with pytest.raises(ValueError):
+        checker.witness(parse("P(x)"), -1, 0, "J")
+    with pytest.raises(ValueError):
+        checker.witness(parse("P(x)"), 0, -1, "R")
+
+
+def test_witness_with_child_at_another_degree_is_rejected():
+    phi = parse("exists z. ((forall x. P(x)) -> false)")
+    checker = Classifier()
+    assert not checker.in_J(phi, 2, 0)
+    child = checker.witness(phi.body, 2, 1, "J")
+    assert child is not None
+    forged = Witness("J", 2, 0, "exists", (child,))
+    assert not validate_witness(phi, forged, checker)
+    assert validate_witness(phi, Witness("J", 2, 1, "exists", (child,)), checker)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,6 +258,31 @@ def test_positive_witnesses_always_replay(phi):
                 w = checker.witness(phi, k, n, side)
                 if w is not None:
                     assert validate_witness(phi, w, checker)
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(max_leaves=4))
+def test_min_levels_are_exact(phi):
+    for n in range(3):
+        bound = n + phi.size + 2
+        J, R = naive_classes(phi, bound, n)
+        least = tuple(
+            next((k for k in range(bound + 1) if phi in side[k]), None)
+            for side in (J, R)
+        )
+        assert Classifier().min_levels(phi, n) == least
+
+
+def test_deep_alternation_needs_no_recursion():
+    phi = Prime("P", ("x",))
+    for depth in range(5000):
+        phi = Forall("x", phi) if depth % 2 else Imp(phi, FALSUM)
+    checker = Classifier()
+    assert checker.decide(phi, 3, 0) == (False, False)
+    assert checker.min_levels(phi, 0) == (None, None)
+    # each forall/negation pair opens one more quantifier block
+    assert checker.decide(phi, 2500, 10**9) == (False, True)
+    assert checker.min_levels(phi, 10**9) == (2501, 2500)
 
 
 def test_fresh_classifier_matches_module_level():
