@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: parse | classify | normalize | verify | search | selftest.
-Exit codes: 0 pass, 1 fail, 2 input error, 3 not-in-class (normalize),
-4 budget exhausted without an answer (search).  The environment variable
-``PRENEXIFY_BUDGET`` overrides the default search node budget; an
-optional key=value config file can declare a signature and budget.
+Exit codes: 0 pass, 1 fail (verify, selftest), 2 input error, 3 not in
+the class (normalize), 4 budget exhausted without an answer (search).
+Unusable outside input (argv, config, ``PRENEXIFY_BUDGET``, a file that
+cannot be read, decoded or written) raises :class:`InputError`; ``main``
+reports it, like a formula's ``ParseError``, as one stderr line and exit
+2.  Signature and budget are resolved once, before dispatch: the flag,
+then the ``--config`` file (``key=value`` lines: ``sig``, ``budget``;
+read for every command), then ``PRENEXIFY_BUDGET``, then the default.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ from . import oracle
 from .formula import Formula
 from .hierarchy import classify_prenex, in_pi_plus, in_sigma_plus
 from .normalizer import NotInClassError, normalize_J, normalize_R
-from .parser import ParseError, parse, parse_signature_line, render
+from .parser import (
+    ParseError,
+    formula_to_dict,
+    parse,
+    parse_corpus,
+    parse_signature_line,
+    render,
+)
 from .rewrite import (
     RewriteError,
     trace_from_json,
@@ -39,69 +50,32 @@ EXIT_UNKNOWN = 4
 CLASSIFY_SCHEMA = "prenexify.classify/1"
 
 
-def _default_budget() -> int:
-    value = os.environ.get("PRENEXIFY_BUDGET")
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            raise SystemExit(f"PRENEXIFY_BUDGET is not an integer: {value!r}")
-    return oracle.DEFAULT_NODE_BUDGET
+class InputError(argparse.ArgumentTypeError):
+    """Unusable outside input.  As an ``ArgumentTypeError`` it is reported
+    by argparse against the argument whose conversion raised it."""
 
 
-def _load_config(path: Optional[str]) -> dict:
-    """key=value lines; recognized keys: sig, budget."""
-    config: dict = {}
-    if path is None:
-        return config
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SystemExit(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key == "sig":
-                    config["sig"] = parse_signature_line("sig " + value, lineno)
-                elif key == "budget":
-                    config["budget"] = int(value)
-                else:
-                    raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-    except OSError as exc:
-        raise SystemExit(f"cannot read config {path}: {exc}")
-    return config
+class _HelpShown(Exception):
+    """``--help`` has printed its text; ``main`` returns 0."""
 
 
-def _signature_from(args) -> Optional[dict[str, int]]:
-    config = _load_config(getattr(args, "config", None))
-    if getattr(args, "sig", None):
-        return parse_signature_line("sig " + args.sig)
-    return config.get("sig")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Ends through ``main``'s return value instead of exiting."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: error: {message}")
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
-def _budget_from(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    config = _load_config(getattr(args, "config", None))
-    return config.get("budget", _default_budget())
-
-
-def _parse_formula_arg(text: str, signature) -> Formula:
-    try:
-        return parse(text, signature)
-    except ParseError as exc:
-        raise SystemExit(EXIT_INPUT, f"parse error: {exc}") from exc
-
-
-def _natural(text: str) -> int:
+def _natural(text: str, where: str = "") -> int:
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+        raise InputError(f"{where}expected a natural number, got {text!r}")
     return value
 
 
@@ -109,24 +83,74 @@ def _naturals(text: str) -> list[int]:
     return [_natural(part) for part in text.split(",") if part.strip() != ""]
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error as one line and exit code 2 through ``main``."""
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
-    def error(self, message: str):
-        raise SystemExit((EXIT_INPUT, f"{self.prog}: error: {message}"))
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _load_config(path: str) -> dict:
+    """``key=value`` lines with ``#`` comments; the keys are sig and budget."""
+    config: dict = {}
+    for lineno, raw in enumerate(_read(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}: "
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise InputError(f"{where}expected key=value")
+        if key == "sig":
+            try:
+                config["sig"] = parse_signature_line("sig " + value, lineno)
+            except ParseError as exc:
+                raise InputError(f"{path}:{exc}") from None
+        elif key == "budget":
+            config["budget"] = _natural(value, f"{where}budget: ")
+        else:
+            raise InputError(f"{where}unknown key {key!r}")
+    return config
+
+
+def _resolve_settings(args) -> None:
+    """Set ``args.sig`` and ``args.budget``, where the command has them, in
+    order of precedence: flag, config file, ``PRENEXIFY_BUDGET``, default."""
+    config = _load_config(args.config) if args.config is not None else {}
+    if hasattr(args, "sig"):
+        flag = args.sig
+        args.sig = parse_signature_line("sig " + flag) if flag else config.get("sig")
+    if getattr(args, "budget", 0) is None:
+        env = os.environ.get("PRENEXIFY_BUDGET")
+        if "budget" in config:
+            args.budget = config["budget"]
+        elif env:
+            args.budget = _natural(env, "PRENEXIFY_BUDGET: ")
+        else:
+            args.budget = oracle.DEFAULT_NODE_BUDGET
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        _resolve_settings(args)
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            code, message = exc.code
-            print(message, file=sys.stderr)
-            return code
-        raise
+    except _HelpShown:
+        return EXIT_OK
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,30 +197,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_natural, required=True)
     p.add_argument("--target", choices=("sigma", "pi", "j", "r"), required=True)
     p.add_argument("-k", type=_natural, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_natural)
     p.add_argument("--sig")
     p.add_argument("--trace-out")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("selftest", help="run the full invariant suite")
-    p.add_argument("--size", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
+    p.add_argument("--size", type=_natural, default=6)
+    p.add_argument("--n-max", type=_natural, default=2)
+    p.add_argument("--k-max", type=_natural, default=4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_natural)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_selftest)
     return top
 
 
 def cmd_parse(args) -> int:
-    phi = _parse_formula_arg(args.formula, _signature_from(args))
-    if args.json:
-        from .parser import formula_to_dict
-
-        print(json.dumps(formula_to_dict(phi), sort_keys=True))
-    else:
-        print(render(phi))
+    phi = parse(args.formula, args.sig)
+    out = json.dumps(formula_to_dict(phi), sort_keys=True) if args.json else render(phi)
+    print(out)
     return EXIT_OK
 
 
@@ -223,37 +243,11 @@ def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> 
 
 
 def cmd_classify(args) -> int:
-    signature = _signature_from(args)
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    formulas: list[tuple[int, Formula]] = []
-    errors: list[str] = []
-    header = signature
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if (text == "sig" or text.startswith("sig ")) and not formulas:
-            if signature is None:
-                try:
-                    header = parse_signature_line(text, lineno)
-                except ParseError as exc:
-                    errors.append(str(exc))
-            continue
-        try:
-            formulas.append((lineno, parse(text, header, lineno)))
-        except ParseError as exc:
-            errors.append(str(exc))
-    for message in errors:
-        print(f"{args.input}:{message}", file=sys.stderr)
+    _, formulas, errors = parse_corpus(_read(args.input).split("\n"), args.sig)
+    for exc in errors:
+        print(f"{args.input}:{exc}", file=sys.stderr)
     if errors:
         return EXIT_INPUT
-
     checker = Classifier()
     for _, phi in formulas:
         record = _classify_record(phi, args.n, args.k_max, checker)
@@ -262,39 +256,28 @@ def cmd_classify(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    phi = _parse_formula_arg(args.formula, _signature_from(args))
+    phi = parse(args.formula, args.sig)
+    normalize = normalize_J if args.target == "sigma" else normalize_R
     try:
-        result = (
-            normalize_J(phi, args.k, args.n)
-            if args.target == "sigma"
-            else normalize_R(phi, args.k, args.n)
-        )
+        result = normalize(phi, args.k, args.n)
     except NotInClassError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_IN_CLASS
-    print(json.dumps(result.to_json(), sort_keys=True))
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_text(result.trace))
+        _write(args.trace_out, trace_to_text(result.trace))
+    print(json.dumps(result.to_json(), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    text = _read(args.trace)
     try:
-        with open(args.trace, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             trace = trace_from_json(json.loads(text))
         else:
             trace = trace_from_text(text)
     except (ValueError, ParseError) as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"malformed trace: {exc}") from None
     try:
         final = verify_trace(trace)
     except RewriteError as exc:
@@ -305,8 +288,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    phi = _parse_formula_arg(args.formula, _signature_from(args))
-    budget = _budget_from(args)
+    phi = parse(args.formula, args.sig)
     k, n = args.k, args.n
     checker = Classifier()
     predicate = {
@@ -315,30 +297,24 @@ def cmd_search(args) -> int:
         "j": lambda m: checker.in_J(m, k, n),
         "r": lambda m: checker.in_R(m, k, n),
     }[args.target]
-    result = oracle.can_reach(phi, n, predicate, budget, checker)
+    result = oracle.can_reach(phi, n, predicate, args.budget, checker)
+    text = trace_to_text(result.trace) if result.status == "yes" else ""
+    if text and args.trace_out:
+        _write(args.trace_out, text)
+        text = ""
     print(result.status)
-    if result.status == "yes":
-        text = trace_to_text(result.trace)
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    if result.status == "no":
-        return EXIT_OK
-    return EXIT_UNKNOWN
+    sys.stdout.write(text)
+    return EXIT_UNKNOWN if result.status == "unknown" else EXIT_OK
 
 
 def cmd_selftest(args) -> int:
-    budget = _budget_from(args)
     progress = None if args.quiet else lambda message: print(message, file=sys.stderr)
     results = run_selftest(
         size=args.size,
         n_max=args.n_max,
         k_max=args.k_max,
         seed=args.seed,
-        budget=budget,
+        budget=args.budget,
         progress=progress,
     )
     for criterion in results:

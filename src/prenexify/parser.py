@@ -46,6 +46,7 @@ __all__ = [
     "parse",
     "render",
     "parse_corpus",
+    "is_variable",
     "parse_signature_line",
     "formula_to_dict",
     "formula_from_dict",
@@ -249,6 +250,15 @@ def parse(
     return result
 
 
+def is_variable(text: str) -> bool:
+    """Whether ``text`` is exactly one variable token of the grammar."""
+    try:
+        first, _eof = _tokenize(text)
+    except (ParseError, ValueError):
+        return False
+    return first.kind == "var" and first.text == text
+
+
 # Precedence levels used by the renderer; higher binds tighter.
 _LEVEL_IMP = 1
 _LEVEL_OR = 2
@@ -291,34 +301,22 @@ def _render(phi: Formula, context: int, tail: bool) -> str:
     return f"({text})" if parenthesize else text
 
 
+# The JSON name of every connective and quantifier, and its inverse.
+_OPS = {And: "and", Or: "or", Imp: "imp", Exists: "exists", Forall: "forall"}
+_OP_CLASSES = {op: cls for cls, op in _OPS.items()}
+
+
 def formula_to_dict(phi: Formula) -> dict:
     """JSON-friendly AST form; inverse of :func:`formula_from_dict`."""
     if isinstance(phi, Falsum):
         return {"op": "falsum"}
     if isinstance(phi, Prime):
         return {"op": "prime", "name": phi.name, "args": list(phi.args)}
-    if isinstance(phi, And):
-        return {
-            "op": "and",
-            "left": formula_to_dict(phi.left),
-            "right": formula_to_dict(phi.right),
-        }
-    if isinstance(phi, Or):
-        return {
-            "op": "or",
-            "left": formula_to_dict(phi.left),
-            "right": formula_to_dict(phi.right),
-        }
-    if isinstance(phi, Imp):
-        return {
-            "op": "imp",
-            "left": formula_to_dict(phi.left),
-            "right": formula_to_dict(phi.right),
-        }
-    if isinstance(phi, Exists):
-        return {"op": "exists", "var": phi.var, "body": formula_to_dict(phi.body)}
-    assert isinstance(phi, Forall)
-    return {"op": "forall", "var": phi.var, "body": formula_to_dict(phi.body)}
+    if isinstance(phi, _Quant):
+        body = formula_to_dict(phi.body)
+        return {"op": _OPS[type(phi)], "var": phi.var, "body": body}
+    left, right = formula_to_dict(phi.left), formula_to_dict(phi.right)
+    return {"op": _OPS[type(phi)], "left": left, "right": right}
 
 
 def formula_from_dict(data: dict) -> Formula:
@@ -327,14 +325,12 @@ def formula_from_dict(data: dict) -> Formula:
         return FALSUM
     if op == "prime":
         return Prime(data["name"], tuple(data["args"]))
-    if op in ("and", "or", "imp"):
-        cls = {"and": And, "or": Or, "imp": Imp}[op]
-        return cls(formula_from_dict(data["left"]), formula_from_dict(data["right"]))
-    if op == "exists":
-        return Exists(data["var"], formula_from_dict(data["body"]))
-    if op == "forall":
-        return Forall(data["var"], formula_from_dict(data["body"]))
-    raise ValueError(f"unknown formula op {op!r}")
+    cls = _OP_CLASSES.get(op)
+    if cls is None:
+        raise ValueError(f"unknown formula op {op!r}")
+    if issubclass(cls, _Quant):
+        return cls(data["var"], formula_from_dict(data["body"]))
+    return cls(formula_from_dict(data["left"]), formula_from_dict(data["right"]))
 
 
 def parse_signature_line(text: str, line: int = 1) -> dict[str, int]:
@@ -354,24 +350,27 @@ def parse_signature_line(text: str, line: int = 1) -> dict[str, int]:
 
 
 def parse_corpus(
-    lines: Iterable[str],
-) -> tuple[Optional[dict[str, int]], list[tuple[int, Formula]]]:
+    lines: Iterable[str], signature: Optional[dict[str, int]] = None
+) -> tuple[Optional[dict[str, int]], list[tuple[int, Formula]], list[ParseError]]:
     """Parse a corpus: ``#`` comments, an optional leading ``sig`` header,
-    then one formula per line.  Returns the signature (if declared) and the
-    formulas with their 1-based line numbers.
+    then one formula per line.  Returns the signature, the formulas with
+    their 1-based line numbers, and every error, in line order.  A given
+    ``signature`` replaces the header, which is then skipped unparsed.
     """
-    signature: Optional[dict[str, int]] = None
     formulas: list[tuple[int, Formula]] = []
+    errors: list[ParseError] = []
+    header = True
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        if (
-            (text == "sig" or text.startswith("sig "))
-            and not formulas
-            and signature is None
-        ):
-            signature = parse_signature_line(text, lineno)
-            continue
-        formulas.append((lineno, parse(text, signature, lineno)))
-    return signature, formulas
+        try:
+            if header and (text == "sig" or text.startswith("sig ")):
+                if signature is None:
+                    signature = parse_signature_line(text, lineno)
+            else:
+                formulas.append((lineno, parse(text, signature, lineno)))
+        except ParseError as exc:
+            errors.append(exc)
+        header = False
+    return signature, formulas, errors

@@ -60,7 +60,7 @@ from .formula import (
     subformula_at,
 )
 from .hierarchy import is_prenex
-from .parser import parse, render
+from .parser import is_variable, parse, render
 
 __all__ = [
     "RULES",
@@ -372,19 +372,16 @@ def _format_step(step: RewriteStep) -> str:
     return text
 
 
-_STEP_RE = re.compile(
-    r"([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=([A-Za-z][A-Za-z0-9_]*))?\s*$"
-)
+# The fresh name is checked by ``_step``, with the grammar's own rule.
+_STEP_RE = re.compile(r"([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=(\S+))?\s*$")
 
 
-def _parse_step(text: str) -> RewriteStep:
-    m = _STEP_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"malformed trace step {text!r}")
-    rule, pos, fresh = m.group(1), m.group(2), m.group(3)
+def _step(rule: str, path: str, fresh: Optional[str]) -> RewriteStep:
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    return RewriteStep(rule, parse_position(pos), fresh)
+    if fresh is not None and not (isinstance(fresh, str) and is_variable(fresh)):
+        raise ValueError(f"fresh name {fresh!r} is not a variable")
+    return RewriteStep(rule, parse_position(path), fresh)
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -396,7 +393,7 @@ def trace_to_text(trace: Trace) -> str:
 def _degree(value) -> int:
     try:
         degree = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"trace degree is not an integer: {value!r}") from None
     if degree < 0:
         raise ValueError(f"trace degree must be a natural number, got {degree}")
@@ -415,8 +412,10 @@ def trace_from_text(text: str) -> Trace:
             degree = _degree(line.split(":", 1)[1].strip())
         elif line.startswith("start:"):
             start = parse(line.split(":", 1)[1].strip())
+        elif (m := _STEP_RE.match(line)) is not None:
+            steps.append(_step(*m.groups()))
         else:
-            steps.append(_parse_step(line))
+            raise ValueError(f"malformed trace step {line!r}")
     if degree is None or start is None:
         raise ValueError("trace needs 'degree:' and 'start:' lines")
     return Trace(start, tuple(steps), degree)
@@ -446,14 +445,10 @@ def trace_from_json(data: dict) -> Trace:
     if not isinstance(data.get("steps"), list):
         raise ValueError("trace needs a 'steps' list")
     try:
-        steps = tuple(
-            RewriteStep(item["rule"], parse_position(item["path"]), item.get("fresh"))
-            for item in data["steps"]
-        )
+        steps = [_step(s["rule"], s["path"], s.get("fresh")) for s in data["steps"]]
         start = data["start"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed trace field: {exc}") from None
-    for step in steps:
-        if step.rule not in RULES:
-            raise ValueError(f"unknown rule {step.rule!r}")
-    return Trace(parse(start), steps, _degree(data.get("degree")))
+    if not isinstance(start, str):
+        raise ValueError(f"trace start is not a string: {start!r}")
+    return Trace(parse(start), tuple(steps), _degree(data.get("degree")))

@@ -15,6 +15,7 @@ from prenexify.parser import (
     ParseError,
     formula_from_dict,
     formula_to_dict,
+    is_variable,
     parse,
     parse_corpus,
     parse_signature_line,
@@ -96,17 +97,61 @@ def test_parse_corpus():
         "P(x) & Q(y)  # trailing comment",
         "exists x. P(x)",
     ]
-    signature, entries = parse_corpus(lines)
+    signature, entries, errors = parse_corpus(lines)
     assert signature == {"P": 1, "Q": 1}
     assert [(lineno, render(phi)) for lineno, phi in entries] == [
         (4, "P(x) & Q(y)"),
         (5, "exists x. P(x)"),
     ]
+    assert errors == []
 
 
 def test_parse_corpus_checks_arities():
-    with pytest.raises(ArityError):
-        parse_corpus(["sig P/2", "P(x)"])
+    _, entries, errors = parse_corpus(["sig P/2", "P(x)"])
+    assert entries == []
+    assert [type(exc) for exc in errors] == [ArityError]
+    assert errors[0].line == 2
+
+
+def test_parse_corpus_collects_every_error():
+    lines = ["sig P/1", "sig Q/1", "P(x) &", "P(x)", "Q(y)"]
+    signature, entries, errors = parse_corpus(lines)
+    assert signature == {"P": 1}
+    assert [lineno for lineno, _ in entries] == [4]
+    # a second header is no header; Q is not in the signature
+    assert [(exc.line, exc.column) for exc in errors] == [(2, 6), (3, 7), (5, 1)]
+    assert isinstance(errors[2], ArityError)
+
+
+def test_parse_corpus_given_signature_replaces_header():
+    signature, entries, errors = parse_corpus(["sig P/x", "P(x, y)"], {"P": 2})
+    assert signature == {"P": 2}
+    assert [render(phi) for _, phi in entries] == ["P(x, y)"]
+    assert errors == []
+
+
+def test_is_variable():
+    assert is_variable("x") and is_variable("v0") and is_variable("x_1")
+    for text in ["Q", "false", "forall", "exists", "x y", " x", "x,", "", "0"]:
+        assert not is_variable(text)
+
+
+def test_formula_to_dict_shape():
+    assert formula_to_dict(parse("forall x. P(x) | ~A")) == {
+        "op": "forall",
+        "var": "x",
+        "body": {
+            "op": "or",
+            "left": {"op": "prime", "name": "P", "args": ["x"]},
+            "right": {
+                "op": "imp",
+                "left": {"op": "prime", "name": "A", "args": []},
+                "right": {"op": "falsum"},
+            },
+        },
+    }
+    with pytest.raises(ValueError):
+        formula_from_dict({"op": "xor"})
 
 
 def test_parse_signature_line():
