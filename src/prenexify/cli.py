@@ -276,7 +276,8 @@ def cmd_verify(args) -> int:
             trace = trace_from_json(json.loads(text))
         else:
             trace = trace_from_text(text)
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, RecursionError) as exc:
+        # json.loads and the parser recurse once per nesting level
         raise InputError(f"malformed trace: {exc}") from None
     try:
         final = verify_trace(trace)

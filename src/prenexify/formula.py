@@ -236,30 +236,67 @@ def _children(phi: Formula) -> tuple[tuple[str, Formula], ...]:
     return ()
 
 
+def _preorder(phi: Formula) -> Iterator[tuple[Position, Formula]]:
+    """``(position, node)`` for every node of ``phi`` in preorder (root
+    first, left before right before body), without recursion."""
+    stack: list[tuple[Position, Formula]] = [((), phi)]
+    while stack:
+        pos, node = stack.pop()
+        yield pos, node
+        if isinstance(node, _Binary):
+            stack.append((pos + (RIGHT,), node.right))
+            stack.append((pos + (LEFT,), node.left))
+        elif isinstance(node, _Quant):
+            stack.append((pos + (BODY,), node.body))
+
+
 def positions(phi: Formula) -> Iterator[Position]:
     """All valid positions of ``phi`` in preorder (root first, left before
     right before body)."""
+    return (pos for pos, _ in _preorder(phi))
 
-    def walk(psi: Formula, prefix: Position) -> Iterator[Position]:
-        yield prefix
-        for sel, child in _children(psi):
-            yield from walk(child, prefix + (sel,))
 
-    return walk(phi, ())
+def _child(node: Formula, sel: str):
+    """The ``sel`` child of ``node``, or ``None`` if ``node`` has none."""
+    if isinstance(node, _Binary):
+        if sel == LEFT:
+            return node.left
+        if sel == RIGHT:
+            return node.right
+    elif sel == BODY and isinstance(node, _Quant):
+        return node.body
+    return None
+
+
+def _with_child(parent: Formula, sel: str, child: Formula) -> Formula:
+    """``parent`` with its ``sel`` child swapped for ``child``; ``sel`` is a
+    selector ``_child`` accepts for ``parent``."""
+    if sel == LEFT:
+        return type(parent)(child, parent.right)
+    if sel == RIGHT:
+        return type(parent)(parent.left, child)
+    return type(parent)(parent.var, child)
+
+
+def _rebuild(ancestors: list[Formula], pos: Position, node: Formula) -> Formula:
+    """The root above ``ancestors``, the nodes along ``pos`` from the root
+    down, with ``node`` in place of the child below the last of them."""
+    for depth in range(len(ancestors) - 1, -1, -1):
+        node = _with_child(ancestors[depth], pos[depth], node)
+    return node
+
+
+def _dangling(phi: Formula, pos: Position) -> PositionError:
+    return PositionError(f"position {'/'.join(pos) or '/'} invalid for {phi}")
 
 
 def subformula_at(phi: Formula, pos: Position) -> Formula:
     """The node of ``phi`` reached by following ``pos``."""
     node = phi
     for sel in pos:
-        if sel == LEFT and isinstance(node, _Binary):
-            node = node.left
-        elif sel == RIGHT and isinstance(node, _Binary):
-            node = node.right
-        elif sel == BODY and isinstance(node, _Quant):
-            node = node.body
-        else:
-            raise PositionError(f"position {'/'.join(pos) or '/'} invalid for {phi}")
+        node = _child(node, sel)
+        if node is None:
+            raise _dangling(phi, pos)
     return node
 
 
@@ -270,16 +307,14 @@ def replace_at(phi: Formula, pos: Position, psi: Formula) -> Formula:
     is performed, so a free variable of ``psi`` may become bound by a
     quantifier above ``pos``.
     """
-    if not pos:
-        return psi
-    sel, rest = pos[0], pos[1:]
-    if sel == LEFT and isinstance(phi, _Binary):
-        return type(phi)(replace_at(phi.left, rest, psi), phi.right)
-    if sel == RIGHT and isinstance(phi, _Binary):
-        return type(phi)(phi.left, replace_at(phi.right, rest, psi))
-    if sel == BODY and isinstance(phi, _Quant):
-        return type(phi)(phi.var, replace_at(phi.body, rest, psi))
-    raise PositionError(f"position {'/'.join(pos) or '/'} invalid for {phi}")
+    ancestors = []
+    node = phi
+    for sel in pos:
+        ancestors.append(node)
+        node = _child(node, sel)
+        if node is None:
+            raise _dangling(phi, pos)
+    return _rebuild(ancestors, pos, psi)
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:

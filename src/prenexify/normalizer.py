@@ -14,8 +14,11 @@ the budget.  Move policies below pick, at each step, a hoist that is valid
 under the degree-n side conditions and provably stays inside the contract;
 they are transcriptions of the constructive merging arguments for
 conjunction, disjunction (symmetric and asymmetric ranks) and implication.
-Every emitted step is applied through the rewrite engine immediately, so
-an invalid schedule cannot survive unnoticed.
+Every step is checked by the rewrite engine at its redex as it is emitted
+(``rewrite_node``, with every rule, strategy and side-condition check), so
+an invalid schedule cannot survive unnoticed.  Steps carry absolute
+positions from the start, and no ancestor of the redex is rebuilt: a
+merge wraps its hoisted prefix around the connective once, when it ends.
 """
 
 from __future__ import annotations
@@ -34,14 +37,12 @@ from .formula import (
     Position,
     _Binary,
     _Quant,
-    all_vars,
     free_vars,
     fresh_variable,
-    subformula_at,
 )
 from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
 from .parser import formula_to_dict, render
-from .rewrite import RewriteStep, Trace, apply_step, trace_to_json
+from .rewrite import RewriteStep, Trace, rewrite_node, trace_to_json
 from .semiclassical import Classifier, Witness
 
 __all__ = [
@@ -107,7 +108,8 @@ def _normalize_entry(
         raise NotInClassError(
             f"{render(phi)} is not in {'J' if side == 'J' else 'R'}_{k}^{n}"
         )
-    output, steps = _normalize(phi, witness, checker)
+    steps: list[RewriteStep] = []
+    output = _normalize(phi, witness, checker, (), steps)
     trace = Trace(phi, tuple(steps), n)
 
     member = in_sigma_plus if target == SIGMA else in_pi_plus
@@ -116,33 +118,31 @@ def _normalize_entry(
     return NormalizationResult(phi, k, n, target, output, trace)
 
 
-def _shift(steps: list[RewriteStep], sel: str) -> list[RewriteStep]:
-    return [RewriteStep(s.rule, (sel,) + s.position, s.fresh) for s in steps]
-
-
 def _normalize(
-    phi: Formula, w: Witness, checker: Classifier
-) -> tuple[Formula, list[RewriteStep]]:
-    """Recursive extraction; returns (prenex formula, steps relative to phi)."""
+    phi: Formula, w: Witness, checker: Classifier, pos: Position,
+    steps: list[RewriteStep],
+) -> Formula:
+    """Recursive extraction of ``phi``, sitting at ``pos`` of the input:
+    returns its prenex form and appends the steps, at absolute positions,
+    to ``steps``."""
     clause = w.clause
     if clause == "qf":
-        return phi, []
+        return phi
     if clause == "lift":
-        return _normalize(phi, w.children[0], checker)
+        return _normalize(phi, w.children[0], checker, pos, steps)
     if clause == "exists":
-        body, steps = _normalize(phi.body, w.children[0], checker)
-        return Exists(phi.var, body), _shift(steps, "b")
+        return Exists(phi.var, _normalize(phi.body, w.children[0], checker,
+                                          pos + ("b",), steps))
     if clause == "forall":
-        body, steps = _normalize(phi.body, w.children[0], checker)
-        return Forall(phi.var, body), _shift(steps, "b")
+        return Forall(phi.var, _normalize(phi.body, w.children[0], checker,
+                                          pos + ("b",), steps))
 
     assert isinstance(phi, _Binary)
     lw, rw = w.children
-    left, lsteps = _normalize(phi.left, lw, checker)
-    right, rsteps = _normalize(phi.right, rw, checker)
-    steps = _shift(lsteps, "l") + _shift(rsteps, "r")
+    left = _normalize(phi.left, lw, checker, pos + ("l",), steps)
+    right = _normalize(phi.right, rw, checker, pos + ("r",), steps)
 
-    merger = _Merger(type(phi)(left, right), w.n, checker)
+    merger = _Merger(type(phi)(left, right), pos, w.n, checker, steps)
     target = SIGMA if w.side == semiclassical.J else PI
     if clause == "and":
         merger.merge_and(target, w.k)
@@ -151,7 +151,7 @@ def _normalize(
     else:
         assert clause == "imp"
         merger.merge_imp(target, w.k)
-    return merger.current, steps + merger.steps
+    return merger.result()
 
 
 def _flip(target: str) -> str:
@@ -178,39 +178,50 @@ _HOIST_RULE = {
 
 
 class _Merger:
-    """Hoists the quantifier prefixes of one connective node sitting at a
-    descending position of ``current``; both operands stay prenex."""
+    """Hoists the quantifier prefixes of the operands of one connective
+    node, sitting at ``base`` of the input, above it; both operands stay
+    prenex.  ``node`` is the connective as it stands, ``prefix`` the
+    quantifiers hoisted so far, outermost first; each hoist is checked at
+    the connective, and the prefix is wrapped around it once, at the end."""
 
-    def __init__(self, start: Formula, n: int, checker: Classifier):
-        self.current = start
+    def __init__(self, node: _Binary, base: Position, n: int,
+                 checker: Classifier, steps: list[RewriteStep]):
+        self.node = node
+        self.prefix: list[_Quant] = []
+        self.base = base
         self.n = n
         self.checker = checker
-        self.steps: list[RewriteStep] = []
-        self.pos: Position = ()
+        self.steps = steps
 
     # one hoist: move the head quantifier of the given operand above the
-    # connective; the connective slides down to pos + (b,).
+    # connective, which slides down one body position; returns the kind
+    # of the hoisted quantifier.
     def _hoist(self, side: str) -> type:
-        node = subformula_at(self.current, self.pos)
+        node = self.node
         quant = node.left if side == "l" else node.right
         delta = node.right if side == "l" else node.left
         assert isinstance(quant, _Quant), "hoisting a quantifier-free operand"
         rule = _HOIST_RULE[(type(node), side, type(quant))]
         fresh = None
         if quant.var in delta.free:
-            fresh = fresh_variable(all_vars(self.current))
-        step = RewriteStep(rule, self.pos, fresh)
-        self.current = apply_step(self.current, step, self.n, self.checker)
+            # exactly the variables of the prefix over the node: a name
+            # renamed away must drop out, or the fresh names would change
+            fresh = fresh_variable([q.var for q in self.prefix] + list(node.vars))
+        step = RewriteStep(rule, self.base + ("b",) * len(self.prefix), fresh)
+        hoisted = rewrite_node(node, step, self.n, self.checker)
         self.steps.append(step)
-        self.pos = self.pos + ("b",)
-        out = type(quant)
-        if isinstance(node, Imp) and side == "l":
-            out = Forall if out is Exists else Exists
-        return out
+        self.prefix.append(hoisted)
+        self.node = hoisted.body
+        return type(hoisted)
+
+    def result(self) -> Formula:
+        phi = self.node
+        for quant in reversed(self.prefix):
+            phi = type(quant)(quant.var, phi)
+        return phi
 
     def _operands(self) -> tuple[Formula, Formula]:
-        node = subformula_at(self.current, self.pos)
-        return node.left, node.right
+        return self.node.left, self.node.right
 
     @staticmethod
     def _level(phi: Formula) -> int:

@@ -51,10 +51,14 @@ from .formula import (
     Or,
     Position,
     _Binary,
+    _child,
+    _dangling,
+    _preorder,
     _Quant,
+    _rebuild,
+    _with_child,
     all_vars,
     fresh_variable,
-    positions,
     rename_bound,
     replace_at,
     subformula_at,
@@ -74,6 +78,7 @@ __all__ = [
     "TraceStepError",
     "applicable_steps",
     "apply_step",
+    "rewrite_node",
     "verify_trace",
     "lifts_to_degree",
     "measure",
@@ -218,8 +223,7 @@ def applicable_steps(
     checker = checker or semiclassical._default
     found: list[tuple[int, tuple[int, ...], RewriteStep]] = []
     avoid = None
-    for pos in positions(phi):
-        node = subformula_at(phi, pos)
+    for pos, node in _preorder(phi):
         if not isinstance(node, _Binary):
             continue
         if not _strategy_ok(node):
@@ -244,22 +248,22 @@ def applicable_steps(
     return [step for _, _, step in found]
 
 
-def apply_step(
-    phi: Formula,
+def rewrite_node(
+    node: Formula,
     step: RewriteStep,
     n: int,
     checker: Optional[semiclassical.Classifier] = None,
 ) -> Formula:
-    """Apply ``step`` to ``phi`` at degree ``n``, validating everything.
+    """The redex ``node`` rewritten by ``step`` at degree ``n``.
 
-    Raises RuleMismatchError, StrategyViolationError or SideConditionError
-    (and PositionError for a dangling position), each distinguished.
+    Every check of a step reads the redex alone, so ``step.position`` is
+    not consulted: the caller has already descended to it.  Raises
+    RuleMismatchError, StrategyViolationError or SideConditionError.
     """
     checker = checker or semiclassical._default
     rule = RULES.get(step.rule)
     if rule is None:
         raise RuleMismatchError(f"unknown rule {step.rule!r}")
-    node = subformula_at(phi, step.position)
     m = _match(rule, node)
     if m is None:
         raise RuleMismatchError(f"{step.rule} does not match {node}")
@@ -277,7 +281,7 @@ def apply_step(
             raise SideConditionError(
                 f"{step.rule}: {step.fresh} already appears in the body"
             )
-        return replace_at(phi, step.position, rename_bound(quant, step.fresh))
+        return rename_bound(quant, step.fresh)
 
     quant, delta = m
     if step.fresh is not None:
@@ -306,20 +310,59 @@ def apply_step(
         inner = rule.conn(quant.body, delta)
     else:
         inner = rule.conn(delta, quant.body)
-    return replace_at(phi, step.position, rule.out(quant.var, inner))
+    return rule.out(quant.var, inner)
+
+
+def apply_step(
+    phi: Formula,
+    step: RewriteStep,
+    n: int,
+    checker: Optional[semiclassical.Classifier] = None,
+) -> Formula:
+    """Apply ``step`` to ``phi`` at degree ``n``, validating everything.
+
+    Raises RuleMismatchError, StrategyViolationError or SideConditionError
+    (and PositionError for a dangling position), each distinguished.
+    """
+    node = subformula_at(phi, step.position)
+    return replace_at(phi, step.position, rewrite_node(node, step, n, checker))
 
 
 def verify_trace(
     trace: Trace, checker: Optional[semiclassical.Classifier] = None
 ) -> Formula:
-    """Replay a trace, re-validating each step; returns the final formula."""
-    phi = trace.start
+    """Replay a trace, re-validating each step; returns the final formula.
+
+    The replay keeps a cursor: the position of the last redex and the
+    ancestors along it.  A step pops the cursor to the common prefix of
+    its position, rebuilding only the ancestors it leaves, descends to its
+    redex and rewrites it there; the rest of the spine is rebuilt once at
+    the end.  The result, and the step index, type and message of any
+    failure, are those of folding ``apply_step`` from the root.
+    """
+    checker = checker or semiclassical._default
+    spine: list[Formula] = []  # the ancestors of the cursor, root first
+    path: Position = ()  # the cursor's position
+    node = trace.start  # the node at the cursor
     for index, step in enumerate(trace.steps):
+        pos = step.position
         try:
-            phi = apply_step(phi, step, trace.n, checker)
+            common = min(len(path), len(pos))
+            if path[:common] != pos[:common]:
+                common = next(i for i, (a, b) in enumerate(zip(path, pos)) if a != b)
+            while len(spine) > common:
+                node = _with_child(spine.pop(), path[len(spine)], node)
+            for sel in pos[common:]:
+                child = _child(node, sel)
+                if child is None:
+                    raise _dangling(_rebuild(spine, pos, node), pos)
+                spine.append(node)
+                node = child
+            path = pos
+            node = rewrite_node(node, step, trace.n, checker)
         except Exception as exc:  # noqa: BLE001 - rewrap with the step index
             raise TraceStepError(index, exc) from exc
-    return phi
+    return _rebuild(spine, path, node)
 
 
 def lifts_to_degree(trace: Trace, n_prime: int) -> bool:
@@ -334,15 +377,17 @@ def lifts_to_degree(trace: Trace, n_prime: int) -> bool:
 def measure(phi: Formula) -> int:
     """Sum over quantifier occurrences of the number of connective nodes
     strictly above them.  Every non-renaming step decreases this by one."""
-
-    def walk(node: Formula, above: int) -> int:
+    total = 0
+    stack = [(phi, 0)]
+    while stack:
+        node, above = stack.pop()
         if isinstance(node, _Binary):
-            return walk(node.left, above + 1) + walk(node.right, above + 1)
-        if isinstance(node, _Quant):
-            return above + walk(node.body, above)
-        return 0
-
-    return walk(phi, 0)
+            stack.append((node.left, above + 1))
+            stack.append((node.right, above + 1))
+        elif isinstance(node, _Quant):
+            total += above
+            stack.append((node.body, above))
+    return total
 
 
 # -- serialization ---------------------------------------------------------

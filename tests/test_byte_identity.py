@@ -1,12 +1,16 @@
 """Output bytes pinned by SHA-256 digests of the size-4 corpus (884
-formulas over P/1 Q/1 with variables x y).  A change to the classifier's
-verdicts, least levels or witness choices shows up here even when every
-answer stays correct.
+formulas over P/1 Q/1 with variables x y) and of three wide merges.  A
+change to the classifier's verdicts, least levels or witness choices, or
+to the normalizer's positions and fresh names, shows up here even when
+every answer stays correct.
 """
 
 import hashlib
 
+import pytest
+
 from prenexify.cli import main
+from prenexify.formula import And, Exists, Forall, Imp, Or, Prime
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import render
@@ -23,6 +27,14 @@ CLASSIFY_SHA256 = "9dc815524f31c0e6fd2dcd8824b032db999290f915abfde16ec50d0b0eb98
 TRACES_SHA256 = "9dd60b1fad6fe2ad527a3d264c1491c8c9f90967d1a7cbfbbd769b6f09579c94"
 # the repr of every positive witness with k <= 4, n <= 2, J before R
 WITNESSES_SHA256 = "33d2eedf6e616d0b12b36a164f527e3ceeeec359099f448220f69e350934db16"
+# the J then R text traces at k = 2, n = 1 of 40 quantified atoms,
+# alternately existential and universal over x, y, z, joined
+# right-associatively: long merges, with renames, at deep positions
+WIDE_TRACES_SHA256 = {
+    And: "5e011ea51078816f2bea160a44a434d3ad90311ee68e1f7244668c22859e0e70",
+    Or: "60bd367c3f69ed7a87ab8b4831ad256be22cfc2f7920d2ff6df4239b24981478",
+    Imp: "627ee2b5e4bf3044fad36e9c7c4562abfa0a05e5802156d0d53cc4b8896059cc",
+}
 
 
 def test_classify_output_is_byte_identical(tmp_path, capsys):
@@ -63,3 +75,19 @@ def test_witnesses_are_byte_identical():
                     if w is not None:
                         digest.update(repr(w).encode())
     assert digest.hexdigest() == WITNESSES_SHA256
+
+
+@pytest.mark.parametrize("conn", list(WIDE_TRACES_SHA256), ids=lambda c: c.__name__)
+def test_wide_merge_traces_are_byte_identical(conn):
+    operands = [
+        (Exists, Forall)[i % 2]("xyz"[i % 3], Prime("P", ("xyz"[i % 3],)))
+        for i in range(40)
+    ]
+    phi = operands.pop()
+    while operands:
+        phi = conn(operands.pop(), phi)
+    checker = Classifier()
+    digest = hashlib.sha256()
+    for normalize in (normalize_J, normalize_R):
+        digest.update(trace_to_text(normalize(phi, 2, 1, checker).trace).encode())
+    assert digest.hexdigest() == WIDE_TRACES_SHA256[conn]

@@ -345,6 +345,18 @@ INPUT_ERRORS = {
         None,
         "malformed trace",
     ),
+    "verify-json-nested-50000-deep": (
+        ("verify", "t"),
+        {"t": b'{"steps": ' + b"[" * 50000},
+        None,
+        "malformed trace",
+    ),
+    "verify-text-start-nested-3000-deep": (
+        ("verify", "t"),
+        {"t": b"degree: 0\nstart: " + b"~" * 3000 + b"P(x)"},
+        None,
+        "malformed trace",
+    ),
     "normalize-trace-out-missing-dir": (
         (*NORMALIZE, "--trace-out", "no/t"),
         {},

@@ -1,6 +1,7 @@
 import pytest
 
-from prenexify.formula import free_vars
+from prenexify import formula
+from prenexify.formula import And, Exists, Prime, free_vars
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.normalizer import (
     RESULT_SCHEMA,
@@ -147,3 +148,21 @@ def test_converse_consistency_regression():
         floor = sigma_plus_floor(result.output)
         assert floor is not None and floor <= k
         assert in_J(phi, floor, n)
+
+
+def test_steps_cost_constant_nodes_on_a_wide_conjunction():
+    # Theta(w^2) steps are needed (each lowers the measure by one); a step
+    # must cost O(1) new nodes, not a rebuild of every ancestor.  Counted
+    # in interned nodes, so the guard does not depend on timing.
+    operands = [Exists(f"x{i}", Prime("P", (f"x{i}",))) for i in range(1, 81)]
+    phi = operands.pop()
+    while operands:
+        phi = And(operands.pop(), phi)
+    before = len(formula._interned)
+    result = normalize_J(phi, 1, 1)
+    normalized = len(formula._interned)
+    steps = len(result.trace.steps)
+    assert steps == 3239
+    assert normalized - before <= 4 * steps
+    assert verify_trace(result.trace) is result.output
+    assert len(formula._interned) == normalized

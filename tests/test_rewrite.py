@@ -1,9 +1,24 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prenexify.formula import PositionError, free_vars
+from prenexify.formula import (
+    FALSUM,
+    Exists,
+    Imp,
+    PositionError,
+    Prime,
+    _Quant,
+    all_vars,
+    free_vars,
+    fresh_variable,
+    positions,
+    subformula_at,
+)
+from prenexify.hierarchy import is_prenex
 from prenexify.parser import parse
 from prenexify.rewrite import (
+    RULE_ORDER,
     RULES,
     RewriteStep,
     RuleMismatchError,
@@ -239,3 +254,103 @@ def test_context_closure_random(phi):
     for original, moved in zip(steps, shifted):
         expected = AndNode(Prime("Q", ("x",)), apply_step(phi, original, 1))
         assert apply_step(host, moved, 1) is expected
+
+
+def _exists_chain(depth, body):
+    for _ in range(depth):
+        body = Exists("x", body)
+    return body
+
+
+def _negation_chain(depth, body):
+    for _ in range(depth):
+        body = Imp(body, FALSUM)
+    return body
+
+
+def test_walkers_on_5000_deep_chains():
+    # built with the constructors: the parser still recurses per level
+    redex = parse("(exists y. P(y)) & Q(x)")
+    chain = _exists_chain(5000, redex)
+    assert sum(1 for _ in positions(chain)) == 5000 + redex.size
+    assert measure(chain) == 1
+    (step,) = applicable_steps(chain, 0)
+    assert step == RewriteStep("ExistsAnd", ("b",) * 5000)
+    out = apply_step(chain, step, 0)
+    assert out is _exists_chain(5000, parse("exists y. P(y) & Q(x)"))
+    assert measure(out) == 0
+    assert verify_trace(Trace(chain, (step,), 0)) is out
+
+    chain = _negation_chain(5000, Exists("x", Prime("P", ("x",))))
+    walk = list(positions(chain))
+    assert len(walk) == chain.size == 10002
+    assert walk[5000:5003] == [("l",) * 5000, ("l",) * 5000 + ("b",), ("l",) * 4999 + ("r",)]
+    assert walk[-1] == ("r",)
+    assert measure(chain) == 5000
+    (step,) = applicable_steps(chain, 0)
+    assert step == RewriteStep("ExistsImp", ("l",) * 4999)
+    out = apply_step(chain, step, 0)
+    assert measure(out) == 4999
+    assert verify_trace(Trace(chain, (step,), 0)) is out
+
+
+def _fold(trace):
+    """The reference replay: every step applied from the root."""
+    phi = trace.start
+    for index, step in enumerate(trace.steps):
+        try:
+            phi = apply_step(phi, step, trace.n)
+        except Exception as exc:  # noqa: BLE001 - rewrap as verify_trace does
+            raise TraceStepError(index, exc) from exc
+    return phi
+
+
+def _outcome(replay, trace):
+    try:
+        return replay(trace)
+    except TraceStepError as exc:
+        return exc.index, type(exc.reason), str(exc.reason)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(max_leaves=7), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
+    # a random walk of 1 to 12 steps: applicable steps at any position, so
+    # the cursor jumps up and across siblings, and standalone renamings
+    steps = []
+    phi = start
+    for _ in range(rng.randint(1, 12)):
+        quants = [
+            p for p in positions(phi)
+            if isinstance(q := subformula_at(phi, p), _Quant) and is_prenex(q.body)
+        ]
+        choices = applicable_steps(phi, n)
+        if quants and (not choices or rng.random() < 0.25):
+            pos = rng.choice(quants)
+            rule = "ExistsVar" if isinstance(subformula_at(phi, pos), Exists) else "ForallVar"
+            step = RewriteStep(rule, pos, fresh_variable(all_vars(phi)))
+        elif choices:
+            step = rng.choice(choices)
+        else:
+            break
+        steps.append(step)
+        phi = apply_step(phi, step, n)
+    trace = Trace(start, tuple(steps), n)
+    assert verify_trace(trace) is _fold(trace) is phi
+    if not steps:
+        return
+
+    i = rng.randrange(len(steps))
+    step = steps[i]
+    dangling = RewriteStep(step.rule, step.position + ("l",) * (start.size + 1), step.fresh)
+    other_rule = RULE_ORDER[(RULE_ORDER.index(step.rule) + rng.randrange(1, 14)) % 14]
+    corrupted = [
+        steps[:i] + steps[i + 1:],
+        steps[:i] + [dangling] + steps[i + 1:],
+        steps[:i] + [RewriteStep(other_rule, step.position, step.fresh)] + steps[i + 1:],
+    ]
+    for bad in corrupted:
+        bad = Trace(start, tuple(bad), n)
+        assert _outcome(verify_trace, bad) == _outcome(_fold, bad)
+    index, reason, message = _outcome(verify_trace, Trace(start, tuple(corrupted[1]), n))
+    assert (index, reason) == (i, PositionError) and "invalid for" in message
