@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
         else:
             trace = trace_from_text(text)
     except (ValueError, ParseError, RecursionError) as exc:
-        # json.loads and the parser recurse once per nesting level
+        # json.loads recurses once per nesting level
         raise InputError(f"malformed trace: {exc}") from None
     try:
         final = verify_trace(trace)

@@ -34,7 +34,6 @@ __all__ = [
     "subformula_at",
     "replace_at",
     "subformulas",
-    "proper_subformulas",
     "alpha_canonical",
     "alpha_equivalent",
     "fresh_variable",
@@ -320,11 +319,6 @@ def replace_at(phi: Formula, pos: Position, psi: Formula) -> Formula:
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """All subformula occurrences of ``phi`` in preorder (with repeats)."""
     yield phi
-    for _, child in _children(phi):
-        yield from subformulas(child)
-
-
-def proper_subformulas(phi: Formula) -> Iterator[Formula]:
     for _, child in _children(phi):
         yield from subformulas(child)
 

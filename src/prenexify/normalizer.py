@@ -1,11 +1,21 @@
-"""Witness-driven prenex normalization.
+"""Goal-driven prenex normalization.
 
 Given a positive J/R classification, emit a prenex formula in the matching
 cumulative class together with a degree-n trace that the rewrite engine
-replays.  The recursion follows the classifier's witness derivation, so
-no clause choices are re-searched: normalize the operands, then merge the
-two prenex results by hoisting their quantifier prefixes through the
-connective.
+replays.  The normalizer follows the classifier's derivation one goal
+``(phi, side, k)`` at a time (``Classifier.derive``, the step witnesses
+are built from), so no clause choice is re-searched.  A ``lift`` goal has
+the normal form of the goal below it and a ``qf`` goal is its own normal
+form.  Every other goal is normalized once per degree and kept in the
+classifier's store (``Classifier.normal_forms``): normalize the operands,
+then merge the two prenex results by hoisting their quantifier prefixes
+through the connective.  An entry holds the prenex output, the merge's own
+steps at positions relative to its node, and its operands' entries.  Fresh
+names come from the node alone (the hoisted binders and the node's
+variables), so an entry is the same wherever its goal occurs.  Each call
+turns the entries into absolute steps in one pass: the left operand's,
+the right operand's, then the node's own.  Both walks keep explicit
+stacks, so nesting depth is not bounded by the recursion limit.
 
 The merge loops track a *contract* (target kind, level budget): hoisting a
 quantifier whose output kind matches the target keeps the contract, while
@@ -14,17 +24,17 @@ the budget.  Move policies below pick, at each step, a hoist that is valid
 under the degree-n side conditions and provably stays inside the contract;
 they are transcriptions of the constructive merging arguments for
 conjunction, disjunction (symmetric and asymmetric ranks) and implication.
-Every step is checked by the rewrite engine at its redex as it is emitted
-(``rewrite_node``, with every rule, strategy and side-condition check), so
-an invalid schedule cannot survive unnoticed.  Steps carry absolute
-positions from the start, and no ancestor of the redex is rebuilt: a
-merge wraps its hoisted prefix around the connective once, when it ends.
+Every step is checked by the rewrite engine at its redex when its entry is
+built (``rewrite_node``, with every rule, strategy and side-condition
+check), so an invalid schedule cannot survive unnoticed.  No ancestor of
+the redex is rebuilt: a merge wraps its hoisted prefix around the
+connective once, when it ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import semiclassical
 from .formula import (
@@ -34,7 +44,6 @@ from .formula import (
     Formula,
     Imp,
     Or,
-    Position,
     _Binary,
     _Quant,
     free_vars,
@@ -43,7 +52,7 @@ from .formula import (
 from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
 from .parser import formula_to_dict, render
 from .rewrite import RewriteStep, Trace, rewrite_node, trace_to_json
-from .semiclassical import Classifier, Witness
+from .semiclassical import Classifier
 
 __all__ = [
     "NormalizationResult",
@@ -103,14 +112,14 @@ def _normalize_entry(
 ) -> NormalizationResult:
     checker = checker or semiclassical._default
     side = semiclassical.J if target == SIGMA else semiclassical.R
-    witness = checker.witness(phi, k, n, side)
-    if witness is None:
-        raise NotInClassError(
-            f"{render(phi)} is not in {'J' if side == 'J' else 'R'}_{k}^{n}"
-        )
-    steps: list[RewriteStep] = []
-    output = _normalize(phi, witness, checker, (), steps)
-    trace = Trace(phi, tuple(steps), n)
+    if not checker.decide(phi, k, n)[0 if side == semiclassical.J else 1]:
+        raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
+    form = _normal_form((phi, side, k), n, checker)
+    if form is None:
+        output, steps = phi, ()
+    else:
+        output, steps = form.output, _absolute_steps(form)
+    trace = Trace(phi, steps, n)
 
     member = in_sigma_plus if target == SIGMA else in_pi_plus
     assert member(output, k), "normalizer output left the target class"
@@ -118,40 +127,109 @@ def _normalize_entry(
     return NormalizationResult(phi, k, n, target, output, trace)
 
 
-def _normalize(
-    phi: Formula, w: Witness, checker: Classifier, pos: Position,
-    steps: list[RewriteStep],
-) -> Formula:
-    """Recursive extraction of ``phi``, sitting at ``pos`` of the input:
-    returns its prenex form and appends the steps, at absolute positions,
-    to ``steps``."""
-    clause = w.clause
-    if clause == "qf":
-        return phi
-    if clause == "lift":
-        return _normalize(phi, w.children[0], checker, pos, steps)
-    if clause == "exists":
-        return Exists(phi.var, _normalize(phi.body, w.children[0], checker,
-                                          pos + ("b",), steps))
-    if clause == "forall":
-        return Forall(phi.var, _normalize(phi.body, w.children[0], checker,
-                                          pos + ("b",), steps))
+class _NormalForm(NamedTuple):
+    """The normal form of one goal that takes steps to reach: its prenex
+    ``output``, the ``hoists`` of its own merge as ``(rule, fresh)``
+    pairs, and, with their selectors, the entries of its operands that
+    take steps.  Each hoist slides the connective one body position down,
+    so the i-th is the step at ``("b",) * i`` below the goal's node.  A
+    goal whose node is already its own normal form has the entry
+    ``None``."""
 
-    assert isinstance(phi, _Binary)
-    lw, rw = w.children
-    left = _normalize(phi.left, lw, checker, pos + ("l",), steps)
-    right = _normalize(phi.right, rw, checker, pos + ("r",), steps)
+    output: Formula
+    hoists: tuple[tuple[str, Optional[str]], ...]
+    children: tuple[tuple[str, "_NormalForm"], ...]
 
-    merger = _Merger(type(phi)(left, right), pos, w.n, checker, steps)
-    target = SIGMA if w.side == semiclassical.J else PI
+
+def _resolve(goal: tuple, n: int, checker: Classifier) -> tuple:
+    """The first goal down ``goal``'s lift chain that is not ``lift``,
+    with its clause and premises."""
+    clause, premises = checker.derive(*goal, n)
+    while clause == "lift":
+        (goal,) = premises
+        clause, premises = checker.derive(*goal, n)
+    return goal, clause, premises
+
+
+def _normal_form(goal: tuple, n: int, checker: Classifier) -> Optional[_NormalForm]:
+    """The entry of ``goal`` at degree ``n``, first building and storing,
+    operands before their node, every entry below it not yet stored.  A
+    goal that resolves to ``qf`` is not stored; its entry is ``None``."""
+    store = checker.normal_forms(n)
+    root, clause, premises = _resolve(goal, n, checker)
+    if clause == "qf" or root in store:
+        return store.get(root)
+    # a frame: a goal, its clause, and its operands' resolved goals
+    stack = [(root, clause, [_resolve(p, n, checker) for p in premises])]
+    while stack:
+        key, clause, operands = stack[-1]
+        pending = [g for g in operands if g[1] != "qf" and g[0] not in store]
+        if pending:
+            stack.extend(
+                (g, c, [_resolve(p, n, checker) for p in ps]) for g, c, ps in pending
+            )
+            continue
+        stack.pop()
+        if key not in store:  # a goal pending twice is built once
+            forms = [store.get(g[0]) for g in operands]
+            store[key] = _build(key, clause, forms, n, checker)
+    return store[root]
+
+
+def _build(
+    goal: tuple, clause: str, forms: list, n: int, checker: Classifier
+) -> Optional[_NormalForm]:
+    """The entry of a goal from its operands' entries."""
+    phi, side, k = goal
+    if clause in ("exists", "forall"):
+        (body,) = forms
+        if body is None:
+            return None
+        return _NormalForm(type(phi)(phi.var, body.output), (), (("b", body),))
+
+    left, right = forms
+    merger = _Merger(
+        type(phi)(
+            phi.left if left is None else left.output,
+            phi.right if right is None else right.output,
+        ),
+        n,
+        checker,
+    )
+    target = SIGMA if side == semiclassical.J else PI
     if clause == "and":
-        merger.merge_and(target, w.k)
+        merger.merge_and(target, k)
     elif clause in ("or", "or-left", "or-right"):
-        merger.merge_or(target, w.k)
+        merger.merge_or(target, k)
     else:
         assert clause == "imp"
-        merger.merge_imp(target, w.k)
-    return merger.result()
+        merger.merge_imp(target, k)
+    children = []
+    if left is not None:
+        children.append(("l", left))
+    if right is not None:
+        children.append(("r", right))
+    if not merger.hoists and not children:
+        return None  # the merge left phi as it was
+    return _NormalForm(merger.result(), tuple(merger.hoists), tuple(children))
+
+
+def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
+    """Every step below ``form``, at positions from its node, in trace
+    order: per entry, its left operand's, its right operand's, its own."""
+    steps: list[RewriteStep] = []
+    stack = [(form, (), False)]
+    while stack:
+        form, pos, expanded = stack.pop()
+        if expanded:
+            for rule, fresh in form.hoists:
+                steps.append(RewriteStep(rule, pos, fresh))
+                pos += ("b",)
+            continue
+        stack.append((form, pos, True))
+        for selector, child in reversed(form.children):
+            stack.append((child, pos + (selector,), False))
+    return tuple(steps)
 
 
 def _flip(target: str) -> str:
@@ -179,19 +257,18 @@ _HOIST_RULE = {
 
 class _Merger:
     """Hoists the quantifier prefixes of the operands of one connective
-    node, sitting at ``base`` of the input, above it; both operands stay
-    prenex.  ``node`` is the connective as it stands, ``prefix`` the
-    quantifiers hoisted so far, outermost first; each hoist is checked at
-    the connective, and the prefix is wrapped around it once, at the end."""
+    node above it; both operands stay prenex.  ``node`` is the connective
+    as it stands, ``prefix`` the quantifiers hoisted so far, outermost
+    first, and ``hoists`` their ``(rule, fresh)`` pairs; each hoist is
+    checked at the connective, and the prefix is wrapped around it once,
+    at the end."""
 
-    def __init__(self, node: _Binary, base: Position, n: int,
-                 checker: Classifier, steps: list[RewriteStep]):
+    def __init__(self, node: _Binary, n: int, checker: Classifier):
         self.node = node
         self.prefix: list[_Quant] = []
-        self.base = base
         self.n = n
         self.checker = checker
-        self.steps = steps
+        self.hoists: list[tuple[str, Optional[str]]] = []
 
     # one hoist: move the head quantifier of the given operand above the
     # connective, which slides down one body position; returns the kind
@@ -207,9 +284,9 @@ class _Merger:
             # exactly the variables of the prefix over the node: a name
             # renamed away must drop out, or the fresh names would change
             fresh = fresh_variable([q.var for q in self.prefix] + list(node.vars))
-        step = RewriteStep(rule, self.base + ("b",) * len(self.prefix), fresh)
-        hoisted = rewrite_node(node, step, self.n, self.checker)
-        self.steps.append(step)
+        # checked at the connective itself, the redex of this hoist
+        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), self.n, self.checker)
+        self.hoists.append((rule, fresh))
         self.prefix.append(hoisted)
         self.node = hoisted.body
         return type(hoisted)

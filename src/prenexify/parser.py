@@ -242,12 +242,72 @@ def parse(
     against it; without one, arities only need to be consistent within the
     formula.  ``line`` offsets error positions for multi-line inputs.
     """
-    parser = _Parser(_tokenize(text, line), signature)
-    result = parser.parse_formula()
+    tokens = _tokenize(text, line)
+    parser = _Parser(tokens, signature)
+    try:
+        result = parser.parse_formula()
+    except RecursionError:
+        depth = _nesting_depth(tokens)
+        message = f"formula nests too deeply (depth {depth})"
+        raise ParseError(message, line, 1) from None
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
     return result
+
+
+_PRECEDENCE = {"->": 1, "|": 2, "&": 3}
+
+
+def _nesting_depth(tokens: list[_Token]) -> int:
+    """How many connectives, quantifiers and parentheses enclose the
+    deepest atom the tokens spell, found without recursion by operator
+    precedence; it reads malformed input too, as best it can."""
+    depths: list[int] = []  # of the operands read so far
+    ops: list[str] = []  # "(", "~", "q" (a quantifier) and connectives
+
+    def apply() -> None:
+        op = ops.pop()
+        arity = 2 if op in _PRECEDENCE else 1
+        operands = [depths.pop() for _ in range(min(arity, len(depths)))]
+        depths.append(max(operands, default=0) + 1)
+
+    def operand_read() -> None:
+        while ops and ops[-1] == "~":
+            apply()
+
+    i = 0
+    while i < len(tokens):
+        kind = tokens[i].kind
+        if kind in ("pred", "false"):
+            if kind == "pred" and tokens[i + 1].kind == "(":
+                while tokens[i].kind not in (")", "eof"):
+                    i += 1
+            depths.append(0)
+            operand_read()
+        elif kind in ("exists", "forall"):
+            ops.append("q")
+        elif kind in ("~", "("):
+            ops.append(kind)
+        elif kind == ")":
+            while ops and ops[-1] != "(":
+                apply()
+            if ops:
+                ops.pop()
+                depths.append(depths.pop() + 1 if depths else 1)
+            operand_read()
+        elif kind in _PRECEDENCE:
+            while ops and _PRECEDENCE.get(ops[-1], 0) > _PRECEDENCE[kind]:
+                apply()
+            ops.append(kind)
+        i += 1
+    while ops:  # an unclosed "(" closes at the end
+        if ops[-1] == "(":
+            ops.pop()
+            depths.append(depths.pop() + 1 if depths else 1)
+        else:
+            apply()
+    return max(depths, default=0)
 
 
 def is_variable(text: str) -> bool:

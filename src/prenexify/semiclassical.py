@@ -12,7 +12,8 @@ connective; which clauses exist depends on how k-1 compares to n:
 
 with E, E' ranging over J_k^n, U, U' over R_k^n, D over D_n^n and E1
 over J_{n+1}^n.  ``_CLAUSES`` is this table, and it alone drives the
-least levels, witness construction and ``validate_witness``.
+least levels, each derivation step (``Classifier.derive``, which both
+witnesses and the normalizer follow) and ``validate_witness``.
 
 Least levels.  The lift clause makes every class cumulative in k
 (S_k^n is inside D_k^n, which is inside S_{k+1}^n), so membership of a
@@ -204,9 +205,19 @@ class Classifier:
     def __init__(self):
         # n -> {non-quantifier-free node: (k_J, k_R)}
         self._levels: defaultdict[int, dict[Formula, tuple]] = defaultdict(dict)
+        # n -> {goal: normal form}, filled by the normalizer
+        self._normal_forms: defaultdict[int, dict] = defaultdict(dict)
 
     def clear(self) -> None:
         self._levels.clear()
+        self._normal_forms.clear()
+
+    def normal_forms(self, n: int) -> dict:
+        """The normalizer's store for degree ``n``, keyed by the goals
+        ``(phi, side, k)`` it has normalized that are neither ``lift`` nor
+        ``qf``.  It lives and is cleared with the least levels it was
+        derived from."""
+        return self._normal_forms[n]
 
     def _pair(self, phi: Formula, n: int) -> tuple:
         """(k_J, k_R) of ``phi`` at degree ``n``, computed bottom-up."""
@@ -247,31 +258,38 @@ class Classifier:
 
     # -- witnesses ---------------------------------------------------------
 
+    def derive(self, psi: Formula, side: str, k: int, n: int) -> tuple[str, list]:
+        """One derivation step: the clause that derives the goal ``psi`` in
+        S_k^n (S = ``side``) and its premises, one ``(operand, side,
+        level)`` goal each, with every D premise resolved to J or R.  The
+        goal must hold, so ``decide`` has seen a formula containing psi."""
+        levels = self._levels[n]
+        k_j, k_r = levels.get(psi, _QF)
+        if k > k_j or k > k_r:  # psi lies in D_{k-1}^n
+            return "lift", [(psi, J if k > k_j else R, k - 1)]
+        if k == 0:
+            return "qf", []
+        operands = _operands(psi)
+        pairs = [levels.get(c, _QF) for c in operands]
+        alternative = _clause(psi, side, k, n, pairs)
+        premises = _premises(operands, alternative, k, n)
+        for i, ((c, p_side, at), pair) in enumerate(zip(premises, pairs)):
+            if p_side == D:
+                premises[i] = (c, J if at >= pair[0] else R, at)
+        return alternative[0], premises
+
     def witness(self, phi: Formula, k: int, n: int, side: str) -> Optional[Witness]:
         """Derivation tree for a positive verdict, or ``None``."""
         _check_levels(k, n)
         if k < self._pair(phi, n)[0 if side == J else 1]:
             return None
-        levels = self._levels[n].get  # filled by _pair
         # Plan the goals top-down in preorder, then build them in reverse:
         # each node finds its children's witnesses on top of ``values``.
         plans = []
         stack = [(phi, side, k)]
         while stack:
             psi, s, level = stack.pop()
-            k_j, k_r = levels(psi, _QF)
-            if level > k_j or level > k_r:  # psi lies in D_{level-1}^n
-                clause, premises = "lift", [(psi, J if level > k_j else R, level - 1)]
-            elif level == 0:
-                clause, premises = "qf", []
-            else:
-                operands = _operands(psi)
-                pairs = [levels(c, _QF) for c in operands]
-                alternative = _clause(psi, s, level, n, pairs)
-                clause, premises = alternative[0], _premises(operands, alternative, level, n)
-                for i, ((c, p_side, at), pair) in enumerate(zip(premises, pairs)):
-                    if p_side == D:
-                        premises[i] = (c, J if at >= pair[0] else R, at)
+            clause, premises = self.derive(psi, s, level, n)
             plans.append((s, level, clause, len(premises)))
             stack.extend(premises)
         values: list[Witness] = []

@@ -64,6 +64,24 @@ def test_normalizer_traces_are_byte_identical():
     assert digest.hexdigest() == TRACES_SHA256
 
 
+def test_cold_normal_forms_give_the_same_traces():
+    # a fresh Classifier per call builds every normal form anew
+    checker = Classifier()
+    digest = hashlib.sha256()
+    count = 0
+    for phi in CORPUS:
+        for n in range(3):
+            for k in range(5):
+                in_j, in_r = checker.decide(phi, k, n)
+                for member, normalize in ((in_j, normalize_J), (in_r, normalize_R)):
+                    if member:
+                        trace = normalize(phi, k, n, Classifier()).trace
+                        digest.update(trace_to_text(trace).encode())
+                        count += 1
+    assert count == 18403
+    assert digest.hexdigest() == TRACES_SHA256
+
+
 def test_witnesses_are_byte_identical():
     checker = Classifier()
     digest = hashlib.sha256()

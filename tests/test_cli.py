@@ -355,7 +355,14 @@ INPUT_ERRORS = {
         ("verify", "t"),
         {"t": b"degree: 0\nstart: " + b"~" * 3000 + b"P(x)"},
         None,
-        "malformed trace",
+        "malformed trace: 1:1: formula nests too deeply (depth 3000)",
+    ),
+    "parse-nested-2000-deep": (("parse", "~" * 2000 + "P(x)"), {}, None, "depth 2000"),
+    "normalize-nested-1500-deep": (
+        ("normalize", "exists x. " * 1500 + "P(x)", "-k", "1", "-n", "0"),
+        {},
+        None,
+        "parse error: 1:1: formula nests too deeply (depth 1500)",
     ),
     "normalize-trace-out-missing-dir": (
         (*NORMALIZE, "--trace-out", "no/t"),

@@ -1,7 +1,9 @@
+from collections import defaultdict
+
 import pytest
 
 from prenexify import formula
-from prenexify.formula import And, Exists, Prime, free_vars
+from prenexify.formula import And, Exists, Forall, Prime, _Quant, free_vars
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.normalizer import (
     RESULT_SCHEMA,
@@ -9,8 +11,10 @@ from prenexify.normalizer import (
     normalize_J,
     normalize_R,
 )
+from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
-from prenexify.rewrite import verify_trace
+from prenexify.rewrite import RewriteStep, verify_trace
+from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
 
@@ -166,3 +170,79 @@ def test_steps_cost_constant_nodes_on_a_wide_conjunction():
     assert normalized - before <= 4 * steps
     assert verify_trace(result.trace) is result.output
     assert len(formula._interned) == normalized
+
+
+def test_normalize_5000_deep_chains():
+    # the entries are built and the steps emitted with explicit stacks
+    for quant, normalize in ((Exists, normalize_J), (Forall, normalize_R)):
+        phi = And(quant("y", Prime("P", ("y",))), quant("y", Prime("Q", ("y",))))
+        for _ in range(5000):
+            phi = quant("x", phi)
+        result = normalize(phi, 1, 0, Classifier())
+        hoist = quant.__name__ + "And"
+        assert result.trace.steps == (
+            RewriteStep(hoist, ("b",) * 5000),
+            RewriteStep("And" + quant.__name__, ("b",) * 5001, "v0"),
+        )
+        assert verify_trace(result.trace) is result.output
+
+
+def test_normal_forms_are_per_classifier_and_cleared():
+    phi = parse("(exists x. P(x)) & ((forall y. Q(y)) | exists z. R(z))")
+    one, two = Classifier(), Classifier()
+    first = normalize_J(phi, 3, 1, one)
+    assert one.normal_forms(1) and not two.normal_forms(1)
+    assert normalize_J(phi, 3, 1, two).trace == first.trace
+    stored = one.normal_forms(1)
+    assert stored.keys() == two.normal_forms(1).keys()
+    for goal, form in two.normal_forms(1).items():
+        assert form is None or form is not stored[goal]
+    one.clear()
+    assert not one.normal_forms(1)
+    assert normalize_J(phi, 3, 1, one).trace == first.trace
+
+
+def test_lifted_goals_reuse_the_stored_entry():
+    phi = parse("(exists x. P(x)) & (forall y. Q(y) -> exists z. R(y, z))")
+    for n in range(3):
+        for side, normalize in enumerate((normalize_J, normalize_R)):
+            checker = Classifier()
+            least = checker.min_levels(phi, n)[side]
+            assert least is not None and least <= 3
+            sizes = []
+            for k in range(least, 5):
+                normalize(phi, k, n, checker)
+                sizes.append(len(checker.normal_forms(n)))
+            assert sizes[0] > 0
+            assert sizes == sizes[:1] * len(sizes)
+
+
+def _goals(phi, witness):
+    """The (node, side, level) goals of a witness for ``phi`` that are
+    neither ``lift`` nor ``qf``."""
+    goals = set()
+    stack = [(phi, witness)]
+    while stack:
+        psi, w = stack.pop()
+        if w.clause == "lift":
+            stack.append((psi, w.children[0]))
+        elif w.clause != "qf":
+            goals.add((psi, w.side, w.k))
+            operands = (psi.body,) if isinstance(psi, _Quant) else (psi.left, psi.right)
+            stack.extend(zip(operands, w.children))
+    return goals
+
+
+def test_one_entry_per_goal_over_the_size_4_corpus():
+    checker = Classifier()
+    goals = defaultdict(set)
+    for phi in enumerate_formulas(default_signature(4)):
+        for n in range(3):
+            for k in range(5):
+                for side, normalize in (("J", normalize_J), ("R", normalize_R)):
+                    w = checker.witness(phi, k, n, side)
+                    if w is not None:
+                        normalize(phi, k, n, checker)
+                        goals[n] |= _goals(phi, w)
+    for n in range(3):
+        assert set(checker.normal_forms(n)) == goals[n]

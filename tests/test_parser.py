@@ -73,6 +73,21 @@ def test_syntax_error_positions():
         parse("exists P. Q(x)")  # binder must be a variable
 
 
+def test_too_deep_input_is_a_parse_error():
+    # the depth counts connectives, quantifiers and parentheses
+    cases = {
+        "~" * 2000 + "P(x)": 2000,
+        "exists x. " * 1500 + "P(x)": 1500,
+        "(" * 2000 + "P" + ")" * 2000: 2000,
+        " & ".join(["P"] * 3000): 2999,
+        "P -> (" * 1000 + "Q" + ")" * 1000: 2000,
+    }
+    for text, depth in cases.items():
+        message = rf"^1:1: formula nests too deeply \(depth {depth}\)$"
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+
+
 def test_arity_checking():
     with pytest.raises(ArityError):
         parse("P(x) & P(x, y)")  # inconsistent use within one formula
