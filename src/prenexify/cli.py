@@ -298,7 +298,7 @@ def cmd_search(args) -> int:
         "j": lambda m: checker.in_J(m, k, n),
         "r": lambda m: checker.in_R(m, k, n),
     }[args.target]
-    result = oracle.can_reach(phi, n, predicate, args.budget, checker)
+    result = oracle.can_reach(phi, n, predicate, args.budget)
     text = trace_to_text(result.trace) if result.status == "yes" else ""
     if text and args.trace_out:
         _write(args.trace_out, text)

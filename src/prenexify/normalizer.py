@@ -51,7 +51,7 @@ from .formula import (
 )
 from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
 from .parser import formula_to_dict, render
-from .rewrite import RewriteStep, Trace, rewrite_node, trace_to_json
+from .rewrite import RewriteStep, Trace, _in_c, _in_u, rewrite_node, trace_to_json
 from .semiclassical import Classifier
 
 __all__ = [
@@ -172,13 +172,11 @@ def _normal_form(goal: tuple, n: int, checker: Classifier) -> Optional[_NormalFo
         stack.pop()
         if key not in store:  # a goal pending twice is built once
             forms = [store.get(g[0]) for g in operands]
-            store[key] = _build(key, clause, forms, n, checker)
+            store[key] = _build(key, clause, forms, n)
     return store[root]
 
 
-def _build(
-    goal: tuple, clause: str, forms: list, n: int, checker: Classifier
-) -> Optional[_NormalForm]:
+def _build(goal: tuple, clause: str, forms: list, n: int) -> Optional[_NormalForm]:
     """The entry of a goal from its operands' entries."""
     phi, side, k = goal
     if clause in ("exists", "forall"):
@@ -194,7 +192,6 @@ def _build(
             phi.right if right is None else right.output,
         ),
         n,
-        checker,
     )
     target = SIGMA if side == semiclassical.J else PI
     if clause == "and":
@@ -263,11 +260,10 @@ class _Merger:
     checked at the connective, and the prefix is wrapped around it once,
     at the end."""
 
-    def __init__(self, node: _Binary, n: int, checker: Classifier):
+    def __init__(self, node: _Binary, n: int):
         self.node = node
         self.prefix: list[_Quant] = []
         self.n = n
-        self.checker = checker
         self.hoists: list[tuple[str, Optional[str]]] = []
 
     # one hoist: move the head quantifier of the given operand above the
@@ -285,7 +281,7 @@ class _Merger:
             # renamed away must drop out, or the fresh names would change
             fresh = fresh_variable([q.var for q in self.prefix] + list(node.vars))
         # checked at the connective itself, the redex of this hoist
-        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), self.n, self.checker)
+        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), self.n)
         self.hoists.append((rule, fresh))
         self.prefix.append(hoisted)
         self.node = hoisted.body
@@ -373,7 +369,6 @@ class _Merger:
 
     def merge_imp(self, target: str, budget: int) -> None:
         n = self.n
-        checker = self.checker
         while True:
             ante, cons = self._operands()
             ah = type(ante) if isinstance(ante, _Quant) else None
@@ -381,9 +376,9 @@ class _Merger:
             if ah is None and ch is None:
                 return
             # moves: (operand side, head needed, validity test)
-            a_forall = ah is Forall and n != 0 and checker.in_R(ante.body, n, n)
+            a_forall = ah is Forall and _in_u(ante, n)
             a_exists = ah is Exists
-            c_exists = ch is Exists and checker.in_D(ante, n, n)
+            c_exists = ch is Exists and _in_c(ante, n)
             c_forall = ch is Forall
             if target == SIGMA:
                 order = (

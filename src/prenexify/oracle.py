@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from . import semiclassical
 from .formula import (
     FALSUM,
     And,
@@ -44,7 +43,6 @@ __all__ = [
     "reachable_set",
     "can_reach",
     "enumerate_formulas",
-    "clear_transition_cache",
     "REACHABLE_SCHEMA",
 ]
 
@@ -52,26 +50,14 @@ DEFAULT_NODE_BUDGET = 100_000
 REACHABLE_SCHEMA = "prenexify.reachable/1"
 
 # (canonical state, degree) -> ((step on the state, canonical successor), ...)
-# Shared across searches; states recur heavily across related start formulas.
-_transitions: dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]] = {}
+Transitions = dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]]
 
 
-def clear_transition_cache() -> None:
-    _transitions.clear()
-
-
-def _expand(
-    state: Formula, n: int, checker: Optional[semiclassical.Classifier]
-) -> tuple[tuple[RewriteStep, Formula], ...]:
-    key = (state, n)
-    cached = _transitions.get(key)
-    if cached is None:
-        cached = tuple(
-            (step, alpha_canonical(apply_step(state, step, n, checker)))
-            for step in applicable_steps(state, n, checker)
-        )
-        _transitions[key] = cached
-    return cached
+def _expand(state: Formula, n: int) -> tuple[tuple[RewriteStep, Formula], ...]:
+    return tuple(
+        (step, alpha_canonical(apply_step(state, step, n)))
+        for step in applicable_steps(state, n)
+    )
 
 
 @dataclass
@@ -120,12 +106,19 @@ def reachable_set(
     phi: Formula,
     n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    checker: Optional[semiclassical.Classifier] = None,
+    checker=None,
+    *,
+    transitions: Optional[Transitions] = None,
 ) -> ReachableSet:
     """Breadth-first closure of ``phi`` under applicable steps at degree n.
 
     ``exhausted`` is False only when the budget cut exploration short.
+    ``transitions`` caches each state's expansion; states recur across
+    related start formulas, so a caller closing many passes its own dict
+    to every call.  ``checker`` is ignored.
     """
+    if transitions is None:
+        transitions = {}
     start = alpha_canonical(phi)
     members = [start]
     index = {start: 0}
@@ -137,7 +130,10 @@ def reachable_set(
         state = queue[head]
         head += 1
         out = []
-        for step, succ in _expand(state, n, checker):
+        successors = transitions.get((state, n))
+        if successors is None:
+            successors = transitions[state, n] = _expand(state, n)
+        for step, succ in successors:
             dst = index.get(succ)
             if dst is None:
                 if len(members) >= node_budget:
@@ -164,7 +160,6 @@ def can_reach(
     n: int,
     predicate: Callable[[Formula], bool],
     node_budget: int = DEFAULT_NODE_BUDGET,
-    checker: Optional[semiclassical.Classifier] = None,
 ) -> SearchResult:
     """Search for a reachable formula satisfying an alpha-invariant test.
 
@@ -183,7 +178,7 @@ def can_reach(
     while head < len(queue) and goal is None:
         state = queue[head]
         head += 1
-        for step, succ in _expand(state, n, checker):
+        for step, succ in _expand(state, n):
             if succ in parent:
                 continue
             if len(parent) >= node_budget:
@@ -205,8 +200,8 @@ def can_reach(
     concrete = phi
     steps: list[RewriteStep] = []
     for nxt in states[1:]:
-        for step in applicable_steps(concrete, n, checker):
-            result = apply_step(concrete, step, n, checker)
+        for step in applicable_steps(concrete, n):
+            result = apply_step(concrete, step, n)
             if alpha_canonical(result) is nxt:
                 concrete = result
                 steps.append(step)

@@ -36,7 +36,6 @@ from .formula import (
     Imp,
     Or,
     Prime,
-    _Binary,
     _Quant,
 )
 
@@ -319,46 +318,55 @@ def is_variable(text: str) -> bool:
     return first.kind == "var" and first.text == text
 
 
-# Precedence levels used by the renderer; higher binds tighter.
-_LEVEL_IMP = 1
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_ATOM = 4
+# The text of each connective with its precedence level (higher binds
+# tighter), and of each quantifier.
+_SYMBOLS = {Imp: (" -> ", 1), Or: (" | ", 2), And: (" & ", 3)}
+_WORDS = {Exists: "exists ", Forall: "forall "}
 
 
 def render(phi: Formula) -> str:
-    """Minimal-parentheses text for ``phi``; inverse of :func:`parse`."""
-    return _render(phi, 0, True)
-
-
-def _render(phi: Formula, context: int, tail: bool) -> str:
-    # ``tail`` is true when nothing follows phi up to the end of the
-    # enclosing scope, in which case a quantifier needs no parentheses
-    # even though it extends maximally to the right.
-    if isinstance(phi, Falsum):
-        return "false"
-    if isinstance(phi, Prime):
-        if phi.args:
-            return f"{phi.name}({', '.join(phi.args)})"
-        return phi.name
-    if isinstance(phi, _Quant):
-        word = "exists" if isinstance(phi, Exists) else "forall"
-        text = f"{word} {phi.var}. {_render(phi.body, 0, True)}"
-        return text if tail else f"({text})"
-
-    assert isinstance(phi, _Binary)
-    if isinstance(phi, Imp):
-        sym, level = "->", _LEVEL_IMP
-    elif isinstance(phi, Or):
-        sym, level = "|", _LEVEL_OR
-    else:
-        sym, level = "&", _LEVEL_AND
-    parenthesize = context > level
-    # Right-associative: the left operand needs strictly tighter binding.
-    left = _render(phi.left, level + 1, False)
-    right = _render(phi.right, level, True if parenthesize else tail)
-    text = f"{left} {sym} {right}"
-    return f"({text})" if parenthesize else text
+    """Minimal-parentheses text for ``phi``; inverse of :func:`parse`.
+    Iterative, so nesting depth is not bounded by the recursion limit."""
+    out: list[str] = []
+    emit = out.append
+    # ``tail`` is true when nothing follows the formula up to the end of
+    # the enclosing scope, in which case a quantifier needs no parentheses
+    # even though it extends maximally to the right.  The walk descends
+    # into the first child and stacks what follows it: text to emit, or a
+    # (formula, context, tail) to render.
+    stack: list = [(phi, 0, True)]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        phi, context, tail = item
+        while True:
+            cls = type(phi)
+            if cls in _SYMBOLS:
+                sym, level = _SYMBOLS[cls]
+                parenthesize = context > level
+                if parenthesize:
+                    emit("(")
+                    push(")")
+                push((phi.right, level, parenthesize or tail))
+                push(sym)
+                # right-associative: the left operand binds strictly tighter
+                phi, context, tail = phi.left, level + 1, False
+            elif cls in _WORDS:
+                if not tail:
+                    emit("(")
+                    push(")")
+                emit(f"{_WORDS[cls]}{phi.var}. ")
+                phi, context, tail = phi.body, 0, True
+            elif cls is Prime:
+                emit(f"{phi.name}({', '.join(phi.args)})" if phi.args else phi.name)
+                break
+            else:
+                emit("false")
+                break
+    return "".join(out)
 
 
 # The JSON name of every connective and quantifier, and its inverse.

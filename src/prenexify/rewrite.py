@@ -20,11 +20,13 @@ the other one, with ``x`` not free in ``delta``:
     ExistsVar   exists x xi              ~>  exists y xi[y/x]         [y not in xi]
     ForallVar   forall x xi              ~>  forall y xi[y/x]         [y not in xi]
 
-``U_n+`` and ``C_n+`` are decided as R_n^n and D_n^n respectively.  Every
-rule applies only at a redex whose proper subformulas are all in prenex
-normal form; since every subformula of a prenex formula is prenex, this is
-equivalent to both immediate children of the redex being prenex, which is
-what the implementation checks.
+Every rule applies only at a redex whose proper subformulas are all in
+prenex normal form; since every subformula of a prenex formula is prenex,
+this is equivalent to both immediate children of the redex being prenex,
+which is what the implementation checks.  So ``xi`` and ``delta`` are
+prenex, and there ``U_n+`` (= R_n^n) is Pi_n+ and ``C_n+`` (= D_n^n) is
+Sigma_n+ u Pi_n+: the side conditions read the prenex hierarchy, not the
+classifier, so the rewrite search checks the classifier independently.
 
 A step may carry a ``fresh`` variable.  For the two Var rules it is the
 new bound name.  For the other rules it folds an implicit renaming of the
@@ -41,7 +43,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from . import semiclassical
 from .formula import (
     And,
     Exists,
@@ -63,7 +64,7 @@ from .formula import (
     replace_at,
     subformula_at,
 )
-from .hierarchy import is_prenex
+from .hierarchy import in_pi_plus, in_sigma_plus, is_prenex
 from .parser import is_variable, parse, render
 
 __all__ = [
@@ -125,8 +126,8 @@ class _Rule:
     qside: Optional[str]  # "l" or "r"; None for the Var rules
     qkind: type  # Exists or Forall (kind matched on the LHS)
     out: type  # quantifier kind produced
-    needs_delta_c: bool = False  # delta in C_n+ (= D_n^n)
-    needs_xi_u: bool = False  # xi in U_n+ (= R_n^n), plus n != 0
+    needs_delta_c: bool = False  # delta in C_n+ (= Sigma_n+ u Pi_n+ on prenex delta)
+    needs_xi_u: bool = False  # xi in U_n+ (= Pi_n+ on prenex xi), plus n != 0
 
 
 RULES: dict[str, _Rule] = {
@@ -193,16 +194,21 @@ def _match(rule: _Rule, node: Formula) -> Optional[tuple[_Quant, Formula]]:
     return quant, delta
 
 
-def _degree_ok(rule: _Rule, quant: _Quant, delta: Formula, n: int,
-               checker: semiclassical.Classifier) -> bool:
-    if rule.needs_xi_u:
-        if n == 0:
-            return False
-        if not checker.in_R(quant.body, n, n):
-            return False
-    if rule.needs_delta_c and not checker.in_D(delta, n, n):
+def _in_u(quant: _Quant, n: int) -> bool:
+    """``n != 0`` and the operand ``forall x xi`` has ``xi`` in U_n+: for
+    n >= 1 both have one Pi+ floor, or both floors are at most 1."""
+    return n != 0 and in_pi_plus(quant, n)
+
+
+def _in_c(delta: Formula, n: int) -> bool:
+    """The prenex ``delta`` is in C_n+."""
+    return in_sigma_plus(delta, n) or in_pi_plus(delta, n)
+
+
+def _degree_ok(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> bool:
+    if rule.needs_xi_u and not _in_u(quant, n):
         return False
-    return True
+    return not rule.needs_delta_c or _in_c(delta, n)
 
 
 def _position_key(pos: Position) -> tuple[int, ...]:
@@ -211,16 +217,13 @@ def _position_key(pos: Position) -> tuple[int, ...]:
     return tuple(0 if sel in ("l", "b") else 1 for sel in pos) + (2,)
 
 
-def applicable_steps(
-    phi: Formula, n: int, checker: Optional[semiclassical.Classifier] = None
-) -> list[RewriteStep]:
+def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     """All valid non-renaming steps on ``phi`` at degree ``n``.
 
     Steps are ordered by rule (declaration order), then by position,
     leftmost-innermost.  When the quantified variable occurs free in
     delta, the step carries a deterministic globally fresh rename.
     """
-    checker = checker or semiclassical._default
     found: list[tuple[int, tuple[int, ...], RewriteStep]] = []
     avoid = None
     for pos, node in _preorder(phi):
@@ -236,7 +239,7 @@ def applicable_steps(
             if m is None:
                 continue
             quant, delta = m
-            if not _degree_ok(rule, quant, delta, n, checker):
+            if not _degree_ok(rule, quant, delta, n):
                 continue
             fresh = None
             if quant.var in delta.free:
@@ -248,19 +251,13 @@ def applicable_steps(
     return [step for _, _, step in found]
 
 
-def rewrite_node(
-    node: Formula,
-    step: RewriteStep,
-    n: int,
-    checker: Optional[semiclassical.Classifier] = None,
-) -> Formula:
+def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
     """The redex ``node`` rewritten by ``step`` at degree ``n``.
 
     Every check of a step reads the redex alone, so ``step.position`` is
     not consulted: the caller has already descended to it.  Raises
     RuleMismatchError, StrategyViolationError or SideConditionError.
     """
-    checker = checker or semiclassical._default
     rule = RULES.get(step.rule)
     if rule is None:
         raise RuleMismatchError(f"unknown rule {step.rule!r}")
@@ -299,11 +296,13 @@ def rewrite_node(
     if rule.needs_xi_u:
         if n == 0:
             raise SideConditionError(f"{step.rule} is inapplicable at degree 0")
-        if not checker.in_R(quant.body, n, n):
+        # the operand as matched: ``_strategy_ok`` has already cached its
+        # shape, and renaming does not change it
+        if not _in_u(m[0], n):
             raise SideConditionError(
                 f"{step.rule}: quantified operand body is not in U_{n}+"
             )
-    if rule.needs_delta_c and not checker.in_D(delta, n, n):
+    if rule.needs_delta_c and not _in_c(delta, n):
         raise SideConditionError(f"{step.rule}: other operand is not in C_{n}+")
 
     if rule.qside == "l":
@@ -313,24 +312,17 @@ def rewrite_node(
     return rule.out(quant.var, inner)
 
 
-def apply_step(
-    phi: Formula,
-    step: RewriteStep,
-    n: int,
-    checker: Optional[semiclassical.Classifier] = None,
-) -> Formula:
+def apply_step(phi: Formula, step: RewriteStep, n: int) -> Formula:
     """Apply ``step`` to ``phi`` at degree ``n``, validating everything.
 
     Raises RuleMismatchError, StrategyViolationError or SideConditionError
     (and PositionError for a dangling position), each distinguished.
     """
     node = subformula_at(phi, step.position)
-    return replace_at(phi, step.position, rewrite_node(node, step, n, checker))
+    return replace_at(phi, step.position, rewrite_node(node, step, n))
 
 
-def verify_trace(
-    trace: Trace, checker: Optional[semiclassical.Classifier] = None
-) -> Formula:
+def verify_trace(trace: Trace, checker=None) -> Formula:
     """Replay a trace, re-validating each step; returns the final formula.
 
     The replay keeps a cursor: the position of the last redex and the
@@ -339,8 +331,8 @@ def verify_trace(
     redex and rewrites it there; the rest of the spine is rebuilt once at
     the end.  The result, and the step index, type and message of any
     failure, are those of folding ``apply_step`` from the root.
+    ``checker`` is ignored: the rules' side conditions read no classifier.
     """
-    checker = checker or semiclassical._default
     spine: list[Formula] = []  # the ancestors of the cursor, root first
     path: Position = ()  # the cursor's position
     node = trace.start  # the node at the cursor
@@ -359,7 +351,7 @@ def verify_trace(
                 spine.append(node)
                 node = child
             path = pos
-            node = rewrite_node(node, step, trace.n, checker)
+            node = rewrite_node(node, step, trace.n)
         except Exception as exc:  # noqa: BLE001 - rewrap with the step index
             raise TraceStepError(index, exc) from exc
     return _rebuild(spine, path, node)

@@ -43,7 +43,7 @@ from .hierarchy import (
     sigma_plus_floor,
 )
 from .normalizer import normalize_J, normalize_R
-from .oracle import Signature, clear_transition_cache, enumerate_formulas
+from .oracle import Signature, enumerate_formulas
 from .parser import parse, render
 from .rewrite import (
     Trace,
@@ -118,11 +118,11 @@ def run_selftest(
 
     for n in range(n_max + 1):
         checker = Classifier()
-        clear_transition_cache()
+        transitions: oracle.Transitions = {}
         for count, phi in enumerate(corpus):
             if progress and count % 5000 == 0 and count:
                 say(f"  degree {n}: {count}/{len(corpus)}")
-            rs = oracle.reachable_set(phi, n, budget, checker)
+            rs = oracle.reachable_set(phi, n, budget, transitions=transitions)
             if not rs.exhausted:
                 c1.fail(f"budget hit for {render(phi)} at n={n}")
                 continue
@@ -146,7 +146,7 @@ def run_selftest(
                     _check_normal_form(c2, phi, k, n, "sigma", checker)
                 if r:
                     _check_normal_form(c2, phi, k, n, "pi", checker)
-        _check_backward_closure(c5, n, n_max, k_max, checker)
+        _check_backward_closure(c5, transitions, n_max, k_max, checker)
         say(f"degree {n} done")
 
     c3 = _check_stabilization(corpus, k_max)
@@ -180,7 +180,7 @@ def _check_normal_form(
         result.fail(f"normalize {target} failed for {render(phi)} k={k} n={n}: {exc}")
         return
     try:
-        replayed = verify_trace(res.trace, checker)
+        replayed = verify_trace(res.trace)
     except Exception as exc:  # noqa: BLE001
         result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {exc}")
         return
@@ -197,13 +197,15 @@ def _check_normal_form(
 
 
 def _check_backward_closure(
-    result: CriterionResult, n: int, n_max: int, k_max: int, checker: Classifier
+    result: CriterionResult,
+    transitions: oracle.Transitions,
+    n_max: int,
+    k_max: int,
+    checker: Classifier,
 ) -> None:
-    # Every expansion cached during this degree's searches is an edge
+    # Every expansion cached during one degree's searches is an edge
     # source ~>_n successor; rules only gain at higher degrees.
-    for (state, degree), successors in oracle._transitions.items():
-        if degree != n:
-            continue
+    for (state, n), successors in transitions.items():
         for _, succ in successors:
             for n2 in range(n, n_max + 1):
                 for k in range(k_max + 1):
@@ -383,7 +385,7 @@ def _check_pinned_negatives(budget: int) -> CriterionResult:
 
     # semantically reducible at degree 1, yet syntactically out of reach
     gap = parse("((forall x. P(x)) | (exists y. Q(y))) -> R(x)")
-    search = oracle.can_reach(gap, 1, lambda m: in_sigma_plus(m, 2), budget, checker)
+    search = oracle.can_reach(gap, 1, lambda m: in_sigma_plus(m, 2), budget)
     result.checks += 1
     if search.status != "no":
         result.fail(
@@ -414,20 +416,19 @@ def _random_formula(rng: random.Random, budget: int) -> Formula:
 def _check_rewrite_conformance(seed: int) -> CriterionResult:
     result = CriterionResult("criterion-7 rewrite conformance", True, 0)
     rng = random.Random(seed)
-    checker = Classifier()
     applied = 0
     while applied < RANDOM_STEP_COUNT:
         phi = _random_formula(rng, rng.randrange(4, 10))
         n = rng.randrange(3)
-        steps = applicable_steps(phi, n, checker)
-        up = applicable_steps(phi, n + 1, checker)
+        steps = applicable_steps(phi, n)
+        up = applicable_steps(phi, n + 1)
         result.checks += 1
         if not set(steps) <= set(up):
             result.fail(f"degree monotonicity fails for {render(phi)} n={n}")
         if not steps:
             continue
         step = rng.choice(steps)
-        psi = apply_step(phi, step, n, checker)
+        psi = apply_step(phi, step, n)
         applied += 1
         result.checks += 3
         if free_vars(psi) != free_vars(phi):
@@ -438,6 +439,6 @@ def _check_rewrite_conformance(seed: int) -> CriterionResult:
         reparsed = trace_from_text(text)
         if trace_to_text(reparsed) != text:
             result.fail(f"trace text round-trip unstable for {render(phi)}")
-        elif verify_trace(reparsed, checker) is not psi:
+        elif verify_trace(reparsed) is not psi:
             result.fail(f"trace replay diverges for {render(phi)}")
     return result

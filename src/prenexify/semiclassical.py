@@ -380,13 +380,13 @@ def _claimed_premises(psi: Formula, node: Witness) -> Optional[list]:
     return None
 
 
-def validate_witness(phi: Formula, w: Witness, checker: Optional[Classifier] = None) -> bool:
+def validate_witness(phi: Formula, w: Witness) -> bool:
     """Replay a witness clause-by-clause against the clause table.
 
     Returns True when every node of the derivation is a legitimate
     application of a clause for the formula it certifies, with every
     child at the level, side and degree the clause requires.  The replay
-    is purely syntactic; ``checker`` is accepted for symmetry and unused.
+    is purely syntactic.
     """
     stack = [(phi, w)]
     while stack:

@@ -1,20 +1,33 @@
 """Seeded random cross-validation on a wider universe than the acceptance
 corpus: three variable names and a binary predicate, so the merges face
 real renaming pressure and the classifier sees shapes the exhaustive
-corpus cannot express."""
+corpus cannot express.  Also the agreement on prenex formulas that lets
+the rewrite rules decide their degree conditions without the classifier."""
 
 import random
 
-from prenexify.formula import FALSUM, And, Exists, Forall, Imp, Or, Prime, free_vars
+from prenexify.formula import (
+    FALSUM,
+    And,
+    Exists,
+    Forall,
+    Imp,
+    Or,
+    Prime,
+    free_vars,
+    subformulas,
+)
 from prenexify.hierarchy import (
     in_pi_plus,
     in_sigma_plus,
+    is_prenex,
     pi_plus_floor,
     sigma_plus_floor,
 )
 from prenexify.normalizer import normalize_J, normalize_R
-from prenexify.oracle import reachable_set
+from prenexify.oracle import enumerate_formulas, reachable_set
 from prenexify.rewrite import verify_trace
+from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
 VARS = ("x", "y", "z")
@@ -49,7 +62,7 @@ def test_classifier_matches_reachability_on_wide_universe():
     for _ in range(400):
         phi = random_formula(rng, rng.randrange(5, 10))
         for n in range(3):
-            rs = reachable_set(phi, n, 100_000, checker)
+            rs = reachable_set(phi, n, 100_000)
             assert rs.exhausted
             floors_s = [sigma_plus_floor(m) for m in rs.members]
             floors_p = [pi_plus_floor(m) for m in rs.members]
@@ -72,14 +85,35 @@ def test_normalizer_sound_on_wide_universe():
                 j, r = checker.decide(phi, k, n)
                 if j:
                     res = normalize_J(phi, k, n, checker)
-                    assert verify_trace(res.trace, checker) is res.output
+                    assert verify_trace(res.trace) is res.output
                     assert in_sigma_plus(res.output, k)
                     assert free_vars(res.output) == free_vars(phi)
                     done += 1
                 if r:
                     res = normalize_R(phi, k, n, checker)
-                    assert verify_trace(res.trace, checker) is res.output
+                    assert verify_trace(res.trace) is res.output
                     assert in_pi_plus(res.output, k)
                     assert free_vars(res.output) == free_vars(phi)
                     done += 1
     assert done > 1000
+
+
+def test_degree_classes_are_the_prenex_classes_on_prenex_formulas():
+    # U_n+ = R_n^n and C_n+ = D_n^n, which the rules read as Pi_n+ and
+    # Sigma_n+ u Pi_n+ on their prenex operands
+    prenex = {
+        psi
+        for phi in enumerate_formulas(default_signature(5))
+        for psi in subformulas(phi)
+        if is_prenex(psi)
+    }
+    assert len(prenex) == 4390
+    checker = Classifier()
+    mismatches = []
+    for psi in prenex:
+        for n in range(6):
+            j, r = checker.decide(psi, n, n)
+            pi, sigma = in_pi_plus(psi, n), in_sigma_plus(psi, n)
+            if r != pi or (j or r) != (sigma or pi):
+                mismatches.append((psi, n))
+    assert mismatches == []

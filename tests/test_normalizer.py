@@ -187,6 +187,16 @@ def test_normalize_5000_deep_chains():
         assert verify_trace(result.trace) is result.output
 
 
+def test_not_in_class_message_on_a_5000_deep_chain():
+    # the message renders the whole input; render keeps an explicit stack
+    phi = Exists("y", Prime("P", ("y",)))
+    for _ in range(5000):
+        phi = Forall("x", phi)
+    message = r"^(forall x\. ){5000}exists y\. P\(y\) is not in R_1\^0$"
+    with pytest.raises(NotInClassError, match=message):
+        normalize_R(phi, 1, 0, Classifier())
+
+
 def test_normal_forms_are_per_classifier_and_cleared():
     phi = parse("(exists x. P(x)) & ((forall y. Q(y)) | exists z. R(z))")
     one, two = Classifier(), Classifier()

@@ -175,7 +175,7 @@ def test_witness_tracks_asymmetric_or():
     assert checker.in_J(phi, 2, 0)
     w = checker.witness(phi, 2, 0, "J")
     assert w.clause in ("or-left", "or-right")
-    assert validate_witness(phi, w, checker)
+    assert validate_witness(phi, w)
     # at k - 1 = n both R-side disjunction clauses apply here; or-left is
     # tried first, and its D premise is witnessed on R as it is not in J
     both = parse("(exists x. P(x)) | (forall y. Q(y))")
@@ -203,8 +203,8 @@ def test_witness_with_child_at_another_degree_is_rejected():
     child = checker.witness(phi.body, 2, 1, "J")
     assert child is not None
     forged = Witness("J", 2, 0, "exists", (child,))
-    assert not validate_witness(phi, forged, checker)
-    assert validate_witness(phi, Witness("J", 2, 1, "exists", (child,)), checker)
+    assert not validate_witness(phi, forged)
+    assert validate_witness(phi, Witness("J", 2, 1, "exists", (child,)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,7 +257,7 @@ def test_positive_witnesses_always_replay(phi):
             for side in ("J", "R"):
                 w = checker.witness(phi, k, n, side)
                 if w is not None:
-                    assert validate_witness(phi, w, checker)
+                    assert validate_witness(phi, w)
 
 
 @settings(max_examples=100, deadline=None)
