@@ -21,7 +21,13 @@ from typing import Optional
 
 from . import oracle
 from .formula import Formula
-from .hierarchy import classify_prenex, in_pi_plus, in_sigma_plus
+from .hierarchy import (
+    classify_prenex,
+    in_pi_plus,
+    in_sigma_plus,
+    pi_plus_floor,
+    sigma_plus_floor,
+)
 from .normalizer import NotInClassError, normalize_J, normalize_R
 from .parser import (
     ParseError,
@@ -222,22 +228,25 @@ def cmd_parse(args) -> int:
 
 def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> dict:
     shape = classify_prenex(phi)
+    sigma, pi = sigma_plus_floor(phi), pi_plus_floor(phi)
     record = {
         "schema": CLASSIFY_SCHEMA,
         "formula": render(phi),
         "prenex": None
         if shape is None
         else {"kind": shape.kind, "level": shape.level, "blocks": list(shape.blocks)},
-        "sigma_plus": [k for k in range(k_max + 1) if in_sigma_plus(phi, k)],
-        "pi_plus": [k for k in range(k_max + 1) if in_pi_plus(phi, k)],
+        "sigma_plus": [] if sigma is None else list(range(sigma, k_max + 1)),
+        "pi_plus": [] if pi is None else list(range(pi, k_max + 1)),
         "grid": [],
         "min_levels": {},
     }
     for n in degrees:
-        for k in range(k_max + 1):
-            j, r = checker.decide(phi, k, n)
-            record["grid"].append({"n": n, "k": k, "in_J": j, "in_R": r})
+        # every class is cumulative in k, so the least levels fix the grid
         k_j, k_r = checker.min_levels(phi, n, k_max)
+        for k in range(k_max + 1):
+            in_j = k_j is not None and k >= k_j
+            in_r = k_r is not None and k >= k_r
+            record["grid"].append({"n": n, "k": k, "in_J": in_j, "in_R": in_r})
         record["min_levels"][str(n)] = {"k_J": k_j, "k_R": k_r}
     return record
 

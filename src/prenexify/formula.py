@@ -227,14 +227,6 @@ def size(phi: Formula) -> int:
     return phi.size
 
 
-def _children(phi: Formula) -> tuple[tuple[str, Formula], ...]:
-    if isinstance(phi, _Binary):
-        return ((LEFT, phi.left), (RIGHT, phi.right))
-    if isinstance(phi, _Quant):
-        return ((BODY, phi.body),)
-    return ()
-
-
 def _preorder(phi: Formula) -> Iterator[tuple[Position, Formula]]:
     """``(position, node)`` for every node of ``phi`` in preorder (root
     first, left before right before body), without recursion."""
@@ -317,10 +309,17 @@ def replace_at(phi: Formula, pos: Position, psi: Formula) -> Formula:
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All subformula occurrences of ``phi`` in preorder (with repeats)."""
-    yield phi
-    for _, child in _children(phi):
-        yield from subformulas(child)
+    """All subformula occurrences of ``phi`` in preorder (with repeats),
+    without recursion."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _Binary):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, _Quant):
+            stack.append(node.body)
 
 
 def _substitute_var(phi: Formula, old: str, new: str) -> Formula:

@@ -24,7 +24,7 @@ is structurally ``phi``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 from .formula import (
     FALSUM,
@@ -51,17 +51,20 @@ __all__ = [
     "formula_from_dict",
 ]
 
-_KEYWORDS = {"exists", "forall", "false"}
+# One token per match, after optional whitespace: the arrow, a punctuation
+# character, a name, or any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(->|[()&|~.,]|[A-Za-z][A-Za-z0-9_]*|\S)")
+_VARIABLE_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_KEYWORDS = ("exists", "forall", "false")
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<punct>[()&|~.,])
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-""",
-    re.VERBOSE,
-)
+# The kind of each token that is its own kind; a name's kind is given by
+# its first letter, and any other text is an unexpected character.
+_FIXED = {t: t for t in ("->", "(", ")", "&", "|", "~", ".", ",", *_KEYWORDS)}
+_FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "pred")
+_FIRST.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "var"))
+
+_PRECEDENCE = {"->": 1, "|": 2, "&": 3}
+_CONNECTIVES = {"->": Imp, "|": Or, "&": And}
 
 
 class ParseError(Exception):
@@ -77,159 +80,98 @@ class ArityError(ParseError):
     """A predicate was used with an arity conflicting with the signature."""
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+class _Parser:
+    """Precedence climbing over parallel lists of token kinds and texts,
+    the last of them ``eof``.  It recurses once per nesting level; a
+    token's line and column are found only for an error."""
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
+    def __init__(self, text: str, line: int, signature: Optional[dict[str, int]]):
         self.text = text
         self.line = line
-        self.column = column
-
-
-def _tokenize(text: str, line: int = 1) -> list[_Token]:
-    tokens = []
-    pos = 0
-    column = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":
-            if kind == "name":
-                if tok in _KEYWORDS:
-                    kind = tok
-                elif tok[0].isupper():
-                    kind = "pred"
-                else:
-                    kind = "var"
-            else:
-                kind = tok
-            tokens.append(_Token(kind, tok, line, column))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            column = len(tok) - tok.rfind("\n")
-        else:
-            column += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, column))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], signature: Optional[dict[str, int]]):
-        self.tokens = tokens
+        self.texts = _TOKEN_RE.findall(text)
+        self.kinds = [_FIXED.get(t) or _FIRST.get(t[0], "char") for t in self.texts]
+        self.kinds.append("eof")
+        self.texts.append("")
         self.pos = 0
         self.signature = signature
         self.seen_arities: dict[str, int] = {}
+        if "char" in self.kinds:
+            i = self.kinds.index("char")
+            self.fail(f"unexpected character {self.texts[i]!r}", i)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, i: int, error: type = ParseError) -> NoReturn:
+        """Raise ``error`` at the line and column of token ``i``."""
+        offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        offset = offsets[i] if i < len(offsets) else len(self.text)
+        line = self.line + self.text.count("\n", 0, offset)
+        raise error(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, kind: str) -> str:
+        i = self.pos
+        if self.kinds[i] != kind:
+            found = self.texts[i] or "end of input"
+            self.fail(f"expected {kind!r}, found {found!r}", i)
+        self.pos = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.advance()
+    def expr(self, min_prec: int) -> Formula:
+        """The longest formula whose connectives bind at least as tightly
+        as ``min_prec``; each connective is right associative."""
+        left = self.unary()
+        kinds = self.kinds
+        while True:
+            op = kinds[self.pos]
+            prec = _PRECEDENCE.get(op, 0)
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            left = _CONNECTIVES[op](left, self.expr(prec))
 
-    def parse_formula(self) -> Formula:
-        return self.parse_imp()
-
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "->":
-            self.advance()
-            return Imp(left, self.parse_imp())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek().kind == "|":
-            self.advance()
-            return Or(left, self.parse_or())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek().kind == "&":
-            self.advance()
-            return And(left, self.parse_and())
-        return left
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return Imp(self.parse_unary(), FALSUM)
-        if tok.kind in ("exists", "forall"):
-            self.advance()
-            var = self.expect("var").text
+    def unary(self) -> Formula:
+        i = self.pos
+        kind = self.kinds[i]
+        self.pos = i + 1
+        if kind == "~":
+            return Imp(self.unary(), FALSUM)
+        if kind == "exists" or kind == "forall":
+            var = self.expect("var")
             self.expect(".")
-            body = self.parse_formula()
-            return Exists(var, body) if tok.kind == "exists" else Forall(var, body)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "false":
-            self.advance()
-            return FALSUM
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_formula()
+            body = self.expr(1)
+            return Exists(var, body) if kind == "exists" else Forall(var, body)
+        if kind == "pred":
+            args: list[str] = []
+            if self.kinds[self.pos] == "(":
+                self.pos += 1
+                args.append(self.expect("var"))
+                while self.kinds[self.pos] == ",":
+                    self.pos += 1
+                    args.append(self.expect("var"))
+                self.expect(")")
+            self.check_arity(i, len(args))
+            return Prime(self.texts[i], tuple(args))
+        if kind == "(":
+            inner = self.expr(1)
             self.expect(")")
             return inner
-        if tok.kind == "pred":
-            self.advance()
-            args: list[str] = []
-            if self.peek().kind == "(":
-                self.advance()
-                args.append(self.expect("var").text)
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.expect("var").text)
-                self.expect(")")
-            self.check_arity(tok, len(args))
-            return Prime(tok.text, tuple(args))
-        raise ParseError(
-            f"expected a formula, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+        if kind == "false":
+            return FALSUM
+        found = self.texts[i] or "end of input"
+        self.fail(f"expected a formula, found {found!r}", i)
 
-    def check_arity(self, tok: _Token, arity: int) -> None:
+    def check_arity(self, i: int, arity: int) -> None:
+        name = self.texts[i]
         if self.signature is not None:
-            declared = self.signature.get(tok.text)
+            declared = self.signature.get(name)
             if declared is None:
-                raise ArityError(
-                    f"predicate {tok.text} not in signature", tok.line, tok.column
-                )
+                self.fail(f"predicate {name} not in signature", i, ArityError)
             if declared != arity:
-                raise ArityError(
-                    f"predicate {tok.text} expects {declared} argument(s), got {arity}",
-                    tok.line,
-                    tok.column,
-                )
+                message = f"predicate {name} expects {declared} argument(s), got {arity}"
+                self.fail(message, i, ArityError)
         else:
-            prev = self.seen_arities.setdefault(tok.text, arity)
+            prev = self.seen_arities.setdefault(name, arity)
             if prev != arity:
-                raise ArityError(
-                    f"predicate {tok.text} used with arities {prev} and {arity}",
-                    tok.line,
-                    tok.column,
-                )
+                message = f"predicate {name} used with arities {prev} and {arity}"
+                self.fail(message, i, ArityError)
 
 
 def parse(
@@ -241,26 +183,22 @@ def parse(
     against it; without one, arities only need to be consistent within the
     formula.  ``line`` offsets error positions for multi-line inputs.
     """
-    tokens = _tokenize(text, line)
-    parser = _Parser(tokens, signature)
+    parser = _Parser(text, line, signature)
     try:
-        result = parser.parse_formula()
+        result = parser.expr(1)
     except RecursionError:
-        depth = _nesting_depth(tokens)
+        depth = _nesting_depth(parser.kinds)
         message = f"formula nests too deeply (depth {depth})"
         raise ParseError(message, line, 1) from None
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+    i = parser.pos
+    if parser.kinds[i] != "eof":
+        parser.fail(f"unexpected trailing input {parser.texts[i]!r}", i)
     return result
 
 
-_PRECEDENCE = {"->": 1, "|": 2, "&": 3}
-
-
-def _nesting_depth(tokens: list[_Token]) -> int:
+def _nesting_depth(kinds: list[str]) -> int:
     """How many connectives, quantifiers and parentheses enclose the
-    deepest atom the tokens spell, found without recursion by operator
+    deepest atom the token kinds spell, found without recursion by operator
     precedence; it reads malformed input too, as best it can."""
     depths: list[int] = []  # of the operands read so far
     ops: list[str] = []  # "(", "~", "q" (a quantifier) and connectives
@@ -276,11 +214,11 @@ def _nesting_depth(tokens: list[_Token]) -> int:
             apply()
 
     i = 0
-    while i < len(tokens):
-        kind = tokens[i].kind
+    while i < len(kinds):
+        kind = kinds[i]
         if kind in ("pred", "false"):
-            if kind == "pred" and tokens[i + 1].kind == "(":
-                while tokens[i].kind not in (")", "eof"):
+            if kind == "pred" and kinds[i + 1] == "(":
+                while kinds[i] not in (")", "eof"):
                     i += 1
             depths.append(0)
             operand_read()
@@ -311,11 +249,7 @@ def _nesting_depth(tokens: list[_Token]) -> int:
 
 def is_variable(text: str) -> bool:
     """Whether ``text`` is exactly one variable token of the grammar."""
-    try:
-        first, _eof = _tokenize(text)
-    except (ParseError, ValueError):
-        return False
-    return first.kind == "var" and first.text == text
+    return _VARIABLE_RE.fullmatch(text) is not None and text not in _KEYWORDS
 
 
 # The text of each connective with its precedence level (higher binds
@@ -375,16 +309,25 @@ _OP_CLASSES = {op: cls for cls, op in _OPS.items()}
 
 
 def formula_to_dict(phi: Formula) -> dict:
-    """JSON-friendly AST form; inverse of :func:`formula_from_dict`."""
-    if isinstance(phi, Falsum):
-        return {"op": "falsum"}
-    if isinstance(phi, Prime):
-        return {"op": "prime", "name": phi.name, "args": list(phi.args)}
-    if isinstance(phi, _Quant):
-        body = formula_to_dict(phi.body)
-        return {"op": _OPS[type(phi)], "var": phi.var, "body": body}
-    left, right = formula_to_dict(phi.left), formula_to_dict(phi.right)
-    return {"op": _OPS[type(phi)], "left": left, "right": right}
+    """JSON-friendly AST form; inverse of :func:`formula_from_dict`.
+    Iterative: each node's dict is made before its children's are filled."""
+    root: dict = {}
+    stack = [(phi, root)]
+    while stack:
+        phi, out = stack.pop()
+        cls = type(phi)
+        if cls is Falsum:
+            out["op"] = "falsum"
+        elif cls is Prime:
+            out.update(op="prime", name=phi.name, args=list(phi.args))
+        elif issubclass(cls, _Quant):
+            out.update(op=_OPS[cls], var=phi.var, body={})
+            stack.append((phi.body, out["body"]))
+        else:
+            out.update(op=_OPS[cls], left={}, right={})
+            stack.append((phi.right, out["right"]))
+            stack.append((phi.left, out["left"]))
+    return root
 
 
 def formula_from_dict(data: dict) -> Formula:

@@ -20,7 +20,10 @@ Least levels.  The lift clause makes every class cumulative in k
 formula is fixed by its pair of least levels (k_J, k_R), with infinity
 for "in no level": phi is in S_k^n exactly when k >= k_S.  Each
 hash-consed node gets this pair once per degree, bottom-up from the
-pairs of its operands, and ``decide`` is two comparisons.
+pairs of its operands, and ``decide`` is two comparisons.  The pair
+depends only on the node's connective and its operands' pairs, so it is
+computed once per such key and degree, and looked up for every other
+node with the same key.
 
 Why a few candidate levels suffice.  Take a formula with quantifiers,
 so in no level 0.  Below the first level k0 >= 1 at which some
@@ -205,11 +208,15 @@ class Classifier:
     def __init__(self):
         # n -> {non-quantifier-free node: (k_J, k_R)}
         self._levels: defaultdict[int, dict[Formula, tuple]] = defaultdict(dict)
+        # n -> {(connective, operands' pairs): (k_J, k_R)}; the least levels
+        # read nothing else of a node, and few such keys recur
+        self._by_pairs: defaultdict[int, dict[tuple, tuple]] = defaultdict(dict)
         # n -> {goal: normal form}, filled by the normalizer
         self._normal_forms: defaultdict[int, dict] = defaultdict(dict)
 
     def clear(self) -> None:
         self._levels.clear()
+        self._by_pairs.clear()
         self._normal_forms.clear()
 
     def normal_forms(self, n: int) -> dict:
@@ -227,6 +234,7 @@ class Classifier:
         pair = cache.get(phi)
         if pair is not None:
             return pair
+        by_pairs = self._by_pairs[n]
         stack = [phi]
         while stack:
             psi = stack[-1]
@@ -236,8 +244,11 @@ class Classifier:
                 stack.extend(pending)
                 continue
             stack.pop()
-            pairs = [_QF if c.is_qf else cache[c] for c in operands]
-            cache[psi] = _least_levels(psi, n, pairs)
+            key = (type(psi), *[_QF if c.is_qf else cache[c] for c in operands])
+            pair = by_pairs.get(key)
+            if pair is None:
+                pair = by_pairs[key] = _least_levels(psi, n, key[1:])
+            cache[psi] = pair
         return cache[phi]
 
     def decide(self, phi: Formula, k: int, n: int) -> tuple[bool, bool]:

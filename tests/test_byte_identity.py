@@ -1,11 +1,13 @@
 """Output bytes pinned by SHA-256 digests of the size-4 corpus (884
-formulas over P/1 Q/1 with variables x y) and of three wide merges.  A
-change to the classifier's verdicts, least levels or witness choices, or
-to the normalizer's positions and fresh names, shows up here even when
-every answer stays correct.
+formulas over P/1 Q/1 with variables x y), of three wide merges and of
+the parser's answers on seeded random strings.  A change to the
+classifier's verdicts, least levels or witness choices, to the
+normalizer's positions and fresh names, or to a parse error's message,
+line or column, shows up here even when every answer stays correct.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -13,7 +15,7 @@ from prenexify.cli import main
 from prenexify.formula import And, Exists, Forall, Imp, Or, Prime
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas
-from prenexify.parser import render
+from prenexify.parser import ParseError, parse, render
 from prenexify.rewrite import trace_to_text
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
@@ -35,6 +37,9 @@ WIDE_TRACES_SHA256 = {
     Or: "60bd367c3f69ed7a87ab8b4831ad256be22cfc2f7920d2ff6df4239b24981478",
     Imp: "627ee2b5e4bf3044fad36e9c7c4562abfa0a05e5802156d0d53cc4b8896059cc",
 }
+# (exception type, message, line, column), or the rendering on success, of
+# 20,000 seeded random strings, each parsed without and with a signature
+PARSE_SHA256 = "de054ced28a6fa61599d472e269dc6f8af1868b5bcd605a96f7bdda3a6ba485e"
 
 
 def test_classify_output_is_byte_identical(tmp_path, capsys):
@@ -109,3 +114,36 @@ def test_wide_merge_traces_are_byte_identical(conn):
     for normalize in (normalize_J, normalize_R):
         digest.update(trace_to_text(normalize(phi, 2, 1, checker).trace).encode())
     assert digest.hexdigest() == WIDE_TRACES_SHA256[conn]
+
+
+# Operands and operators alternate, so many strings come close to a
+# formula; a few pieces are noise, among them characters no token has.
+_OPERANDS = ["P(x)", "Q(y)", "R(x, y)", "R(x,y)", "R(x)", "P", "false", "x",
+             "~", "(", "exists x.", "forall y.", "exists", "forall"]
+_OPERATORS = ["&", "|", "->", ")", "&", "|", "->", ")", ",", ".", "Q"]
+_NOISE = ["-", "0", "\u00e9", "v0", "exists y", "Q(", ", x"]
+_SPACES = ["", " ", " ", " ", "  ", "\t", "\n", " \n "]
+
+
+def _random_text(rng):
+    pieces = [rng.choice(_SPACES) if rng.random() < 0.2 else ""]
+    for i in range(rng.randint(0, 12)):
+        pool = _NOISE if rng.random() < 0.05 else (_OPERANDS, _OPERATORS)[i % 2]
+        pieces.append(rng.choice(pool))
+        pieces.append(rng.choice(_SPACES))
+    return "".join(pieces)
+
+
+def test_parse_errors_are_byte_identical():
+    # trailing whitespace and newlines exercise the error positions
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for i in range(20000):
+        text, line = _random_text(rng), 3 if i % 5 == 0 else 1
+        for signature in (None, {"P": 1, "Q": 1, "R": 2}):
+            try:
+                out = render(parse(text, signature, line))
+            except ParseError as exc:
+                out = repr((type(exc).__name__, str(exc), exc.line, exc.column))
+            digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == PARSE_SHA256

@@ -565,9 +565,11 @@ def test_cli_boundary_never_raises(invocation):
     exit code from 0 to 4; exit 2 prints one stderr line per error and
     nothing on stdout; exit 1 comes only from a trace step that fails.
 
-    Not covered: nesting about 200 deep still ends in a ``RecursionError``
-    in the recursive parser and walkers, and a formula of at most 30
-    characters cannot reach that depth.
+    Not covered: input nested too deeply to parse, which the parser
+    reports as a ``ParseError`` (exit 2, see ``test_input_errors_exit_2``).
+    At the default recursion limit, ``main`` parses up to 494 levels of
+    ``exists x.``, 495 of parentheses and 990 of ``~`` or of ``&``; a
+    formula of at most 30 characters reaches none of these depths.
     """
     argv, files, budget_env = invocation
     command = next(arg for arg in argv if arg in COMMANDS or arg == "selftest")

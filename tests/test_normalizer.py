@@ -3,7 +3,16 @@ from collections import defaultdict
 import pytest
 
 from prenexify import formula
-from prenexify.formula import And, Exists, Forall, Prime, _Quant, free_vars
+from prenexify.formula import (
+    And,
+    Exists,
+    Forall,
+    Prime,
+    _Quant,
+    free_vars,
+    size,
+    subformulas,
+)
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.normalizer import (
     RESULT_SCHEMA,
@@ -195,6 +204,24 @@ def test_not_in_class_message_on_a_5000_deep_chain():
     message = r"^(forall x\. ){5000}exists y\. P\(y\) is not in R_1\^0$"
     with pytest.raises(NotInClassError, match=message):
         normalize_R(phi, 1, 0, Classifier())
+
+
+def test_json_and_subformulas_on_a_5000_deep_chain():
+    # formula_to_dict and subformulas keep explicit stacks
+    phi = And(Exists("y", Prime("P", ("y",))), Exists("y", Prime("Q", ("y",))))
+    for _ in range(5000):
+        phi = Exists("x", phi)
+    data = normalize_J(phi, 1, 0, Classifier()).to_json()
+    ast = data["input"]["ast"]
+    for _ in range(5000):
+        assert ast["op"] == "exists" and ast["var"] == "x"
+        ast = ast["body"]
+    assert ast["op"] == "and" and ast["right"]["body"]["name"] == "Q"
+    nodes = list(subformulas(phi))
+    assert len(nodes) == size(phi) == 5005
+    conj = nodes[5000]
+    left, right = conj.left, conj.right
+    assert nodes[5000:] == [conj, left, left.body, right, right.body]
 
 
 def test_normal_forms_are_per_classifier_and_cleared():

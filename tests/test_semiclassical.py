@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from prenexify.formula import FALSUM, And, Exists, Forall, Imp, Or, Prime, subformulas
+from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
+from prenexify.selftest import default_signature
 from prenexify.semiclassical import (
     Classifier,
     Witness,
@@ -291,6 +293,23 @@ def test_fresh_classifier_matches_module_level():
     assert checker.decide(phi, 2, 0) == (in_J(phi, 2, 0), in_R(phi, 2, 0))
     checker.clear()
     assert checker.decide(phi, 2, 0) == (True, False)
+
+
+def test_least_levels_by_pairs_are_per_classifier_and_cleared():
+    # a node's least levels are looked up by its connective and its
+    # operands' pairs, in a table of the Classifier's own
+    corpus = list(enumerate_formulas(default_signature(5)))
+    one, two = Classifier(), Classifier()
+    for phi in corpus:
+        one.decide(phi, 0, 1)
+    nodes, keys = len(one._levels[1]), len(one._by_pairs[1])
+    assert nodes == 5952 and 0 < keys <= nodes // 50
+    assert not two._by_pairs
+    assert all(two.min_levels(phi, 1) == one.min_levels(phi, 1) for phi in corpus)
+    assert len(two._by_pairs[1]) == keys
+    one.clear()
+    assert not one._by_pairs and not one._levels
+    assert one.min_levels(corpus[-1], 1) == two.min_levels(corpus[-1], 1)
 
 
 def test_alpha_variants_share_verdicts():
