@@ -85,6 +85,14 @@ def _natural(text: str, where: str = "") -> int:
     return value
 
 
+def _corpus_size(text: str) -> int:
+    size = _natural(text)
+    if size == 0:
+        # the size-0 corpus is empty, so every check would pass vacuously
+        raise InputError("the corpus size must be at least 1, got 0")
+    return size
+
+
 def _naturals(text: str) -> list[int]:
     return [_natural(part) for part in text.split(",") if part.strip() != ""]
 
@@ -209,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("selftest", help="run the full invariant suite")
-    p.add_argument("--size", type=_natural, default=6)
+    p.add_argument("--size", type=_corpus_size, default=6)
     p.add_argument("--n-max", type=_natural, default=2)
     p.add_argument("--k-max", type=_natural, default=4)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -9,6 +9,7 @@ terms are restricted to variables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
 __all__ = [
@@ -201,10 +202,15 @@ class Forall(_Quant):
 
 
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The sorted union of two sorted tuples without repeats."""
+    if len(b) < len(a):
+        a, b = b, a
     if not a:
         return b
-    if not b:
-        return a
+    if len(a) == 1:
+        # one name into a sorted tuple: a search and a copy, not a sort
+        i = bisect_left(b, a[0])
+        return b if i < len(b) and b[i] == a[0] else b[:i] + a + b[i:]
     return tuple(sorted(set(a) | set(b)))
 
 
@@ -372,30 +378,48 @@ def alpha_canonical(phi: Formula) -> Formula:
     if cached is not None:
         return cached
 
+    # Nodes are entered in preorder from an explicit stack, so binders are
+    # named in preorder; a node is built once its operands' canonical forms
+    # are on ``values``.  ``env`` maps each variable bound above the current
+    # node to its new name; a binder's entry is undone when its body is
+    # built, so no map is copied.
     reserved = set(phi.free)
-    counter = [0]
+    counter = 0
+    env: dict[str, str] = {}
+    values: list[Formula] = []
+    stack: list = [phi]
+    while stack:
+        task = stack.pop()
+        if type(task) is tuple:
+            if len(task) == 1:  # a binary node whose operands are built
+                right = values.pop()
+                values[-1] = task[0](values[-1], right)
+                continue
+            kind, name, var, outer = task  # a binder whose body is built
+            if outer is None:
+                del env[var]
+            else:
+                env[var] = outer
+            values[-1] = kind(name, values[-1])
+        elif task.is_qf and not any(v in env for v in task.free):
+            values.append(task)  # nothing in it to rename
+        elif isinstance(task, Prime):
+            values.append(Prime(task.name, tuple(env.get(a, a) for a in task.args)))
+        elif isinstance(task, _Binary):
+            stack.append((type(task),))
+            stack.append(task.right)
+            stack.append(task.left)
+        else:
+            name = f"v{counter}"
+            counter += 1
+            while name in reserved:
+                name = f"v{counter}"
+                counter += 1
+            stack.append((type(task), name, task.var, env.get(task.var)))
+            env[task.var] = name
+            stack.append(task.body)
 
-    def next_name() -> str:
-        while True:
-            name = f"v{counter[0]}"
-            counter[0] += 1
-            if name not in reserved:
-                return name
-
-    def walk(psi: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(psi, Prime):
-            return Prime(psi.name, tuple(env.get(a, a) for a in psi.args))
-        if isinstance(psi, Falsum):
-            return psi
-        if isinstance(psi, _Binary):
-            return type(psi)(walk(psi.left, env), walk(psi.right, env))
-        assert isinstance(psi, _Quant)
-        name = next_name()
-        inner = dict(env)
-        inner[psi.var] = name
-        return type(psi)(name, walk(psi.body, inner))
-
-    canon = walk(phi, {})
+    canon = values[0]
     canon._canon = canon
     phi._canon = canon
     return canon

@@ -44,6 +44,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import (
+    BODY,
+    LEFT,
+    RIGHT,
     And,
     Exists,
     Forall,
@@ -54,7 +57,6 @@ from .formula import (
     _Binary,
     _child,
     _dangling,
-    _preorder,
     _Quant,
     _rebuild,
     _with_child,
@@ -153,6 +155,26 @@ RULES: dict[str, _Rule] = {
 RULE_ORDER = tuple(RULES)
 
 
+def _kind(node: Formula) -> Optional[type]:
+    kind = type(node)
+    return kind if kind is Exists or kind is Forall else None
+
+
+# (connective, left operand's kind, right operand's kind) -> the connective
+# rules whose left-hand side has that shape, as (index in RULE_ORDER, rule),
+# in declaration order; a kind is Exists, Forall or None for any other node
+_CANDIDATES: dict[tuple, tuple[tuple[int, _Rule], ...]] = {
+    (conn, left, right): tuple(
+        (index, rule)
+        for index, rule in enumerate(RULES.values())
+        if rule.conn is conn and rule.qkind is (left if rule.qside == "l" else right)
+    )
+    for conn in (And, Or, Imp)
+    for left in (Exists, Forall, None)
+    for right in (Exists, Forall, None)
+}
+
+
 @dataclass(frozen=True)
 class RewriteStep:
     """A named rule at a position, with optional fresh-variable binding."""
@@ -226,19 +248,23 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     """
     found: list[tuple[int, tuple[int, ...], RewriteStep]] = []
     avoid = None
-    for pos, node in _preorder(phi):
-        if not isinstance(node, _Binary):
+    # a redex has a quantified child, so no quantifier-free node is one or
+    # holds one; the steps are sorted below, so the walk's order is free
+    stack: list[tuple[Position, Formula]] = [((), phi)]
+    while stack:
+        pos, node = stack.pop()
+        if node.is_qf:
             continue
-        if not _strategy_ok(node):
+        if isinstance(node, _Quant):
+            stack.append((pos + (BODY,), node.body))
             continue
-        for index, name in enumerate(RULE_ORDER):
-            rule = RULES[name]
-            if rule.conn is None:
-                continue
-            m = _match(rule, node)
-            if m is None:
-                continue
-            quant, delta = m
+        stack.append((pos + (LEFT,), node.left))
+        stack.append((pos + (RIGHT,), node.right))
+        candidates = _CANDIDATES[type(node), _kind(node.left), _kind(node.right)]
+        if not candidates or not _strategy_ok(node):
+            continue
+        for index, rule in candidates:
+            quant, delta = _match(rule, node)
             if not _degree_ok(rule, quant, delta, n):
                 continue
             fresh = None
@@ -246,7 +272,8 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
                 if avoid is None:
                     avoid = all_vars(phi)
                 fresh = fresh_variable(avoid)
-            found.append((index, _position_key(pos), RewriteStep(name, pos, fresh)))
+            step = RewriteStep(rule.name, pos, fresh)
+            found.append((index, _position_key(pos), step))
     found.sort(key=lambda item: (item[0], item[1]))
     return [step for _, _, step in found]
 

@@ -7,11 +7,20 @@ random data for the rewrite-conformance check):
    into Sigma_k+/Pi_k+ for every corpus formula, degree and level;
 2. normalizer soundness on every positive classification;
 3. stabilization of J_k^n / R_k^n for n >= k;
-4. monotonicity suites: cumulativity in k, monotonicity in n, the prenex
-   inclusions, subformula closure of D, and the five inversion laws;
+4. monotonicity suites: cumulativity in k and monotonicity in n at every
+   degree, then, once per formula, the prenex inclusions, subformula
+   closure of D at every degree and the five inversion laws;
 5. backward closure of J/R along every rewrite edge explored in 1;
 6. pinned negative witnesses;
 7. rewrite-engine conformance on seeded random steps.
+
+Every class is cumulative in k, so a formula's memberships at one degree
+are fixed by its least levels (k_J, k_R).  Criteria 1, 3, 4 and 5 read
+that pair once per formula and degree (``Classifier.min_levels``) and
+compare each level against it; every check is still counted and reported
+on its own.  The inversion laws alone query ``in_J`` / ``in_R`` / ``in_D``
+at the levels their hand-written case split names, independently of the
+classifier's clause table.
 
 The module is consumed both by ``prenexify selftest`` and by the
 acceptance test suite, which asserts every criterion at full scale.
@@ -19,6 +28,7 @@ acceptance test suite, which asserts every criterion at full scale.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -60,6 +70,7 @@ __all__ = ["CriterionResult", "run_selftest", "default_signature", "DEFAULT_SEED
 
 DEFAULT_SEED = 20240 + 5
 RANDOM_STEP_COUNT = 10_000
+INF = math.inf
 
 
 @dataclass
@@ -84,6 +95,14 @@ class CriterionResult:
 
 def default_signature(size: int) -> Signature:
     return Signature.make({"P": 1, "Q": 1}, ("x", "y"), size)
+
+
+def _levels(checker: Classifier, phi: Formula, n: int) -> tuple:
+    """(k_J, k_R) of ``phi`` at degree ``n``, infinite for "in no level":
+    ``phi`` is in J_k^n exactly when ``k >= k_J``, and in R_k^n when
+    ``k >= k_R``."""
+    k_j, k_r = checker.min_levels(phi, n)
+    return (INF if k_j is None else k_j, INF if k_r is None else k_r)
 
 
 def _floors(members) -> tuple[Optional[int], Optional[int]]:
@@ -127,8 +146,9 @@ def run_selftest(
                 c1.fail(f"budget hit for {render(phi)} at n={n}")
                 continue
             floor_s, floor_p = _floors(rs.members)
+            k_j, k_r = _levels(checker, phi, n)
             for k in range(k_max + 1):
-                j, r = checker.decide(phi, k, n)
+                j, r = k >= k_j, k >= k_r
                 reach_j = floor_s is not None and floor_s <= k
                 reach_r = floor_p is not None and floor_p <= k
                 c1.checks += 2
@@ -206,18 +226,18 @@ def _check_backward_closure(
     # Every expansion cached during one degree's searches is an edge
     # source ~>_n successor; rules only gain at higher degrees.
     for (state, n), successors in transitions.items():
+        state_levels = [_levels(checker, state, n2) for n2 in range(n, n_max + 1)]
         for _, succ in successors:
-            for n2 in range(n, n_max + 1):
+            for n2, (p_j, p_r) in enumerate(state_levels, start=n):
+                s_j, s_r = _levels(checker, succ, n2)
+                result.checks += 2 * (k_max + 1)
                 for k in range(k_max + 1):
-                    sj, sr = checker.decide(succ, k, n2)
-                    pj, pr = checker.decide(state, k, n2)
-                    result.checks += 2
-                    if sj and not pj:
+                    if s_j <= k < p_j:
                         result.fail(
                             f"J not backward closed: {render(state)} ~> "
                             f"{render(succ)} k={k} n={n2}"
                         )
-                    if sr and not pr:
+                    if s_r <= k < p_r:
                         result.fail(
                             f"R not backward closed: {render(state)} ~> "
                             f"{render(succ)} k={k} n={n2}"
@@ -227,12 +247,15 @@ def _check_backward_closure(
 def _check_stabilization(corpus: list[Formula], k_max: int) -> CriterionResult:
     result = CriterionResult("criterion-3 stabilization", True, 0)
     checker = Classifier()
+    top = min(3, k_max)
     for phi in corpus:
-        for k in range(min(3, k_max) + 1):
-            base = checker.decide(phi, k, k)
+        levels = [_levels(checker, phi, n) for n in range(top + 3)]
+        for k in range(top + 1):
+            k_j, k_r = levels[k]
             for n in (k + 1, k + 2):
+                n_j, n_r = levels[n]
                 result.checks += 2
-                if checker.decide(phi, k, n) != base:
+                if (k >= n_j, k >= n_r) != (k >= k_j, k >= k_r):
                     result.fail(f"J/R not stable for {render(phi)} k={k} n={n}")
     return result
 
@@ -243,58 +266,70 @@ def _check_monotonicity(
     result = CriterionResult("criterion-4 monotonicity suites", True, 0)
     checker = Classifier()
     for phi in corpus:
-        for n in range(n_max + 1):
-            masks = [checker.decide(phi, k, n) for k in range(k_max + 2)]
+        levels = [_levels(checker, phi, n) for n in range(n_max + 1)]
+        for n, (k_j, k_r) in enumerate(levels):
             for k in range(k_max + 1):
-                j, r = masks[k]
-                j_up, r_up = masks[k + 1]
+                # in D_k^n but not in both J_{k+1}^n and R_{k+1}^n
                 result.checks += 1
-                if (j or r) and not (j_up and r_up):
+                if min(k_j, k_r) <= k < max(k_j, k_r) - 1:
                     result.fail(f"cumulativity fails {render(phi)} k={k} n={n}")
                 if n < n_max:
-                    j_n, r_n = checker.decide(phi, k, n + 1)
+                    up_j, up_r = levels[n + 1]
                     result.checks += 1
-                    if (j and not j_n) or (r and not r_n):
+                    if k_j <= k < up_j or k_r <= k < up_r:
                         result.fail(f"n-monotonicity fails {render(phi)} k={k} n={n}")
-            for k in range(k_max + 1):
-                result.checks += 1
-                if in_sigma_plus(phi, k) and not checker.in_J(phi, k, 0):
-                    result.fail(f"Sigma_{k}+ not within J_{k}^0: {render(phi)}")
-                if in_pi_plus(phi, k) and not checker.in_R(phi, k, 0):
-                    result.fail(f"Pi_{k}+ not within R_{k}^0: {render(phi)}")
-            _check_subformula_closure(result, phi, n_max, k_max, checker)
-            _check_inversions(result, phi, n_max, k_max, checker)
+        _check_prenex_inclusions(result, phi, levels[0], k_max)
+        _check_subformula_closure(result, phi, levels, k_max, checker)
+        _check_inversions(result, phi, levels, k_max, checker)
     return result
+
+
+def _check_prenex_inclusions(
+    result: CriterionResult, phi: Formula, levels_0: tuple, k_max: int
+) -> None:
+    """Sigma_k+ is within J_k^0 and Pi_k+ within R_k^0."""
+    floor_s, floor_p = sigma_plus_floor(phi), pi_plus_floor(phi)
+    k_j, k_r = levels_0
+    for k in range(k_max + 1):
+        result.checks += 1
+        if floor_s is not None and floor_s <= k < k_j:
+            result.fail(f"Sigma_{k}+ not within J_{k}^0: {render(phi)}")
+        if floor_p is not None and floor_p <= k < k_r:
+            result.fail(f"Pi_{k}+ not within R_{k}^0: {render(phi)}")
 
 
 def _check_subformula_closure(
     result: CriterionResult,
     phi: Formula,
-    n_max: int,
+    levels: list[tuple],
     k_max: int,
     checker: Classifier,
 ) -> None:
-    subs = list(subformulas(phi))
-    for n in range(n_max + 1):
-        for k in range(k_max + 1):
-            if checker.in_D(phi, k, n):
-                result.checks += 1
-                if not all(checker.in_D(psi, k, n) for psi in subs):
-                    result.fail(f"subformula closure fails {render(phi)} k={k} n={n}")
+    """D_k^n is closed under subformulas: one check per (n, k) with phi in
+    D_k^n, failing below the largest least D-level of a subformula."""
+    subs = set(subformulas(phi))
+    for n, pair in enumerate(levels):
+        k_d = min(pair)
+        if k_d > k_max:
+            continue
+        result.checks += k_max + 1 - k_d
+        need = max(min(_levels(checker, psi, n)) for psi in subs)
+        for k in range(k_d, min(need, k_max + 1)):
+            result.fail(f"subformula closure fails {render(phi)} k={k} n={n}")
 
 
 def _check_inversions(
     result: CriterionResult,
     phi: Formula,
-    n_max: int,
+    levels: list[tuple],
     k_max: int,
     checker: Classifier,
 ) -> None:
     """The five inversion laws, with their case splits on level vs degree."""
-    for n in range(n_max + 1):
+    for n, (k_j, k_r) in enumerate(levels):
         for k in range(1, k_max + 1):
             kk = k - 1
-            j, r = checker.decide(phi, k, n)
+            j, r = k >= k_j, k >= k_r
             if not (j or r):
                 continue
             result.checks += 1

@@ -335,11 +335,9 @@ class Classifier:
         ``k_max`` when one is given.
         """
         _check_levels(0, n)
-        k_j, k_r = (
-            k if k < INF and (k_max is None or k <= k_max) else None
-            for k in self._pair(phi, n)
-        )
-        return k_j, k_r
+        bound = INF if k_max is None else k_max + 1
+        k_j, k_r = self._pair(phi, n)
+        return (k_j if k_j < bound else None, k_r if k_r < bound else None)
 
 
 _default = Classifier()

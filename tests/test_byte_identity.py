@@ -1,9 +1,11 @@
 """Output bytes pinned by SHA-256 digests of the size-4 corpus (884
-formulas over P/1 Q/1 with variables x y), of three wide merges and of
-the parser's answers on seeded random strings.  A change to the
-classifier's verdicts, least levels or witness choices, to the
-normalizer's positions and fresh names, or to a parse error's message,
-line or column, shows up here even when every answer stays correct.
+formulas over P/1 Q/1 with variables x y), of three wide merges, of the
+rewrite steps on the size-5 corpus and of the parser's answers on seeded
+random strings.  A change to the classifier's verdicts, least levels or
+witness choices, to the normalizer's positions and fresh names, to the
+order, positions or fresh names of the applicable rewrite steps, or to a
+parse error's message, line or column, shows up here even when every
+answer stays correct.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from prenexify.formula import And, Exists, Forall, Imp, Or, Prime
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import ParseError, parse, render
-from prenexify.rewrite import trace_to_text
+from prenexify.rewrite import applicable_steps, trace_to_text
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
@@ -37,6 +39,9 @@ WIDE_TRACES_SHA256 = {
     Or: "60bd367c3f69ed7a87ab8b4831ad256be22cfc2f7920d2ff6df4239b24981478",
     Imp: "627ee2b5e4bf3044fad36e9c7c4562abfa0a05e5802156d0d53cc4b8896059cc",
 }
+# the repr of applicable_steps(phi, n) for every size-5 corpus formula and
+# n = 0..3, one line each
+STEPS_SHA256 = "912ef7b9289d597114f3662e66744368ae8f93309f67f67e0777d6f10420addf"
 # (exception type, message, line, column), or the rendering on success, of
 # 20,000 seeded random strings, each parsed without and with a signature
 PARSE_SHA256 = "de054ced28a6fa61599d472e269dc6f8af1868b5bcd605a96f7bdda3a6ba485e"
@@ -114,6 +119,20 @@ def test_wide_merge_traces_are_byte_identical(conn):
     for normalize in (normalize_J, normalize_R):
         digest.update(trace_to_text(normalize(phi, 2, 1, checker).trace).encode())
     assert digest.hexdigest() == WIDE_TRACES_SHA256[conn]
+
+
+def test_applicable_steps_are_byte_identical():
+    corpus = list(enumerate_formulas(default_signature(5)))
+    assert len(corpus) == 7014
+    digest = hashlib.sha256()
+    count = 0
+    for phi in corpus:
+        for n in range(4):
+            steps = applicable_steps(phi, n)
+            digest.update(repr(steps).encode() + b"\n")
+            count += len(steps)
+    assert count == 15312
+    assert digest.hexdigest() == STEPS_SHA256
 
 
 # Operands and operators alternate, so many strings come close to a

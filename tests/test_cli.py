@@ -383,6 +383,8 @@ INPUT_ERRORS = {
         "natural",
     ),
     "selftest-negative-size": (("selftest", "--size", "-1"), {}, None, "natural"),
+    # the size-0 corpus is empty, and every criterion would pass with 0 checks
+    "selftest-size-0": (("selftest", "--size", "0"), {}, None, "at least 1, got 0"),
     "selftest-budget-x": (("selftest", "--budget", "x"), {}, None, "natural"),
 }
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import prenexify
 
-from prenexify.formula import alpha_canonical, free_vars
+from prenexify.formula import Exists, alpha_canonical, free_vars
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.oracle import (
     REACHABLE_SCHEMA,
@@ -50,6 +50,20 @@ def test_budget_produces_unexhausted():
     rs = reachable_set(parse("(exists x. P(x)) | (forall y. Q(y))"), 0, node_budget=2)
     assert not rs.exhausted
     assert len(rs.members) == 2
+
+
+def test_reachable_set_on_a_5000_deep_chain():
+    # alpha_canonical keeps an explicit stack
+    phi = parse("(exists y. P(y)) & (exists y. Q(y))")
+    for _ in range(5000):
+        phi = Exists("x", phi)
+    rs = reachable_set(phi, 0)
+    assert rs.exhausted and len(rs.members) == 5
+    start = rs.members[0]
+    for i in range(5000):
+        assert isinstance(start, Exists) and start.var == f"v{i}"
+        start = start.body
+    assert start is parse("(exists v5000. P(v5000)) & (exists v5001. Q(v5001))")
 
 
 def test_can_reach_yes_with_shortest_trace():

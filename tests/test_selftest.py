@@ -1,0 +1,85 @@
+"""Criterion 4 of the selftest: its check count, and the classifier
+faults it must catch.
+
+The faults are planted in ``semiclassical._least_levels``, the one place
+the classifier computes a node's least levels (k_J, k_R) at a degree, so
+every membership the criterion reads sees them.
+"""
+
+import math
+
+import pytest
+
+from prenexify import semiclassical
+from prenexify.formula import Exists, Or
+from prenexify.oracle import enumerate_formulas
+from prenexify.selftest import _check_monotonicity, default_signature
+
+CORPUS = list(enumerate_formulas(default_signature(4)))
+N_MAX = 2
+K_MAX = 4
+
+_least_levels = semiclassical._least_levels
+
+
+def _n_monotonicity_broken(phi, n, pairs):
+    # at n = 1 every node with a quantifier needs one level more, so it
+    # leaves classes it was in at n = 0
+    k_j, k_r = _least_levels(phi, n, pairs)
+    return (k_j + 1, k_r + 1) if n == 1 else (k_j, k_r)
+
+
+def _or_lowered(phi, n, pairs):
+    k_j, k_r = _least_levels(phi, n, pairs)
+    if type(phi) is Or:
+        return max(1, k_j - 1), max(1, k_r - 1)
+    return k_j, k_r
+
+
+def _exists_out_of_j_at_0(phi, n, pairs):
+    k_j, k_r = _least_levels(phi, n, pairs)
+    if type(phi) is Exists and n == 0:
+        return math.inf, k_r
+    return k_j, k_r
+
+
+# each fault with the first failure criterion 4 reports for it
+FAULTS = {
+    "n-monotonicity": (
+        _n_monotonicity_broken,
+        "n-monotonicity fails exists v0. false k=1 n=0",
+    ),
+    "or-lowered": (
+        _or_lowered,
+        "inversion fails for false | exists v0. false k=1 n=0",
+    ),
+    "exists-out-of-j": (
+        _exists_out_of_j_at_0,
+        "cumulativity fails exists v0. false k=2 n=0",
+    ),
+}
+
+
+def test_criterion_4_passes_and_counts_each_distinct_check_once():
+    result = _check_monotonicity(CORPUS, N_MAX, K_MAX)
+    assert result.passed, result.line()
+    checker = semiclassical.Classifier()
+    expected = 0
+    for phi in CORPUS:
+        expected += (N_MAX + 1) * (K_MAX + 1)  # cumulativity in k
+        expected += N_MAX * (K_MAX + 1)  # monotonicity in n
+        expected += K_MAX + 1  # the prenex inclusions
+        for n in range(N_MAX + 1):
+            for k in range(K_MAX + 1):
+                if checker.in_D(phi, k, n):
+                    expected += 1  # subformula closure of D
+                    expected += k >= 1  # the inversion laws
+    assert result.checks == expected == 47060
+
+
+@pytest.mark.parametrize("fault, first", FAULTS.values(), ids=FAULTS)
+def test_criterion_4_catches_a_planted_classifier_fault(monkeypatch, fault, first):
+    monkeypatch.setattr(semiclassical, "_least_levels", fault)
+    result = _check_monotonicity(CORPUS, N_MAX, K_MAX)
+    assert not result.passed
+    assert result.failures[0] == first
