@@ -5,10 +5,11 @@ Exit codes: 0 pass, 1 fail (verify, selftest), 2 input error, 3 not in
 the class (normalize), 4 budget exhausted without an answer (search).
 Unusable outside input (argv, config, ``PRENEXIFY_BUDGET``, a file that
 cannot be read, decoded or written) raises :class:`InputError`; ``main``
-reports it, like a formula's ``ParseError``, as one stderr line and exit
-2.  Signature and budget are resolved once, before dispatch: the flag,
-then the ``--config`` file (``key=value`` lines: ``sig``, ``budget``;
-read for every command), then ``PRENEXIFY_BUDGET``, then the default.
+reports it, like a formula's ``ParseError`` and a standard output whose
+reader has closed it, as one stderr line and exit 2.  Signature and
+budget are resolved once, before dispatch: the flag, then the
+``--config`` file (``key=value`` lines: ``sig``, ``budget``; read for
+every command), then ``PRENEXIFY_BUDGET``, then the default.
 """
 
 from __future__ import annotations
@@ -94,7 +95,12 @@ def _corpus_size(text: str) -> int:
 
 
 def _naturals(text: str) -> list[int]:
-    return [_natural(part) for part in text.split(",") if part.strip() != ""]
+    values = [_natural(part) for part in text.split(",") if part.strip() != ""]
+    if not values:
+        raise InputError(f"expected one or more natural numbers, got {text!r}")
+    if len(set(values)) != len(values):
+        raise InputError(f"each degree may be given once, got {text!r}")
+    return values
 
 
 def _read(path: str) -> str:
@@ -164,6 +170,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(exc, file=sys.stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+    except BrokenPipeError as exc:
+        # stdout's reader is gone; send what is still buffered to devnull,
+        # or flushing it fails once more at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
     return EXIT_INPUT
 
 

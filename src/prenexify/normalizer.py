@@ -5,17 +5,22 @@ cumulative class together with a degree-n trace that the rewrite engine
 replays.  The normalizer follows the classifier's derivation one goal
 ``(phi, side, k)`` at a time (``Classifier.derive``, the step witnesses
 are built from), so no clause choice is re-searched.  A ``lift`` goal has
-the normal form of the goal below it and a ``qf`` goal is its own normal
-form.  Every other goal is normalized once per degree and kept in the
+the normal form of the goal at the foot of its lift chain, which is read
+off the node's least levels (``Classifier.lift_root``) without walking
+the chain, and a ``qf`` goal (a foot at level 0) is its own normal form.
+Every other goal is normalized once per degree and kept in the
 classifier's store (``Classifier.normal_forms``): normalize the operands,
 then merge the two prenex results by hoisting their quantifier prefixes
 through the connective.  An entry holds the prenex output, the merge's own
 steps at positions relative to its node, and its operands' entries.  Fresh
 names come from the node alone (the hoisted binders and the node's
-variables), so an entry is the same wherever its goal occurs.  Each call
-turns the entries into absolute steps in one pass: the left operand's,
-the right operand's, then the node's own.  Both walks keep explicit
-stacks, so nesting depth is not bounded by the recursion limit.
+variables), so an entry is the same wherever its goal occurs.  The first
+call for a goal turns the entries into absolute steps in one pass (the
+left operand's, the right operand's, then the node's own) and keeps them
+on the goal's entry as its finished trace; a later call for the goal, at
+any level from its least one up, costs a few lookups and no ``derive``.
+Both walks keep explicit stacks, so nesting depth is not bounded by the
+recursion limit.
 
 The merge loops track a *contract* (target kind, level budget): hoisting a
 quantifier whose output kind matches the target keeps the contract, while
@@ -34,7 +39,7 @@ connective once, when it ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import semiclassical
 from .formula import (
@@ -110,7 +115,8 @@ def normalize_R(
 def _normalize_entry(
     phi: Formula, k: int, n: int, target: str, checker: Optional[Classifier]
 ) -> NormalizationResult:
-    checker = checker or semiclassical._default
+    # no process-global store: without a checker, nothing outlives the call
+    checker = checker or Classifier()
     side = semiclassical.J if target == SIGMA else semiclassical.R
     if not checker.decide(phi, k, n)[0 if side == semiclassical.J else 1]:
         raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
@@ -118,7 +124,9 @@ def _normalize_entry(
     if form is None:
         output, steps = phi, ()
     else:
-        output, steps = form.output, _absolute_steps(form)
+        if form.steps is None:
+            form.steps = _absolute_steps(form)
+        output, steps = form.output, form.steps
     trace = Trace(phi, steps, n)
 
     member = in_sigma_plus if target == SIGMA else in_pi_plus
@@ -127,53 +135,54 @@ def _normalize_entry(
     return NormalizationResult(phi, k, n, target, output, trace)
 
 
-class _NormalForm(NamedTuple):
+class _NormalForm:
     """The normal form of one goal that takes steps to reach: its prenex
     ``output``, the ``hoists`` of its own merge as ``(rule, fresh)``
     pairs, and, with their selectors, the entries of its operands that
     take steps.  Each hoist slides the connective one body position down,
     so the i-th is the step at ``("b",) * i`` below the goal's node.  A
     goal whose node is already its own normal form has the entry
-    ``None``."""
+    ``None``.  ``steps``, every step below the node in trace order, is
+    filled in when the entry's own goal is first normalized."""
 
-    output: Formula
-    hoists: tuple[tuple[str, Optional[str]], ...]
-    children: tuple[tuple[str, "_NormalForm"], ...]
+    __slots__ = ("output", "hoists", "children", "steps")
 
-
-def _resolve(goal: tuple, n: int, checker: Classifier) -> tuple:
-    """The first goal down ``goal``'s lift chain that is not ``lift``,
-    with its clause and premises."""
-    clause, premises = checker.derive(*goal, n)
-    while clause == "lift":
-        (goal,) = premises
-        clause, premises = checker.derive(*goal, n)
-    return goal, clause, premises
+    def __init__(self, output: Formula, hoists: tuple, children: tuple):
+        self.output = output
+        self.hoists: tuple[tuple[str, Optional[str]], ...] = hoists
+        self.children: tuple[tuple[str, _NormalForm], ...] = children
+        self.steps: Optional[tuple[RewriteStep, ...]] = None
 
 
 def _normal_form(goal: tuple, n: int, checker: Classifier) -> Optional[_NormalForm]:
     """The entry of ``goal`` at degree ``n``, first building and storing,
-    operands before their node, every entry below it not yet stored.  A
-    goal that resolves to ``qf`` is not stored; its entry is ``None``."""
+    operands before their node, every entry below it not yet stored.
+    Entries are keyed by the foot of the goal's lift chain; a goal whose
+    foot is at level 0 (``qf``) is not stored, and its entry is ``None``.
+    ``derive`` runs only for goals whose entries are built."""
+    root = checker.lift_root(*goal, n)
     store = checker.normal_forms(n)
-    root, clause, premises = _resolve(goal, n, checker)
-    if clause == "qf" or root in store:
+    if root[2] == 0 or root in store:
         return store.get(root)
-    # a frame: a goal, its clause, and its operands' resolved goals
-    stack = [(root, clause, [_resolve(p, n, checker) for p in premises])]
+    # a frame: a goal, its clause, and its operands' roots
+    stack = [_frame(root, n, checker)]
     while stack:
         key, clause, operands = stack[-1]
-        pending = [g for g in operands if g[1] != "qf" and g[0] not in store]
+        pending = [g for g in operands if g[2] != 0 and g not in store]
         if pending:
-            stack.extend(
-                (g, c, [_resolve(p, n, checker) for p in ps]) for g, c, ps in pending
-            )
+            stack.extend(_frame(g, n, checker) for g in pending)
             continue
         stack.pop()
         if key not in store:  # a goal pending twice is built once
-            forms = [store.get(g[0]) for g in operands]
+            forms = [store.get(g) for g in operands]
             store[key] = _build(key, clause, forms, n)
     return store[root]
+
+
+def _frame(root: tuple, n: int, checker: Classifier) -> tuple:
+    """A root goal, its clause, and the roots of its premises."""
+    clause, premises = checker.derive(*root, n)
+    return root, clause, [checker.lift_root(*p, n) for p in premises]
 
 
 def _build(goal: tuple, clause: str, forms: list, n: int) -> Optional[_NormalForm]:

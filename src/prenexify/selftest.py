@@ -147,6 +147,7 @@ def run_selftest(
                 continue
             floor_s, floor_p = _floors(rs.members)
             k_j, k_r = _levels(checker, phi, n)
+            replays: dict = {}  # trace -> its replay, for phi at degree n
             for k in range(k_max + 1):
                 j, r = k >= k_j, k >= k_r
                 reach_j = floor_s is not None and floor_s <= k
@@ -163,9 +164,9 @@ def run_selftest(
                         f"classifier={r} oracle={reach_r}"
                     )
                 if j:
-                    _check_normal_form(c2, phi, k, n, "sigma", checker)
+                    _check_normal_form(c2, phi, k, n, "sigma", checker, replays)
                 if r:
-                    _check_normal_form(c2, phi, k, n, "pi", checker)
+                    _check_normal_form(c2, phi, k, n, "pi", checker, replays)
         _check_backward_closure(c5, transitions, n_max, k_max, checker)
         say(f"degree {n} done")
 
@@ -188,7 +189,12 @@ def _check_normal_form(
     n: int,
     target: str,
     checker: Classifier,
+    replays: dict,
 ) -> None:
+    """One normalization of ``phi`` at (k, n), checked against the replay
+    of its trace.  A replay depends only on the trace (start, steps and
+    degree), so ``replays`` keeps one per distinct trace of ``phi`` at
+    ``n``: the replayed formula, or the exception the replay raised."""
     result.checks += 1
     try:
         res = (
@@ -199,10 +205,15 @@ def _check_normal_form(
     except Exception as exc:  # noqa: BLE001 - report any failure verbatim
         result.fail(f"normalize {target} failed for {render(phi)} k={k} n={n}: {exc}")
         return
-    try:
-        replayed = verify_trace(res.trace)
-    except Exception as exc:  # noqa: BLE001
-        result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {exc}")
+    replayed = replays.get(res.trace)
+    if replayed is None:
+        try:
+            replayed = verify_trace(res.trace)
+        except Exception as exc:  # noqa: BLE001
+            replayed = exc
+        replays[res.trace] = replayed
+    if isinstance(replayed, Exception):
+        result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {replayed}")
         return
     member = in_sigma_plus if target == "sigma" else in_pi_plus
     if replayed is not res.output:

@@ -146,6 +146,13 @@ def _least_levels(phi: Formula, n: int, pairs: list) -> tuple:
     return (INF, INF)
 
 
+def _lift_foot(k_j, k_r) -> tuple:
+    """(side, level) at which a lift chain ends on a node with least levels
+    (k_J, k_R): the lift clause fires while k > min(k_J, k_R), and its
+    last step lands on the side whose least level that is, J first."""
+    return (J, k_j) if k_j <= k_r else (R, k_r)
+
+
 def _premises(operands: tuple, alternative: tuple, k: int, n: int) -> list:
     """(operand, side, level) premises of a table alternative."""
     at = (k, n, n + 1)
@@ -222,8 +229,9 @@ class Classifier:
     def normal_forms(self, n: int) -> dict:
         """The normalizer's store for degree ``n``, keyed by the goals
         ``(phi, side, k)`` it has normalized that are neither ``lift`` nor
-        ``qf``.  It lives and is cleared with the least levels it was
-        derived from."""
+        ``qf``; an entry also keeps its goal's finished trace steps once
+        they are asked for.  It lives and is cleared with the least levels
+        it was derived from."""
         return self._normal_forms[n]
 
     def _pair(self, phi: Formula, n: int) -> tuple:
@@ -276,7 +284,7 @@ class Classifier:
         goal must hold, so ``decide`` has seen a formula containing psi."""
         levels = self._levels[n]
         k_j, k_r = levels.get(psi, _QF)
-        if k > k_j or k > k_r:  # psi lies in D_{k-1}^n
+        if k > _lift_foot(k_j, k_r)[1]:  # psi lies in D_{k-1}^n
             return "lift", [(psi, J if k > k_j else R, k - 1)]
         if k == 0:
             return "qf", []
@@ -288,6 +296,14 @@ class Classifier:
             if p_side == D:
                 premises[i] = (c, J if at >= pair[0] else R, at)
         return alternative[0], premises
+
+    def lift_root(self, psi: Formula, side: str, k: int, n: int) -> tuple:
+        """The goal at the foot of the lift chain ``derive`` follows from
+        the goal ``(psi, side, k)``, found without walking it: the goal
+        itself when its clause is not ``lift``.  The root's clause is
+        ``qf`` exactly when its level is 0.  The goal must hold."""
+        foot_side, foot = _lift_foot(*self._levels[n].get(psi, _QF))
+        return (psi, side, k) if k <= foot else (psi, foot_side, foot)
 
     def witness(self, phi: Formula, k: int, n: int, side: str) -> Optional[Witness]:
         """Derivation tree for a positive verdict, or ``None``."""

@@ -4,12 +4,15 @@ import json
 import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prenexify
 from prenexify.cli import main
 from prenexify.parser import render
 from test_formula import formulas
@@ -331,6 +334,18 @@ INPUT_ERRORS = {
         None,
         "P/x",
     ),
+    "classify-degrees-empty": (
+        ("classify", "c.txt", "--n", ""),
+        {"c.txt": b"P(x)\n"},
+        None,
+        "one or more",
+    ),
+    "classify-degree-twice": (
+        ("classify", "c.txt", "--n", "1,1"),
+        {"c.txt": b"P(x)\n"},
+        None,
+        "'1,1'",
+    ),
     "classify-not-utf8": (("classify", "c.txt"), {"c.txt": b"P\n\xff"}, None, "c.txt"),
     "classify-two-sig-headers": (
         ("classify", "c.txt"),
@@ -405,6 +420,28 @@ def test_input_errors_exit_2(
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and expect in err
+
+
+def test_closed_stdout_ends_with_one_line_and_exit_2(tmp_path):
+    # more output than a pipe holds, so the writer is still writing when
+    # the reader closes its end, as with ``classify big.txt | head -1``
+    corpus = tmp_path / "big.txt"
+    corpus.write_text("P(x) & Q(y)\n" * 2000)
+    src = os.path.dirname(os.path.dirname(prenexify.__file__))
+    script = "import sys; from prenexify.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "classify", str(corpus)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert json.loads(first)["formula"] == "P(x) & Q(y)"
+    assert err.startswith("cannot write stdout: ") and err.count("\n") == 1
 
 
 def test_classify_reports_every_bad_line(tmp_path, capsys):

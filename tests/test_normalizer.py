@@ -2,7 +2,7 @@ from collections import defaultdict
 
 import pytest
 
-from prenexify import formula
+from prenexify import formula, semiclassical
 from prenexify.formula import (
     And,
     Exists,
@@ -229,14 +229,73 @@ def test_normal_forms_are_per_classifier_and_cleared():
     one, two = Classifier(), Classifier()
     first = normalize_J(phi, 3, 1, one)
     assert one.normal_forms(1) and not two.normal_forms(1)
-    assert normalize_J(phi, 3, 1, two).trace == first.trace
+    # the finished trace is kept on the entry of the goal normalized
+    root = one.lift_root(phi, "J", 3, 1)
+    assert one.normal_forms(1)[root].steps is first.trace.steps
+    assert normalize_J(phi, 3, 1, one).trace.steps is first.trace.steps
+    second = normalize_J(phi, 3, 1, two)
+    assert second.trace == first.trace
+    assert second.trace.steps is not first.trace.steps
     stored = one.normal_forms(1)
     assert stored.keys() == two.normal_forms(1).keys()
     for goal, form in two.normal_forms(1).items():
         assert form is None or form is not stored[goal]
     one.clear()
     assert not one.normal_forms(1)
-    assert normalize_J(phi, 3, 1, one).trace == first.trace
+    third = normalize_J(phi, 3, 1, one)
+    assert third.trace == first.trace
+    assert third.trace.steps is not first.trace.steps
+
+
+def test_a_lifted_goal_with_a_stored_root_derives_nothing(monkeypatch):
+    phi = parse("(exists x. P(x)) & (forall y. Q(y) -> exists z. R(y, z))")
+    checker = Classifier()
+    least = checker.min_levels(phi, 1)[0]
+    low = normalize_J(phi, least, 1, checker)
+    derived = []
+    derive = Classifier.derive
+
+    def counted(self, *goal):
+        derived.append(goal)
+        return derive(self, *goal)
+
+    monkeypatch.setattr(Classifier, "derive", counted)
+    for k in range(least + 1, least + 4):
+        high = normalize_J(phi, k, 1, checker)
+        assert high.output is low.output
+        assert high.trace.steps is low.trace.steps
+    assert derived == []
+    # a fresh classifier has no entries yet, so it derives them
+    normalize_J(phi, least + 3, 1, Classifier())
+    assert derived
+
+
+def test_lift_root_is_where_derive_stops_lifting():
+    checker = Classifier()
+    for phi in enumerate_formulas(default_signature(4)):
+        for n in range(3):
+            for side, least in zip("JR", checker.min_levels(phi, n)):
+                if least is None:
+                    continue
+                for k in range(least, least + 3):
+                    goal = (phi, side, k)
+                    clause, premises = checker.derive(*goal, n)
+                    while clause == "lift":
+                        (goal,) = premises
+                        clause, premises = checker.derive(*goal, n)
+                    assert checker.lift_root(phi, side, k, n) == goal
+                    assert (clause == "qf") == (goal[2] == 0)
+
+
+def test_no_checker_leaves_the_default_classifier_empty():
+    phi = parse("(exists x. P(x)) & forall y. Q(y)")
+    for n in range(3):
+        normalize_J(phi, 2, n)
+        normalize_R(phi, 2, n)
+        assert not semiclassical._default.normal_forms(n)
+        checker = Classifier()
+        normalize_J(phi, 2, n, checker)
+        assert checker.normal_forms(n)
 
 
 def test_lifted_goals_reuse_the_stored_entry():

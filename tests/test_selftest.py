@@ -1,19 +1,24 @@
-"""Criterion 4 of the selftest: its check count, and the classifier
-faults it must catch.
+"""Criteria 2 and 4 of the selftest: their check counts, and the faults
+they must catch.
 
-The faults are planted in ``semiclassical._least_levels``, the one place
-the classifier computes a node's least levels (k_J, k_R) at a degree, so
-every membership the criterion reads sees them.
+Criterion 4's faults are planted in ``semiclassical._least_levels``, the
+one place the classifier computes a node's least levels (k_J, k_R) at a
+degree, so every membership the criterion reads sees them.  Criterion
+2's faults are planted in the normalizer as the selftest calls it, only
+at levels above a formula's least one, where its normal form is the one
+already checked at the least level.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from prenexify import semiclassical
+from prenexify import selftest, semiclassical
 from prenexify.formula import Exists, Or
 from prenexify.oracle import enumerate_formulas
-from prenexify.selftest import _check_monotonicity, default_signature
+from prenexify.rewrite import Trace
+from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
 N_MAX = 2
@@ -83,3 +88,47 @@ def test_criterion_4_catches_a_planted_classifier_fault(monkeypatch, fault, firs
     result = _check_monotonicity(CORPUS, N_MAX, K_MAX)
     assert not result.passed
     assert result.failures[0] == first
+
+
+def _last_step_dropped(res):
+    steps = res.trace.steps[:-1]
+    return dataclasses.replace(res, trace=Trace(res.input, steps, res.n))
+
+
+def _output_left_as_input(res):
+    return dataclasses.replace(res, output=res.input)
+
+
+def _above_the_least_level(fault, normalize, side):
+    def faulty(phi, k, n, checker):
+        res = normalize(phi, k, n, checker)
+        if k > checker.min_levels(phi, n)[side] and res.trace.steps:
+            return fault(res)
+        return res
+
+    return faulty
+
+
+def test_criterion_2_counts_one_check_per_positive_verdict():
+    c2 = run_selftest(size=4)[1]
+    assert c2.passed, c2.line()
+    checker = semiclassical.Classifier()
+    expected = sum(
+        sum(checker.decide(phi, k, n))
+        for phi in CORPUS
+        for n in range(N_MAX + 1)
+        for k in range(K_MAX + 1)
+    )
+    assert c2.checks == expected == 18403
+
+
+@pytest.mark.parametrize("fault", [_last_step_dropped, _output_left_as_input])
+def test_criterion_2_catches_a_fault_above_the_least_level(monkeypatch, fault):
+    for name, side in (("normalize_J", 0), ("normalize_R", 1)):
+        normalize = getattr(selftest, name)
+        monkeypatch.setattr(
+            selftest, name, _above_the_least_level(fault, normalize, side)
+        )
+    c2 = run_selftest(size=4)[1]
+    assert not c2.passed and c2.checks == 18403
+    assert c2.failures[0] == "replay diverges for false & exists v0. false k=2 n=0"
