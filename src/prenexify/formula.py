@@ -1,14 +1,16 @@
 """First-order formula ASTs and the positional machinery built on them.
 
-Formulas are immutable and hash-consed: structurally equal formulas are
-always the *same* object, so ``==`` and ``hash`` are identity-based and
-cheap.  Negation is not a primitive; ``~p`` is represented as
-``Imp(p, Falsum)``.  Quantifiers bind exactly one variable per node and
-terms are restricted to variables.
+Formulas are immutable and hash-consed: structurally equal live formulas
+are always the *same* object, so ``==`` and ``hash`` are identity-based
+and cheap.  The intern table is swept as it grows, and a sweep drops the
+formulas that nothing outside the table refers to.  Negation is not a
+primitive; ``~p`` is represented as ``Imp(p, Falsum)``.  Quantifiers bind
+exactly one variable per node and terms are restricted to variables.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from typing import Iterator
 
@@ -51,6 +53,14 @@ Position = tuple[str, ...]
 
 _interned: dict[tuple, "Formula"] = {}
 
+# The table is swept once it has grown by _GROWTH since the last sweep, and
+# not before it holds _SWEEP_FLOOR entries.  Without sys.getrefcount no
+# node can be told dead, and the table is never swept.
+_GROWTH = 2
+_SWEEP_FLOOR = 16_384
+_getrefcount = getattr(sys, "getrefcount", None)
+_sweep_at = _SWEEP_FLOOR if _getrefcount is not None else sys.maxsize
+
 
 class PositionError(Exception):
     """Raised when a position does not denote a node of the formula."""
@@ -81,9 +91,45 @@ class Formula:
 
 
 def _intern(key: tuple, node: Formula) -> Formula:
-    # setdefault is atomic under the GIL, so concurrent construction of the
-    # same formula still yields a single shared object.
-    return _interned.setdefault(key, node)
+    # Formulas are built on one thread, so ``key`` is still absent: the
+    # caller has just looked it up.
+    _interned[key] = node
+    if len(_interned) >= _sweep_at:
+        _sweep()
+    return node
+
+
+def _sweep() -> None:
+    """Drop every interned node that nothing outside the table refers to.
+
+    Entries are popped newest first.  A node is inserted after its
+    operands, so a dead parent, whose key and fields hold its operands, is
+    released before they are read, and one pass frees a whole dead subtree
+    without recursion.  The live entries go back in their old order.
+    """
+    global _sweep_at
+    table = _interned
+    count = _getrefcount
+    idle = _IDLE
+    keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
+    while table:
+        key, node = table.popitem()
+        if count(node) - (node._canon is node) > idle:
+            keys.append(key)
+            nodes.append(node)
+        elif node._canon is node:
+            node._canon = None  # the self-reference alone would keep it
+    table.clear()  # frees the emptied hash table
+    table.update(zip(reversed(keys), reversed(nodes)))
+    _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
+
+
+def _idle_count() -> int:
+    """What ``_sweep`` reads for a node that only the table holds: a probe
+    popped from a table of its own and read the same way."""
+    table = {("probe",): object.__new__(Falsum)}
+    key, node = table.popitem()
+    return _getrefcount(node)
 
 
 class Prime(Formula):
@@ -130,6 +176,7 @@ class Falsum(Formula):
 
 
 FALSUM = Falsum()
+_IDLE = _idle_count() if _getrefcount is not None else 0
 
 
 class _Binary(Formula):

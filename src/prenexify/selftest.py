@@ -440,12 +440,14 @@ def _check_pinned_negatives(budget: int) -> CriterionResult:
     return result
 
 
+_RANDOM_LEAVES = (
+    FALSUM, Prime("P", ("x",)), Prime("P", ("y",)), Prime("Q", ("x",)), Prime("Q", ("y",))
+)
+
+
 def _random_formula(rng: random.Random, budget: int) -> Formula:
     if budget <= 1:
-        return rng.choice(
-            [FALSUM, Prime("P", ("x",)), Prime("P", ("y",)), Prime("Q", ("x",)),
-             Prime("Q", ("y",))]
-        )
+        return rng.choice(_RANDOM_LEAVES)
     shape = rng.randrange(6)
     if shape <= 1:
         kind = Exists if shape == 0 else Forall

@@ -1,0 +1,33 @@
+"""The deep run: ``prenexify selftest --size 7`` and its check counts.
+
+It takes about five minutes and about 1 GB of memory on two cores, so it
+is opt-in: set ``PRENEXIFY_DEEP=1`` to run it.  The default test run
+skips it.
+"""
+
+import os
+
+import pytest
+
+from prenexify.cli import main
+
+pytestmark = pytest.mark.skipif(
+    os.environ.get("PRENEXIFY_DEEP") != "1", reason="deep run: set PRENEXIFY_DEEP=1"
+)
+
+SIZE_7_CHECKS = {
+    "criterion-1 characterization": 14_998_830,
+    "criterion-2 normalizer soundness": 9_393_978,
+    "criterion-3 stabilization": 7_999_376,
+    "criterion-4 monotonicity suites": 25_198_611,
+    "criterion-5 backward closure": 27_637_060,
+    "criterion-6 pinned negatives": 16,
+    "criterion-7 rewrite conformance": 59_290,
+}
+
+
+def test_selftest_size_7(capsys):
+    assert main(["selftest", "--size", "7", "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {name} ({checks} checks)" for name, checks in SIZE_7_CHECKS.items()
+    ]

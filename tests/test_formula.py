@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prenexify import formula
 from prenexify.formula import (
     FALSUM,
     And,
@@ -23,6 +26,9 @@ from prenexify.formula import (
     size,
     subformula_at,
 )
+from prenexify.oracle import enumerate_formulas
+from prenexify.parser import parse, render
+from prenexify.selftest import default_signature
 
 Px = Prime("P", ("x",))
 Py = Prime("P", ("y",))
@@ -158,3 +164,65 @@ def test_replace_roundtrip(phi):
 @given(formulas())
 def test_fresh_variable_not_in_formula(phi):
     assert fresh_variable(all_vars(phi)) not in all_vars(phi)
+
+
+# The sweep tests call formula._sweep() themselves, so that what they check
+# does not depend on when the table's growth triggers one.
+
+
+def test_sweep_keeps_held_nodes_and_frees_the_rest_at_once():
+    held = Forall("x", Imp(Prime("Held", ("x",)), Exists("y", Qy)))
+    canon = alpha_canonical(Exists("z", Prime("Held", ("z",))))
+    gc.disable()
+    try:
+        gc.collect()
+        Imp(Prime("Dropped", ("x",)), FALSUM)
+        formula._sweep()
+        # no dropped node is left in a cycle (atoms refer to themselves)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert Forall("x", Imp(Prime("Held", ("x",)), Exists("y", Qy))) is held
+    assert Exists("v0", Prime("Held", ("v0",))) is canon
+    assert alpha_canonical(canon) is canon
+    assert ("P", "Dropped", ("x",)) not in formula._interned
+    assert (">", Prime("Dropped", ("x",)), FALSUM) not in formula._interned
+
+
+def test_sweeps_bound_the_table_by_the_growth_factor():
+    formula._sweep()
+    live = len(formula._interned)
+    peak = 0
+    for i in range(100_000):
+        Imp(Prime("T", (f"t{i}",)), FALSUM)
+        peak = max(peak, len(formula._interned))
+    formula._sweep()
+    assert peak <= formula._GROWTH * max(live, formula._SWEEP_FLOOR)
+    assert len(formula._interned) <= live
+
+
+def test_one_sweep_frees_a_dropped_5000_deep_chain():
+    formula._sweep()
+    live = len(formula._interned)
+    phi = Prime("Deep", ("x",))
+    for _ in range(5000):
+        phi = Exists("x", phi)
+    assert len(formula._interned) == live + 5001
+    del phi
+    formula._sweep()
+    assert len(formula._interned) <= live
+
+
+def test_alpha_canonical_forms_survive_a_sweep():
+    def canonical_forms():
+        corpus = list(enumerate_formulas(default_signature(4)))
+        return corpus, [alpha_canonical(phi) for phi in corpus]
+
+    texts = [render(canon) for canon in canonical_forms()[1]]
+    corpus, canons = canonical_forms()
+    formula._sweep()
+    assert [alpha_canonical(phi) for phi in corpus] == canons
+    assert [parse(text) for text in texts] == canons
+    del corpus, canons
+    formula._sweep()
+    assert [render(canon) for canon in canonical_forms()[1]] == texts

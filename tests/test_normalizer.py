@@ -1,3 +1,4 @@
+import sys
 from collections import defaultdict
 
 import pytest
@@ -163,10 +164,12 @@ def test_converse_consistency_regression():
         assert in_J(phi, floor, n)
 
 
-def test_steps_cost_constant_nodes_on_a_wide_conjunction():
+def test_steps_cost_constant_nodes_on_a_wide_conjunction(monkeypatch):
     # Theta(w^2) steps are needed (each lowers the measure by one); a step
     # must cost O(1) new nodes, not a rebuild of every ancestor.  Counted
-    # in interned nodes, so the guard does not depend on timing.
+    # in interned nodes, so the guard does not depend on timing; no sweep
+    # may fire meanwhile, so it does not depend on the table's history.
+    monkeypatch.setattr(formula, "_sweep_at", sys.maxsize)
     operands = [Exists(f"x{i}", Prime("P", (f"x{i}",))) for i in range(1, 81)]
     phi = operands.pop()
     while operands:
