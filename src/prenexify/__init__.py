@@ -46,17 +46,6 @@ from .rewrite import (
     lifts_to_degree,
     verify_trace,
 )
-from .semiclassical import (
-    ClassVerdict,
-    Classifier,
-    Witness,
-    in_D,
-    in_E_plus,
-    in_J,
-    in_R,
-    in_U_plus,
-    min_levels,
-    verdict,
-)
+from .semiclassical import Classifier, Witness
 
 __version__ = "0.1.0"

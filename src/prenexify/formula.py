@@ -376,19 +376,33 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 
 
 def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
-    """Replace free occurrences of variable ``old`` by ``new``."""
-    if old not in phi.free:
-        return phi
-    if isinstance(phi, Prime):
-        return Prime(phi.name, tuple(new if a == old else a for a in phi.args))
-    if isinstance(phi, _Binary):
-        return type(phi)(
-            _substitute_var(phi.left, old, new), _substitute_var(phi.right, old, new)
-        )
-    if isinstance(phi, _Quant):
-        # old is free in phi, hence phi.var != old
-        return type(phi)(phi.var, _substitute_var(phi.body, old, new))
-    return phi
+    """Replace free occurrences of variable ``old`` by ``new``, without
+    recursion; a subformula in which ``old`` is not free is kept as is."""
+    values: list[Formula] = []
+    stack: list = [phi]
+    while stack:
+        task = stack.pop()
+        if type(task) is tuple:  # a node whose operands are built
+            node = task[0]
+            if isinstance(node, _Binary):
+                right = values.pop()
+                values[-1] = type(node)(values[-1], right)
+            else:
+                values[-1] = type(node)(node.var, values[-1])
+        elif old not in task.free:
+            values.append(task)
+        elif isinstance(task, Prime):
+            args = tuple(new if a == old else a for a in task.args)
+            values.append(Prime(task.name, args))
+        elif isinstance(task, _Binary):
+            stack.append((task,))
+            stack.append(task.right)
+            stack.append(task.left)
+        else:
+            # old is free in task, hence task.var != old
+            stack.append((task,))
+            stack.append(task.body)
+    return values[0]
 
 
 def rename_bound(phi: Formula, fresh: str) -> Formula:

@@ -43,12 +43,9 @@ from typing import Optional
 
 from . import semiclassical
 from .formula import (
-    And,
     Exists,
     Forall,
     Formula,
-    Imp,
-    Or,
     _Binary,
     _Quant,
     free_vars,
@@ -56,7 +53,16 @@ from .formula import (
 )
 from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
 from .parser import formula_to_dict, render
-from .rewrite import RewriteStep, Trace, _in_c, _in_u, rewrite_node, trace_to_json
+from .rewrite import (
+    RULES,
+    RewriteStep,
+    Trace,
+    _in_c,
+    _in_u,
+    _kind,
+    rewrite_node,
+    trace_to_json,
+)
 from .semiclassical import Classifier
 
 __all__ = [
@@ -246,18 +252,9 @@ _KIND = {SIGMA: Exists, PI: Forall}
 
 # (connective, side, quantifier) -> rule name
 _HOIST_RULE = {
-    (And, "l", Exists): "ExistsAnd",
-    (And, "l", Forall): "ForallAnd",
-    (And, "r", Exists): "AndExists",
-    (And, "r", Forall): "AndForall",
-    (Or, "l", Exists): "ExistsOr",
-    (Or, "l", Forall): "ForallOrN",
-    (Or, "r", Exists): "OrExists",
-    (Or, "r", Forall): "OrForallN",
-    (Imp, "l", Exists): "ExistsImp",
-    (Imp, "l", Forall): "ForallImpN",
-    (Imp, "r", Exists): "ImpExistsN",
-    (Imp, "r", Forall): "ImpForall",
+    (rule.conn, rule.qside, rule.qkind): name
+    for name, rule in RULES.items()
+    if rule.conn is not None
 }
 
 
@@ -324,8 +321,8 @@ class _Merger:
     def merge_and(self, target: str, budget: int) -> None:
         while True:
             left, right = self._operands()
-            lh = type(left) if isinstance(left, _Quant) else None
-            rh = type(right) if isinstance(right, _Quant) else None
+            lh = _kind(left)
+            rh = _kind(right)
             if lh is None and rh is None:
                 return
             want = _KIND[target]
@@ -345,8 +342,8 @@ class _Merger:
         n = self.n
         while True:
             left, right = self._operands()
-            lh = type(left) if isinstance(left, _Quant) else None
-            rh = type(right) if isinstance(right, _Quant) else None
+            lh = _kind(left)
+            rh = _kind(right)
             if lh is None and rh is None:
                 return
             if lh is None:
@@ -380,8 +377,8 @@ class _Merger:
         n = self.n
         while True:
             ante, cons = self._operands()
-            ah = type(ante) if isinstance(ante, _Quant) else None
-            ch = type(cons) if isinstance(cons, _Quant) else None
+            ah = _kind(ante)
+            ch = _kind(cons)
             if ah is None and ch is None:
                 return
             # moves: (operand side, head needed, validity test)

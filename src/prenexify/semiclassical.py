@@ -12,8 +12,13 @@ connective; which clauses exist depends on how k-1 compares to n:
 
 with E, E' ranging over J_k^n, U, U' over R_k^n, D over D_n^n and E1
 over J_{n+1}^n.  ``_CLAUSES`` is this table, and it alone drives the
-least levels, each derivation step (``Classifier.derive``, which both
-witnesses and the normalizer follow) and ``validate_witness``.
+least levels and each derivation step (``Classifier.derive``, which both
+witnesses and the normalizer follow).
+
+A ``Classifier`` is the only way in, and its caller owns it: the module
+keeps no classifier state, so what a caller computes is freed with its
+``Classifier``.  The cumulative classes E_k+ and U_k+ are J_k^k and
+R_k^k, ``decide(phi, k, k)`` on any ``Classifier``.
 
 Least levels.  The lift clause makes every class cumulative in k
 (S_k^n is inside D_k^n, which is inside S_{k+1}^n), so membership of a
@@ -47,19 +52,7 @@ from typing import Optional
 
 from .formula import And, Exists, Forall, Formula, Imp, Or, _Binary, _Quant
 
-__all__ = [
-    "Witness",
-    "ClassVerdict",
-    "Classifier",
-    "in_J",
-    "in_R",
-    "in_D",
-    "min_levels",
-    "in_E_plus",
-    "in_U_plus",
-    "verdict",
-    "validate_witness",
-]
+__all__ = ["Witness", "Classifier"]
 
 J = "J"
 R = "R"
@@ -116,16 +109,12 @@ def _operands(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def _alternatives(phi: Formula, side: str, k: int, n: int) -> tuple:
-    case = 0 if k <= n else 1 if k == n + 1 else 2
-    return _CLAUSES.get((type(phi), side), _NO_CLAUSES)[case]
-
-
 def _clause(phi: Formula, side: str, k: int, n: int, pairs: list) -> Optional[tuple]:
     """The first table alternative deriving ``phi`` on ``side`` at level
     ``k >= 1`` from operands with least-level ``pairs``, or ``None``."""
     at = (k, n, n + 1)
-    for alternative in _alternatives(phi, side, k, n):
+    case = 0 if k <= n else 1 if k == n + 1 else 2
+    for alternative in _CLAUSES.get((type(phi), side), _NO_CLAUSES)[case]:
         for (s, level), (k_j, k_r) in zip(alternative[1:], pairs):
             if at[level] < (k_j if s == J else k_r if s == R else min(k_j, k_r)):
                 break
@@ -153,12 +142,6 @@ def _lift_foot(k_j, k_r) -> tuple:
     return (J, k_j) if k_j <= k_r else (R, k_r)
 
 
-def _premises(operands: tuple, alternative: tuple, k: int, n: int) -> list:
-    """(operand, side, level) premises of a table alternative."""
-    at = (k, n, n + 1)
-    return [(c, s, at[level]) for c, (s, level) in zip(operands, alternative[1:])]
-
-
 @dataclass(frozen=True)
 class Witness:
     """One node of a derivation tree for a positive membership verdict.
@@ -184,23 +167,6 @@ class Witness:
     children: tuple["Witness", ...] = ()
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
-    """Joint answer for both polarities at one (k, n)."""
-
-    formula: Formula
-    k: int
-    n: int
-    in_J: bool
-    in_R: bool
-    witness_J: Optional[Witness]
-    witness_R: Optional[Witness]
-
-    @property
-    def in_D(self) -> bool:
-        return self.in_J or self.in_R
-
-
 def _check_levels(k: int, n: int) -> None:
     if k < 0:
         raise ValueError("level k must be a natural number")
@@ -221,17 +187,12 @@ class Classifier:
         # n -> {goal: normal form}, filled by the normalizer
         self._normal_forms: defaultdict[int, dict] = defaultdict(dict)
 
-    def clear(self) -> None:
-        self._levels.clear()
-        self._by_pairs.clear()
-        self._normal_forms.clear()
-
     def normal_forms(self, n: int) -> dict:
         """The normalizer's store for degree ``n``, keyed by the goals
         ``(phi, side, k)`` it has normalized that are neither ``lift`` nor
         ``qf``; an entry also keeps its goal's finished trace steps once
-        they are asked for.  It lives and is cleared with the least levels
-        it was derived from."""
+        they are asked for.  It lives as long as the least levels it was
+        derived from: as long as the ``Classifier``."""
         return self._normal_forms[n]
 
     def _pair(self, phi: Formula, n: int) -> tuple:
@@ -291,10 +252,12 @@ class Classifier:
         operands = _operands(psi)
         pairs = [levels.get(c, _QF) for c in operands]
         alternative = _clause(psi, side, k, n, pairs)
-        premises = _premises(operands, alternative, k, n)
-        for i, ((c, p_side, at), pair) in enumerate(zip(premises, pairs)):
+        at = (k, n, n + 1)
+        premises = []
+        for c, (p_side, level), pair in zip(operands, alternative[1:], pairs):
             if p_side == D:
-                premises[i] = (c, J if at >= pair[0] else R, at)
+                p_side = J if at[level] >= pair[0] else R
+            premises.append((c, p_side, at[level]))
         return alternative[0], premises
 
     def lift_root(self, psi: Formula, side: str, k: int, n: int) -> tuple:
@@ -330,18 +293,6 @@ class Classifier:
                 values[-1] = Witness(s, level, n, clause, (values[-1], right))
         return values[0]
 
-    def verdict(self, phi: Formula, k: int, n: int) -> ClassVerdict:
-        j, r = self.decide(phi, k, n)
-        return ClassVerdict(
-            formula=phi,
-            k=k,
-            n=n,
-            in_J=j,
-            in_R=r,
-            witness_J=self.witness(phi, k, n, J) if j else None,
-            witness_R=self.witness(phi, k, n, R) if r else None,
-        )
-
     def min_levels(
         self, phi: Formula, n: int, k_max: Optional[int] = None
     ) -> tuple[Optional[int], Optional[int]]:
@@ -354,73 +305,3 @@ class Classifier:
         bound = INF if k_max is None else k_max + 1
         k_j, k_r = self._pair(phi, n)
         return (k_j if k_j < bound else None, k_r if k_r < bound else None)
-
-
-_default = Classifier()
-
-
-def in_J(phi: Formula, k: int, n: int) -> bool:
-    return _default.in_J(phi, k, n)
-
-
-def in_R(phi: Formula, k: int, n: int) -> bool:
-    return _default.in_R(phi, k, n)
-
-
-def in_D(phi: Formula, k: int, n: int) -> bool:
-    return _default.in_D(phi, k, n)
-
-
-def in_E_plus(phi: Formula, k: int) -> bool:
-    """Cumulative class E_k+, computed as J_k^k (stabilization)."""
-    return _default.in_J(phi, k, k)
-
-
-def in_U_plus(phi: Formula, k: int) -> bool:
-    """Cumulative class U_k+, computed as R_k^k (stabilization)."""
-    return _default.in_R(phi, k, k)
-
-
-def min_levels(phi: Formula, n: int, k_max: Optional[int] = None):
-    return _default.min_levels(phi, n, k_max)
-
-
-def verdict(phi: Formula, k: int, n: int) -> ClassVerdict:
-    return _default.verdict(phi, k, n)
-
-
-def _claimed_premises(psi: Formula, node: Witness) -> Optional[list]:
-    """(operand, side, level) premises of the clause ``node`` names for
-    ``psi``, or ``None`` when no such clause derives ``psi``."""
-    k, n = node.k, node.n
-    if node.clause == "qf":
-        return [] if k == 0 and psi.is_qf else None
-    if k < 1:
-        return None
-    if node.clause == "lift":
-        return [(psi, D, k - 1)]
-    for alternative in _alternatives(psi, node.side, k, n):
-        if alternative[0] == node.clause:
-            return _premises(_operands(psi), alternative, k, n)
-    return None
-
-
-def validate_witness(phi: Formula, w: Witness) -> bool:
-    """Replay a witness clause-by-clause against the clause table.
-
-    Returns True when every node of the derivation is a legitimate
-    application of a clause for the formula it certifies, with every
-    child at the level, side and degree the clause requires.  The replay
-    is purely syntactic.
-    """
-    stack = [(phi, w)]
-    while stack:
-        psi, node = stack.pop()
-        premises = _claimed_premises(psi, node)
-        if premises is None or len(premises) != len(node.children):
-            return False
-        for (operand, side, level), child in zip(premises, node.children):
-            if child.n != node.n or child.k != level or side not in (D, child.side):
-                return False
-            stack.append((operand, child))
-    return True

@@ -3,14 +3,16 @@ from collections import defaultdict
 
 import pytest
 
-from prenexify import formula, semiclassical
+from prenexify import formula
 from prenexify.formula import (
     And,
     Exists,
     Forall,
     Prime,
     _Quant,
+    alpha_equivalent,
     free_vars,
+    rename_bound,
     size,
     subformulas,
 )
@@ -23,7 +25,7 @@ from prenexify.normalizer import (
 )
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
-from prenexify.rewrite import RewriteStep, verify_trace
+from prenexify.rewrite import RewriteStep, apply_step, verify_trace
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
@@ -148,8 +150,8 @@ def test_converse_consistency_regression():
     # the class realized by the output bounds the input's class: reaching
     # a Sigma_m+ formula at degree n puts the start formula in J_m^n
     from prenexify.hierarchy import sigma_plus_floor
-    from prenexify.semiclassical import in_J
 
+    checker = Classifier()
     cases = [
         ("(exists x. P(x)) | (forall y. Q(y))", 2, 0),
         ("(forall x. P(x)) -> false", 2, 1),
@@ -161,7 +163,7 @@ def test_converse_consistency_regression():
         result = normalize_J(phi, k, n)
         floor = sigma_plus_floor(result.output)
         assert floor is not None and floor <= k
-        assert in_J(phi, floor, n)
+        assert checker.in_J(phi, floor, n)
 
 
 def test_steps_cost_constant_nodes_on_a_wide_conjunction(monkeypatch):
@@ -199,6 +201,25 @@ def test_normalize_5000_deep_chains():
         assert verify_trace(result.trace) is result.output
 
 
+def test_renaming_a_3000_deep_conjunction():
+    # the hoist renames x away from P(x), and the renaming keeps an
+    # explicit stack: it rebuilds every node in which x is free
+    body = Prime("P", ("x",))
+    for _ in range(3000):
+        body = And(Prime("Q", ("x",)), body)
+    q = Exists("x", body)
+    renamed = rename_bound(q, "z")
+    assert renamed.var == "z" and renamed.body.vars == ("z",)
+    assert alpha_equivalent(renamed, q)
+    phi = And(q, Prime("P", ("x",)))
+    step = RewriteStep("ExistsAnd", (), "v0")
+    hoisted = Exists("v0", And(rename_bound(q, "v0").body, phi.right))
+    assert apply_step(phi, step, 0) is hoisted
+    result = normalize_J(phi, 1, 0, Classifier())
+    assert result.trace.steps == (step,)
+    assert verify_trace(result.trace) is result.output
+
+
 def test_not_in_class_message_on_a_5000_deep_chain():
     # the message renders the whole input; render keeps an explicit stack
     phi = Exists("y", Prime("P", ("y",)))
@@ -227,7 +248,7 @@ def test_json_and_subformulas_on_a_5000_deep_chain():
     assert nodes[5000:] == [conj, left, left.body, right, right.body]
 
 
-def test_normal_forms_are_per_classifier_and_cleared():
+def test_normal_forms_are_per_classifier():
     phi = parse("(exists x. P(x)) & ((forall y. Q(y)) | exists z. R(z))")
     one, two = Classifier(), Classifier()
     first = normalize_J(phi, 3, 1, one)
@@ -243,11 +264,6 @@ def test_normal_forms_are_per_classifier_and_cleared():
     assert stored.keys() == two.normal_forms(1).keys()
     for goal, form in two.normal_forms(1).items():
         assert form is None or form is not stored[goal]
-    one.clear()
-    assert not one.normal_forms(1)
-    third = normalize_J(phi, 3, 1, one)
-    assert third.trace == first.trace
-    assert third.trace.steps is not first.trace.steps
 
 
 def test_a_lifted_goal_with_a_stored_root_derives_nothing(monkeypatch):
@@ -290,15 +306,25 @@ def test_lift_root_is_where_derive_stops_lifting():
                     assert (clause == "qf") == (goal[2] == 0)
 
 
-def test_no_checker_leaves_the_default_classifier_empty():
+def test_no_checker_leaves_a_classifier_in_any_module():
+    # without a checker nothing outlives the call: no module holds a
+    # Classifier whose tables a call could fill
     phi = parse("(exists x. P(x)) & forall y. Q(y)")
     for n in range(3):
         normalize_J(phi, 2, n)
         normalize_R(phi, 2, n)
-        assert not semiclassical._default.normal_forms(n)
         checker = Classifier()
         normalize_J(phi, 2, n, checker)
         assert checker.normal_forms(n)
+    modules = [
+        module
+        for name, module in sys.modules.items()
+        if name == "prenexify" or name.startswith("prenexify.")
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        for name, value in vars(module).items():
+            assert not isinstance(value, Classifier), f"{module.__name__}.{name}"
 
 
 def test_lifted_goals_reuse_the_stored_entry():

@@ -177,3 +177,17 @@ def test_oracle_is_independent_of_the_classifier():
                 seen.add(name)
                 todo.extend(_package_imports(name))
         assert "semiclassical" not in seen, module
+
+
+def test_no_module_builds_a_classifier_at_import():
+    # a Classifier held by a module would keep its tables for the life of
+    # the process; every caller makes its own
+    package = Path(prenexify.__file__).parent
+    for path in package.glob("*.py"):
+        for statement in ast.parse(path.read_text()).body:
+            if not isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                continue
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    assert name != "Classifier", f"{path.name}:{node.lineno}"

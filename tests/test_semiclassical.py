@@ -7,22 +7,22 @@ levels.
 import pytest
 from hypothesis import given, settings
 
-from prenexify.formula import FALSUM, And, Exists, Forall, Imp, Or, Prime, subformulas
+from prenexify.formula import (
+    FALSUM,
+    And,
+    Exists,
+    Forall,
+    Imp,
+    Or,
+    Prime,
+    _Binary,
+    _Quant,
+    subformulas,
+)
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
 from prenexify.selftest import default_signature
-from prenexify.semiclassical import (
-    Classifier,
-    Witness,
-    in_D,
-    in_E_plus,
-    in_J,
-    in_R,
-    in_U_plus,
-    min_levels,
-    validate_witness,
-    verdict,
-)
+from prenexify.semiclassical import Classifier, Witness
 from test_formula import formulas
 
 
@@ -97,77 +97,108 @@ def naive_in(phi, k, n, side):
     return phi in (J if side == "J" else R)[k]
 
 
+def witness_holds(phi, w):
+    """Whether every node of the witness ``w`` for ``phi`` certifies a
+    formula that the fixpoint oracle puts in the node's class, at the
+    degree of the root, with one child per premise of its clause."""
+    nodes = []
+    stack = [(phi, w)]
+    while stack:
+        psi, node = stack.pop()
+        nodes.append((psi, node))
+        if node.clause == "qf":
+            operands = ()
+        elif node.clause == "lift":
+            operands = (psi,)
+        elif node.clause in ("exists", "forall"):
+            operands = (psi.body,) if isinstance(psi, _Quant) else None
+        else:
+            operands = (psi.left, psi.right) if isinstance(psi, _Binary) else None
+        if operands is None or node.n != w.n or len(node.children) != len(operands):
+            return False
+        stack.extend(zip(operands, node.children))
+    J, R = naive_classes(phi, max(node.k for _, node in nodes), w.n)
+    return all(psi in (J if node.side == "J" else R)[node.k] for psi, node in nodes)
+
+
 def test_quantifier_free_base():
+    checker = Classifier()
     for n in range(4):
-        assert in_J(parse("P(x)"), 0, n)
-        assert in_R(parse("P(x) -> false"), 0, n)
-    assert not in_J(parse("exists x. P(x)"), 0, 0)
+        assert checker.in_J(parse("P(x)"), 0, n)
+        assert checker.in_R(parse("P(x) -> false"), 0, n)
+    assert not checker.in_J(parse("exists x. P(x)"), 0, 0)
 
 
 def test_negated_universal_needs_degree_one():
     phi = parse("(forall x. P(x)) -> false")
-    assert in_J(phi, 2, 1)
+    checker = Classifier()
+    assert checker.in_J(phi, 2, 1)
     for k in range(6):
-        assert not in_J(phi, k, 0)
-        assert not in_R(phi, k, 0)
+        assert not checker.in_J(phi, k, 0)
+        assert not checker.in_R(phi, k, 0)
     assert naive_in(phi, 2, 1, "J")
     assert not naive_in(phi, 5, 0, "J")
 
 
 def test_disjunction_of_quantifiers():
     phi = parse("(exists x. P(x)) | (forall y. Q(y))")
-    assert in_J(phi, 2, 0)
+    checker = Classifier()
+    assert checker.in_J(phi, 2, 0)
     assert naive_in(phi, 2, 0, "J")
-    assert not in_J(phi, 1, 0)
+    assert not checker.in_J(phi, 1, 0)
 
 
 def test_existential_R_side():
     phi = parse("exists x. P(x)")
-    assert not in_R(phi, 1, 0)
-    assert in_R(phi, 2, 0)
+    checker = Classifier()
+    assert not checker.in_R(phi, 1, 0)
+    assert checker.in_R(phi, 2, 0)
     assert naive_in(phi, 2, 0, "R") and not naive_in(phi, 1, 0, "R")
 
 
 def test_in_D():
-    assert in_D(parse("P(x) -> false"), 0, 3)
-    assert in_D(parse("exists x. P(x)"), 1, 0)
-    assert not in_D(parse("(forall x. P(x)) -> false"), 1, 0)
+    checker = Classifier()
+    assert checker.in_D(parse("P(x) -> false"), 0, 3)
+    assert checker.in_D(parse("exists x. P(x)"), 1, 0)
+    assert not checker.in_D(parse("(forall x. P(x)) -> false"), 1, 0)
 
 
 def test_min_levels():
-    assert min_levels(parse("P(x)"), 2) == (0, 0)
-    assert min_levels(parse("exists x. P(x)"), 0, 5) == (1, 2)
-    assert min_levels(parse("(forall x. P(x)) -> false"), 0, 6) == (None, None)
+    checker = Classifier()
+    assert checker.min_levels(parse("P(x)"), 2) == (0, 0)
+    assert checker.min_levels(parse("exists x. P(x)"), 0, 5) == (1, 2)
+    assert checker.min_levels(parse("(forall x. P(x)) -> false"), 0, 6) == (None, None)
 
 
 def test_min_levels_default_cutoff():
     phi = parse("(forall x. P(x)) -> false")
-    k_j, k_r = min_levels(phi, 0)  # no k_max: exact, and in no level
+    k_j, k_r = Classifier().min_levels(phi, 0)  # no k_max: exact, and in no level
     assert (k_j, k_r) == (None, None)
 
 
 def test_cumulative_e_u_classes():
-    assert in_E_plus(parse("(exists x. P(x)) | (forall y. Q(y))"), 2)
-    assert not in_E_plus(parse("forall x. P(x)"), 1)
-    assert in_U_plus(parse("forall x. P(x)"), 1)
-    assert in_E_plus(parse("P(x)"), 0)
+    # E_k+ is J_k^k and U_k+ is R_k^k
+    checker = Classifier()
+    assert checker.in_J(parse("(exists x. P(x)) | (forall y. Q(y))"), 2, 2)
+    assert not checker.in_J(parse("forall x. P(x)"), 1, 1)
+    assert checker.in_R(parse("forall x. P(x)"), 1, 1)
+    assert checker.in_J(parse("P(x)"), 0, 0)
 
 
 def test_verdict_and_witness_replay():
     phi = parse("(exists x. P(x)) | (forall y. Q(y))")
-    v = verdict(phi, 2, 0)
-    assert v.in_J and v.in_D
-    assert v.witness_J is not None
-    assert validate_witness(phi, v.witness_J)
+    checker = Classifier()
+    assert checker.decide(phi, 2, 0) == (True, False)
+    assert witness_holds(phi, checker.witness(phi, 2, 0, "J"))
     # the R-side disjunction clause at k > n needs a quantifier-free
     # disjunct, so the Pi side only opens up one level later
-    assert not v.in_R and v.witness_R is None
-    lifted = verdict(phi, 3, 0)
-    assert lifted.in_R
-    assert validate_witness(phi, lifted.witness_R)
-    negative = verdict(parse("(forall x. P(x)) -> false"), 1, 0)
-    assert not negative.in_D
-    assert negative.witness_J is None and negative.witness_R is None
+    assert checker.witness(phi, 2, 0, "R") is None
+    assert checker.in_R(phi, 3, 0)
+    assert witness_holds(phi, checker.witness(phi, 3, 0, "R"))
+    negative = parse("(forall x. P(x)) -> false")
+    assert not checker.in_D(negative, 1, 0)
+    assert checker.witness(negative, 1, 0, "J") is None
+    assert checker.witness(negative, 1, 0, "R") is None
 
 
 def test_witness_tracks_asymmetric_or():
@@ -177,7 +208,7 @@ def test_witness_tracks_asymmetric_or():
     assert checker.in_J(phi, 2, 0)
     w = checker.witness(phi, 2, 0, "J")
     assert w.clause in ("or-left", "or-right")
-    assert validate_witness(phi, w)
+    assert witness_holds(phi, w)
     # at k - 1 = n both R-side disjunction clauses apply here; or-left is
     # tried first, and its D premise is witnessed on R as it is not in J
     both = parse("(exists x. P(x)) | (forall y. Q(y))")
@@ -187,11 +218,11 @@ def test_witness_tracks_asymmetric_or():
 
 
 def test_invalid_levels_rejected():
-    with pytest.raises(ValueError):
-        in_J(parse("P(x)"), -1, 0)
-    with pytest.raises(ValueError):
-        in_J(parse("P(x)"), 0, -2)
     checker = Classifier()
+    with pytest.raises(ValueError):
+        checker.in_J(parse("P(x)"), -1, 0)
+    with pytest.raises(ValueError):
+        checker.in_J(parse("P(x)"), 0, -2)
     with pytest.raises(ValueError):
         checker.witness(parse("P(x)"), -1, 0, "J")
     with pytest.raises(ValueError):
@@ -205,49 +236,53 @@ def test_witness_with_child_at_another_degree_is_rejected():
     child = checker.witness(phi.body, 2, 1, "J")
     assert child is not None
     forged = Witness("J", 2, 0, "exists", (child,))
-    assert not validate_witness(phi, forged)
-    assert validate_witness(phi, Witness("J", 2, 1, "exists", (child,)))
+    assert not witness_holds(phi, forged)
+    assert witness_holds(phi, Witness("J", 2, 1, "exists", (child,)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(formulas(max_leaves=4))
 def test_checker_agrees_with_fixpoint_oracle(phi):
+    checker = Classifier()
     for n in range(3):
         J, R = naive_classes(phi, 3, n)
         for k in range(4):
-            assert in_J(phi, k, n) == (phi in J[k])
-            assert in_R(phi, k, n) == (phi in R[k])
+            assert checker.decide(phi, k, n) == (phi in J[k], phi in R[k])
 
 
 @settings(max_examples=150, deadline=None)
 @given(formulas(max_leaves=5))
 def test_cumulativity_and_monotonicity(phi):
+    checker = Classifier()
     for n in range(3):
         for k in range(4):
-            if in_J(phi, k, n) or in_R(phi, k, n):
-                assert in_J(phi, k + 1, n) and in_R(phi, k + 1, n)
-            if in_J(phi, k, n):
-                assert in_J(phi, k, n + 1)
-            if in_R(phi, k, n):
-                assert in_R(phi, k, n + 1)
+            j, r = checker.decide(phi, k, n)
+            if j or r:
+                assert checker.decide(phi, k + 1, n) == (True, True)
+            if j:
+                assert checker.in_J(phi, k, n + 1)
+            if r:
+                assert checker.in_R(phi, k, n + 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(formulas(max_leaves=5))
 def test_stabilization_at_degree_k(phi):
+    checker = Classifier()
     for k in range(3):
-        base = (in_J(phi, k, k), in_R(phi, k, k))
+        base = checker.decide(phi, k, k)
         for n in (k + 1, k + 2):
-            assert (in_J(phi, k, n), in_R(phi, k, n)) == base
+            assert checker.decide(phi, k, n) == base
 
 
 @settings(max_examples=150, deadline=None)
 @given(formulas(max_leaves=5))
 def test_subformula_closure(phi):
+    checker = Classifier()
     for n in range(2):
         for k in range(4):
-            if in_D(phi, k, n):
-                assert all(in_D(psi, k, n) for psi in subformulas(phi))
+            if checker.in_D(phi, k, n):
+                assert all(checker.in_D(psi, k, n) for psi in subformulas(phi))
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,7 +294,7 @@ def test_positive_witnesses_always_replay(phi):
             for side in ("J", "R"):
                 w = checker.witness(phi, k, n, side)
                 if w is not None:
-                    assert validate_witness(phi, w)
+                    assert witness_holds(phi, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,15 +322,7 @@ def test_deep_alternation_needs_no_recursion():
     assert checker.min_levels(phi, 10**9) == (2501, 2500)
 
 
-def test_fresh_classifier_matches_module_level():
-    phi = parse("(exists x. P(x)) | (forall y. Q(y))")
-    checker = Classifier()
-    assert checker.decide(phi, 2, 0) == (in_J(phi, 2, 0), in_R(phi, 2, 0))
-    checker.clear()
-    assert checker.decide(phi, 2, 0) == (True, False)
-
-
-def test_least_levels_by_pairs_are_per_classifier_and_cleared():
+def test_least_levels_by_pairs_are_per_classifier():
     # a node's least levels are looked up by its connective and its
     # operands' pairs, in a table of the Classifier's own
     corpus = list(enumerate_formulas(default_signature(5)))
@@ -307,18 +334,15 @@ def test_least_levels_by_pairs_are_per_classifier_and_cleared():
     assert not two._by_pairs
     assert all(two.min_levels(phi, 1) == one.min_levels(phi, 1) for phi in corpus)
     assert len(two._by_pairs[1]) == keys
-    one.clear()
-    assert not one._by_pairs and not one._levels
-    assert one.min_levels(corpus[-1], 1) == two.min_levels(corpus[-1], 1)
 
 
 def test_alpha_variants_share_verdicts():
     one = parse("(exists x. P(x)) | (forall y. Q(y))")
     two = parse("(exists y. P(y)) | (forall x. Q(x))")
+    checker = Classifier()
     for k in range(4):
         for n in range(3):
-            assert in_J(one, k, n) == in_J(two, k, n)
-            assert in_R(one, k, n) == in_R(two, k, n)
+            assert checker.decide(one, k, n) == checker.decide(two, k, n)
 
 
 def test_concurrent_queries_are_consistent():
