@@ -22,6 +22,15 @@ any level from its least one up, costs a few lookups and no ``derive``.
 Both walks keep explicit stacks, so nesting depth is not bounded by the
 recursion limit.
 
+``prenex_form`` is that one path: a read of the node's least levels
+(``Classifier.levels``), which decides membership and finds the root, a
+lookup in the store, and the ``(output, steps)`` pair of the entry, the
+same objects on every call for the goal.  ``normalize_J`` /
+``normalize_R`` wrap it: they assert that the output is in the target
+class with the input's free variables, and build the ``Trace`` and the
+``NormalizationResult``.  The selftest calls ``prenex_form`` directly and
+makes its own checks.
+
 The merge loops track a *contract* (target kind, level budget): hoisting a
 quantifier whose output kind matches the target keeps the contract, while
 an opposite-kind quantifier starts a new alternation block and decrements
@@ -41,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import semiclassical
 from .formula import (
     Exists,
     Forall,
@@ -63,13 +71,14 @@ from .rewrite import (
     rewrite_node,
     trace_to_json,
 )
-from .semiclassical import Classifier
+from .semiclassical import J, R, Classifier, _check_levels, _lift_foot
 
 __all__ = [
     "NormalizationResult",
     "NotInClassError",
     "normalize_J",
     "normalize_R",
+    "prenex_form",
     "RESULT_SCHEMA",
 ]
 
@@ -108,37 +117,53 @@ def normalize_J(
     phi: Formula, k: int, n: int, checker: Optional[Classifier] = None
 ) -> NormalizationResult:
     """phi in J_k^n  ==>  a Sigma_k+ formula with a verifying ~>*_n trace."""
-    return _normalize_entry(phi, k, n, SIGMA, checker)
+    return _result(phi, k, n, SIGMA, checker)
 
 
 def normalize_R(
     phi: Formula, k: int, n: int, checker: Optional[Classifier] = None
 ) -> NormalizationResult:
     """phi in R_k^n  ==>  a Pi_k+ formula with a verifying ~>*_n trace."""
-    return _normalize_entry(phi, k, n, PI, checker)
+    return _result(phi, k, n, PI, checker)
 
 
-def _normalize_entry(
+def _result(
     phi: Formula, k: int, n: int, target: str, checker: Optional[Classifier]
 ) -> NormalizationResult:
     # no process-global store: without a checker, nothing outlives the call
-    checker = checker or Classifier()
-    side = semiclassical.J if target == SIGMA else semiclassical.R
-    if not checker.decide(phi, k, n)[0 if side == semiclassical.J else 1]:
-        raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
-    form = _normal_form((phi, side, k), n, checker)
-    if form is None:
-        output, steps = phi, ()
-    else:
-        if form.steps is None:
-            form.steps = _absolute_steps(form)
-        output, steps = form.output, form.steps
-    trace = Trace(phi, steps, n)
-
+    output, steps = prenex_form(phi, k, n, target, checker or Classifier())
     member = in_sigma_plus if target == SIGMA else in_pi_plus
     assert member(output, k), "normalizer output left the target class"
     assert free_vars(output) == free_vars(phi), "free variables not preserved"
-    return NormalizationResult(phi, k, n, target, output, trace)
+    return NormalizationResult(phi, k, n, target, output, Trace(phi, steps, n))
+
+
+def prenex_form(
+    phi: Formula, k: int, n: int, target: str, checker: Classifier
+) -> tuple[Formula, tuple[RewriteStep, ...]]:
+    """The normal form of ``phi`` in J_k^n (``target`` "sigma") or R_k^n
+    ("pi"): its prenex output and the steps of its degree-``n`` trace.
+    Each goal's entry is built once and kept in ``checker``'s store, so
+    every call for one goal returns the same two objects.  Raises
+    ``NotInClassError`` when ``phi`` is not in the class."""
+    _check_levels(k, n)
+    k_j, k_r = checker.levels(phi, n)
+    side = J if target == SIGMA else R
+    if k < (k_j if side == J else k_r):
+        raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
+    foot_side, foot = _lift_foot(k_j, k_r)
+    if foot == 0:  # quantifier-free: its own normal form
+        return phi, ()
+    root = (phi, side, k) if k <= foot else (phi, foot_side, foot)
+    try:
+        form = checker.normal_forms(n)[root]
+    except KeyError:
+        form = _build_entries(root, n, checker)
+    if form is None:
+        return phi, ()
+    if form.steps is None:
+        form.steps = _absolute_steps(form)
+    return form.output, form.steps
 
 
 class _NormalForm:
@@ -160,16 +185,14 @@ class _NormalForm:
         self.steps: Optional[tuple[RewriteStep, ...]] = None
 
 
-def _normal_form(goal: tuple, n: int, checker: Classifier) -> Optional[_NormalForm]:
-    """The entry of ``goal`` at degree ``n``, first building and storing,
-    operands before their node, every entry below it not yet stored.
-    Entries are keyed by the foot of the goal's lift chain; a goal whose
-    foot is at level 0 (``qf``) is not stored, and its entry is ``None``.
-    ``derive`` runs only for goals whose entries are built."""
-    root = checker.lift_root(*goal, n)
+def _build_entries(root: tuple, n: int, checker: Classifier) -> Optional[_NormalForm]:
+    """Build and store the entry of ``root``, a goal at the foot of its
+    lift chain and above level 0, at degree ``n``, operands before their
+    node, with every entry below it not yet stored.  Entries are keyed by
+    such roots; a premise whose root is at level 0 (``qf``) is not stored,
+    and its entry is ``None``.  ``derive`` runs only for goals whose
+    entries are built."""
     store = checker.normal_forms(n)
-    if root[2] == 0 or root in store:
-        return store.get(root)
     # a frame: a goal, its clause, and its operands' roots
     stack = [_frame(root, n, checker)]
     while stack:
@@ -208,7 +231,7 @@ def _build(goal: tuple, clause: str, forms: list, n: int) -> Optional[_NormalFor
         ),
         n,
     )
-    target = SIGMA if side == semiclassical.J else PI
+    target = SIGMA if side == J else PI
     if clause == "and":
         merger.merge_and(target, k)
     elif clause in ("or", "or-left", "or-right"):

@@ -16,11 +16,20 @@ random data for the rewrite-conformance check):
 
 Every class is cumulative in k, so a formula's memberships at one degree
 are fixed by its least levels (k_J, k_R).  Criteria 1, 3, 4 and 5 read
-that pair once per formula and degree (``Classifier.min_levels``) and
+that pair once per formula and degree (``Classifier.levels``) and
 compare each level against it; every check is still counted and reported
 on its own.  The inversion laws alone query ``in_J`` / ``in_R`` / ``in_D``
 at the levels their hand-written case split names, independently of the
 classifier's clause table.
+
+Criterion 2 takes each positive verdict's normal form from
+``normalizer.prenex_form``, the path ``normalize_J`` / ``normalize_R``
+wrap, and checks it itself: the replay of its trace must be the output
+itself, in the target class at the verdict's level, with the input's
+free variables.  Replays are shared per steps tuple (one per distinct
+trace of a formula at a degree).  Criteria 1, 2 and 5 build one
+classifier and one transition cache per degree and drop both when the
+degree ends.  Criterion 7 draws its data from ``getrandbits`` alone.
 
 The module is consumed both by ``prenexify selftest`` and by the
 acceptance test suite, which asserts every criterion at full scale.
@@ -28,10 +37,9 @@ acceptance test suite, which asserts every criterion at full scale.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import oracle
 from .formula import (
@@ -52,7 +60,7 @@ from .hierarchy import (
     pi_plus_floor,
     sigma_plus_floor,
 )
-from .normalizer import normalize_J, normalize_R
+from .normalizer import prenex_form
 from .oracle import Signature, enumerate_formulas
 from .parser import parse, render
 from .rewrite import (
@@ -70,7 +78,6 @@ __all__ = ["CriterionResult", "run_selftest", "default_signature", "DEFAULT_SEED
 
 DEFAULT_SEED = 20240 + 5
 RANDOM_STEP_COUNT = 10_000
-INF = math.inf
 
 
 @dataclass
@@ -95,14 +102,6 @@ class CriterionResult:
 
 def default_signature(size: int) -> Signature:
     return Signature.make({"P": 1, "Q": 1}, ("x", "y"), size)
-
-
-def _levels(checker: Classifier, phi: Formula, n: int) -> tuple:
-    """(k_J, k_R) of ``phi`` at degree ``n``, infinite for "in no level":
-    ``phi`` is in J_k^n exactly when ``k >= k_J``, and in R_k^n when
-    ``k >= k_R``."""
-    k_j, k_r = checker.min_levels(phi, n)
-    return (INF if k_j is None else k_j, INF if k_r is None else k_r)
 
 
 def _floors(members) -> tuple[Optional[int], Optional[int]]:
@@ -136,38 +135,7 @@ def run_selftest(
     c5 = CriterionResult("criterion-5 backward closure", True, 0)
 
     for n in range(n_max + 1):
-        checker = Classifier()
-        transitions: oracle.Transitions = {}
-        for count, phi in enumerate(corpus):
-            if progress and count % 5000 == 0 and count:
-                say(f"  degree {n}: {count}/{len(corpus)}")
-            rs = oracle.reachable_set(phi, n, budget, transitions=transitions)
-            if not rs.exhausted:
-                c1.fail(f"budget hit for {render(phi)} at n={n}")
-                continue
-            floor_s, floor_p = _floors(rs.members)
-            k_j, k_r = _levels(checker, phi, n)
-            replays: dict = {}  # trace -> its replay, for phi at degree n
-            for k in range(k_max + 1):
-                j, r = k >= k_j, k >= k_r
-                reach_j = floor_s is not None and floor_s <= k
-                reach_r = floor_p is not None and floor_p <= k
-                c1.checks += 2
-                if j != reach_j:
-                    c1.fail(
-                        f"J mismatch {render(phi)} k={k} n={n}: "
-                        f"classifier={j} oracle={reach_j}"
-                    )
-                if r != reach_r:
-                    c1.fail(
-                        f"R mismatch {render(phi)} k={k} n={n}: "
-                        f"classifier={r} oracle={reach_r}"
-                    )
-                if j:
-                    _check_normal_form(c2, phi, k, n, "sigma", checker, replays)
-                if r:
-                    _check_normal_form(c2, phi, k, n, "pi", checker, replays)
-        _check_backward_closure(c5, transitions, n_max, k_max, checker)
+        _check_degree(c1, c2, c5, corpus, n, n_max, k_max, budget, progress)
         say(f"degree {n} done")
 
     c3 = _check_stabilization(corpus, k_max)
@@ -182,6 +150,53 @@ def run_selftest(
     return [c1, c2, c3, c4, c5, c6, c7]
 
 
+def _check_degree(
+    c1: CriterionResult,
+    c2: CriterionResult,
+    c5: CriterionResult,
+    corpus: list[Formula],
+    n: int,
+    n_max: int,
+    k_max: int,
+    budget: int,
+    progress: Optional[Callable[[str], None]],
+) -> None:
+    """Criteria 1, 2 and 5 at degree ``n``.  The degree's classifier and
+    transitions are freed when it returns."""
+    checker = Classifier()
+    transitions: oracle.Transitions = {}
+    for count, phi in enumerate(corpus):
+        if progress and count % 5000 == 0 and count:
+            progress(f"  degree {n}: {count}/{len(corpus)}")
+        rs = oracle.reachable_set(phi, n, budget, transitions=transitions)
+        if not rs.exhausted:
+            c1.fail(f"budget hit for {render(phi)} at n={n}")
+            continue
+        floor_s, floor_p = _floors(rs.members)
+        k_j, k_r = checker.levels(phi, n)
+        replays: dict = {}  # id(steps) -> (steps, replay), for phi at degree n
+        for k in range(k_max + 1):
+            j, r = k >= k_j, k >= k_r
+            reach_j = floor_s is not None and floor_s <= k
+            reach_r = floor_p is not None and floor_p <= k
+            c1.checks += 2
+            if j != reach_j:
+                c1.fail(
+                    f"J mismatch {render(phi)} k={k} n={n}: "
+                    f"classifier={j} oracle={reach_j}"
+                )
+            if r != reach_r:
+                c1.fail(
+                    f"R mismatch {render(phi)} k={k} n={n}: "
+                    f"classifier={r} oracle={reach_r}"
+                )
+            if j:
+                _check_normal_form(c2, phi, k, n, "sigma", checker, replays)
+            if r:
+                _check_normal_form(c2, phi, k, n, "pi", checker, replays)
+    _check_backward_closure(c5, transitions, n_max, k_max, checker)
+
+
 def _check_normal_form(
     result: CriterionResult,
     phi: Formula,
@@ -193,37 +208,38 @@ def _check_normal_form(
 ) -> None:
     """One normalization of ``phi`` at (k, n), checked against the replay
     of its trace.  A replay depends only on the trace (start, steps and
-    degree), so ``replays`` keeps one per distinct trace of ``phi`` at
-    ``n``: the replayed formula, or the exception the replay raised."""
+    degree), and ``replays`` serves one ``phi`` at one ``n``, so it keeps
+    one replay per steps tuple, keyed by identity: the replayed formula,
+    or the exception the replay raised.  The tuple is kept with its
+    replay, so its id cannot be reused while ``replays`` lives; an equal
+    tuple that is another object is replayed again."""
     result.checks += 1
     try:
-        res = (
-            normalize_J(phi, k, n, checker)
-            if target == "sigma"
-            else normalize_R(phi, k, n, checker)
-        )
+        output, steps = prenex_form(phi, k, n, target, checker)
     except Exception as exc:  # noqa: BLE001 - report any failure verbatim
         result.fail(f"normalize {target} failed for {render(phi)} k={k} n={n}: {exc}")
         return
-    replayed = replays.get(res.trace)
-    if replayed is None:
+    seen = replays.get(id(steps))
+    if seen is None:
         try:
-            replayed = verify_trace(res.trace)
+            replayed = verify_trace(Trace(phi, steps, n))
         except Exception as exc:  # noqa: BLE001
             replayed = exc
-        replays[res.trace] = replayed
+        replays[id(steps)] = (steps, replayed)
+    else:
+        replayed = seen[1]
     if isinstance(replayed, Exception):
         result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {replayed}")
         return
     member = in_sigma_plus if target == "sigma" else in_pi_plus
-    if replayed is not res.output:
+    if replayed is not output:
         result.fail(f"replay diverges for {render(phi)} k={k} n={n}")
-    elif not member(res.output, k):
+    elif not member(output, k):
         result.fail(
-            f"output {render(res.output)} not in target class "
+            f"output {render(output)} not in target class "
             f"({target} {k}) for {render(phi)} n={n}"
         )
-    elif free_vars(res.output) != free_vars(phi):
+    elif free_vars(output) != free_vars(phi):
         result.fail(f"free variables changed for {render(phi)} k={k} n={n}")
 
 
@@ -237,10 +253,10 @@ def _check_backward_closure(
     # Every expansion cached during one degree's searches is an edge
     # source ~>_n successor; rules only gain at higher degrees.
     for (state, n), successors in transitions.items():
-        state_levels = [_levels(checker, state, n2) for n2 in range(n, n_max + 1)]
+        state_levels = [checker.levels(state, n2) for n2 in range(n, n_max + 1)]
         for _, succ in successors:
             for n2, (p_j, p_r) in enumerate(state_levels, start=n):
-                s_j, s_r = _levels(checker, succ, n2)
+                s_j, s_r = checker.levels(succ, n2)
                 result.checks += 2 * (k_max + 1)
                 for k in range(k_max + 1):
                     if s_j <= k < p_j:
@@ -260,7 +276,7 @@ def _check_stabilization(corpus: list[Formula], k_max: int) -> CriterionResult:
     checker = Classifier()
     top = min(3, k_max)
     for phi in corpus:
-        levels = [_levels(checker, phi, n) for n in range(top + 3)]
+        levels = [checker.levels(phi, n) for n in range(top + 3)]
         for k in range(top + 1):
             k_j, k_r = levels[k]
             for n in (k + 1, k + 2):
@@ -277,7 +293,7 @@ def _check_monotonicity(
     result = CriterionResult("criterion-4 monotonicity suites", True, 0)
     checker = Classifier()
     for phi in corpus:
-        levels = [_levels(checker, phi, n) for n in range(n_max + 1)]
+        levels = [checker.levels(phi, n) for n in range(n_max + 1)]
         for n, (k_j, k_r) in enumerate(levels):
             for k in range(k_max + 1):
                 # in D_k^n but not in both J_{k+1}^n and R_{k+1}^n
@@ -324,7 +340,7 @@ def _check_subformula_closure(
         if k_d > k_max:
             continue
         result.checks += k_max + 1 - k_d
-        need = max(min(_levels(checker, psi, n)) for psi in subs)
+        need = max(min(checker.levels(psi, n)) for psi in subs)
         for k in range(k_d, min(need, k_max + 1)):
             result.fail(f"subformula closure fails {render(phi)} k={k} n={n}")
 
@@ -445,37 +461,59 @@ _RANDOM_LEAVES = (
 )
 
 
-def _random_formula(rng: random.Random, budget: int) -> Formula:
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, from ``bits``, a
+    ``getrandbits``: k-bit draws, k the bit length of ``n``, until one is
+    below ``n``.  This is the draw ``random.Random.randrange(n)`` makes."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_formula(bits: Callable[[int], int], budget: int) -> Formula:
     if budget <= 1:
-        return rng.choice(_RANDOM_LEAVES)
-    shape = rng.randrange(6)
+        return _RANDOM_LEAVES[_below(bits, len(_RANDOM_LEAVES))]
+    shape = _below(bits, 6)
     if shape <= 1:
         kind = Exists if shape == 0 else Forall
-        return kind(rng.choice(("x", "y")), _random_formula(rng, budget - 1))
+        return kind(("x", "y")[_below(bits, 2)], _random_formula(bits, budget - 1))
     if shape == 5:
-        return _random_formula(rng, 1)
+        return _random_formula(bits, 1)
     op = (And, Or, Imp)[shape - 2]
-    left_budget = rng.randrange(1, budget - 1) if budget > 2 else 1
-    left = _random_formula(rng, left_budget)
-    right = _random_formula(rng, budget - 1 - left_budget)
+    left_budget = 1 + _below(bits, budget - 2) if budget > 2 else 1
+    left = _random_formula(bits, left_budget)
+    right = _random_formula(bits, budget - 1 - left_budget)
     return op(left, right)
+
+
+def _random_draws(seed: int) -> Iterator[tuple]:
+    """Criterion 7's data, without end: ``(phi, n, steps, step)`` with a
+    random formula ``phi``, a degree ``n``, the rewrite steps applicable
+    to ``phi`` at ``n`` and one of them drawn (``None`` when there are
+    none)."""
+    bits = random.Random(seed).getrandbits
+    while True:
+        phi = _random_formula(bits, 4 + _below(bits, 6))
+        n = _below(bits, 3)
+        steps = applicable_steps(phi, n)
+        yield phi, n, steps, steps[_below(bits, len(steps))] if steps else None
 
 
 def _check_rewrite_conformance(seed: int) -> CriterionResult:
     result = CriterionResult("criterion-7 rewrite conformance", True, 0)
-    rng = random.Random(seed)
+    draws = _random_draws(seed)
     applied = 0
     while applied < RANDOM_STEP_COUNT:
-        phi = _random_formula(rng, rng.randrange(4, 10))
-        n = rng.randrange(3)
-        steps = applicable_steps(phi, n)
-        up = applicable_steps(phi, n + 1)
+        phi, n, steps, step = next(draws)
+        # the steps at n are among those at n + 1; with none at n, that
+        # holds without computing them, and is still counted
         result.checks += 1
-        if not set(steps) <= set(up):
-            result.fail(f"degree monotonicity fails for {render(phi)} n={n}")
         if not steps:
             continue
-        step = rng.choice(steps)
+        if not set(steps) <= set(applicable_steps(phi, n + 1)):
+            result.fail(f"degree monotonicity fails for {render(phi)} n={n}")
         psi = apply_step(phi, step, n)
         applied += 1
         result.checks += 3

@@ -293,6 +293,13 @@ class Classifier:
                 values[-1] = Witness(s, level, n, clause, (values[-1], right))
         return values[0]
 
+    def levels(self, phi: Formula, n: int) -> tuple:
+        """(k_J, k_R) of ``phi`` at degree ``n``, ``INF`` for "in no
+        level": ``phi`` is in J_k^n exactly when ``k >= k_J``, and in
+        R_k^n when ``k >= k_R``."""
+        _check_levels(0, n)
+        return self._pair(phi, n)
+
     def min_levels(
         self, phi: Formula, n: int, k_max: Optional[int] = None
     ) -> tuple[Optional[int], Optional[int]]:

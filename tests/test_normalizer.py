@@ -22,6 +22,7 @@ from prenexify.normalizer import (
     NotInClassError,
     normalize_J,
     normalize_R,
+    prenex_form,
 )
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
@@ -108,6 +109,40 @@ def test_not_in_class_errors():
         normalize_J(parse("(forall x. P(x)) -> false"), 2, 0)
     with pytest.raises(NotInClassError):
         normalize_R(parse("exists x. P(x)"), 1, 0)
+
+
+def test_levels_are_checked_k_first():
+    phi = parse("exists x. P(x)")
+    for target in ("sigma", "pi"):
+        with pytest.raises(ValueError, match="level k"):
+            prenex_form(phi, -1, -1, target, Classifier())
+        with pytest.raises(ValueError, match="degree n"):
+            prenex_form(phi, 1, -1, target, Classifier())
+    with pytest.raises(ValueError, match="level k"):
+        normalize_J(phi, -1, -1)
+
+
+def test_wrappers_return_the_objects_prenex_form_returns():
+    # every positive verdict of the size-4 corpus: normalize_J / normalize_R
+    # hand out prenex_form's output and steps tuple themselves
+    checker = Classifier()
+    positives = 0
+    for phi in enumerate_formulas(default_signature(4)):
+        for n in range(3):
+            for k in range(5):
+                verdicts = checker.decide(phi, k, n)
+                for target, normalize, member in zip(
+                    ("sigma", "pi"), (normalize_J, normalize_R), verdicts
+                ):
+                    if not member:
+                        continue
+                    positives += 1
+                    result = normalize(phi, k, n, checker)
+                    output, steps = prenex_form(phi, k, n, target, checker)
+                    assert result.output is output
+                    assert result.trace.steps is steps
+                    assert result.trace.start is phi and result.trace.n == n
+    assert positives == 18403
 
 
 def test_traces_stay_at_requested_degree():

@@ -1,15 +1,17 @@
-"""Criteria 2 and 4 of the selftest: their check counts, and the faults
-they must catch.
+"""Criteria 2, 4 and 7 of the selftest: their check counts, the faults
+they must catch, and the data criterion 7 draws.
 
 Criterion 4's faults are planted in ``semiclassical._least_levels``, the
 one place the classifier computes a node's least levels (k_J, k_R) at a
 degree, so every membership the criterion reads sees them.  Criterion
-2's faults are planted in the normalizer as the selftest calls it, only
+2's faults are planted in ``prenex_form`` as the selftest calls it, only
 at levels above a formula's least one, where its normal form is the one
-already checked at the least level.
+already checked at the least level.  Criterion 7's seeded data is pinned
+by a digest, so a change to how it is drawn shows.
 """
 
-import dataclasses
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from prenexify import selftest, semiclassical
 from prenexify.formula import Exists, Or
 from prenexify.oracle import enumerate_formulas
-from prenexify.rewrite import Trace
+from prenexify.parser import render
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -90,21 +92,20 @@ def test_criterion_4_catches_a_planted_classifier_fault(monkeypatch, fault, firs
     assert result.failures[0] == first
 
 
-def _last_step_dropped(res):
-    steps = res.trace.steps[:-1]
-    return dataclasses.replace(res, trace=Trace(res.input, steps, res.n))
+def _last_step_dropped(phi, output, steps):
+    return output, steps[:-1]
 
 
-def _output_left_as_input(res):
-    return dataclasses.replace(res, output=res.input)
+def _output_left_as_input(phi, output, steps):
+    return phi, steps
 
 
-def _above_the_least_level(fault, normalize, side):
-    def faulty(phi, k, n, checker):
-        res = normalize(phi, k, n, checker)
-        if k > checker.min_levels(phi, n)[side] and res.trace.steps:
-            return fault(res)
-        return res
+def _above_the_least_level(fault, prenex_form):
+    def faulty(phi, k, n, target, checker):
+        output, steps = prenex_form(phi, k, n, target, checker)
+        if k > checker.levels(phi, n)[0 if target == "sigma" else 1] and steps:
+            return fault(phi, output, steps)
+        return output, steps
 
     return faulty
 
@@ -124,11 +125,27 @@ def test_criterion_2_counts_one_check_per_positive_verdict():
 
 @pytest.mark.parametrize("fault", [_last_step_dropped, _output_left_as_input])
 def test_criterion_2_catches_a_fault_above_the_least_level(monkeypatch, fault):
-    for name, side in (("normalize_J", 0), ("normalize_R", 1)):
-        normalize = getattr(selftest, name)
-        monkeypatch.setattr(
-            selftest, name, _above_the_least_level(fault, normalize, side)
-        )
+    monkeypatch.setattr(
+        selftest, "prenex_form", _above_the_least_level(fault, selftest.prenex_form)
+    )
     c2 = run_selftest(size=4)[1]
     assert not c2.passed and c2.checks == 18403
     assert c2.failures[0] == "replay diverges for false & exists v0. false k=2 n=0"
+
+
+# SHA-256 of the first 2,000 formulas and degrees criterion 7 draws at the
+# default seed, one ``render(phi)\tn`` line each
+DRAWS_SHA256 = "1b25961f6cd27e28c6961e577304fe435fb3d976e0006b787b3f03e754625aba"
+
+
+def test_criterion_7_draws_are_pinned():
+    draws = itertools.islice(selftest._random_draws(selftest.DEFAULT_SEED), 2000)
+    text = "".join(f"{render(phi)}\t{n}\n" for phi, n, _, _ in draws)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAWS_SHA256
+
+
+@pytest.mark.parametrize("seed, checks", [(selftest.DEFAULT_SEED, 59290), (1001, 58600)])
+def test_criterion_7_counts(seed, checks):
+    c7 = selftest._check_rewrite_conformance(seed)
+    assert c7.passed, c7.line()
+    assert c7.checks == checks

@@ -4,6 +4,8 @@ universe, as opposed to the checker's clause table and per-node least
 levels.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -174,6 +176,18 @@ def test_min_levels_default_cutoff():
     phi = parse("(forall x. P(x)) -> false")
     k_j, k_r = Classifier().min_levels(phi, 0)  # no k_max: exact, and in no level
     assert (k_j, k_r) == (None, None)
+
+
+def test_levels_are_min_levels_with_inf_for_none():
+    checker = Classifier()
+    for phi in enumerate_formulas(default_signature(4)):
+        for n in range(3):
+            least = checker.min_levels(phi, n)
+            assert checker.levels(phi, n) == tuple(
+                math.inf if k is None else k for k in least
+            )
+    with pytest.raises(ValueError, match="degree n"):
+        checker.levels(parse("P(x)"), -1)
 
 
 def test_cumulative_e_u_classes():
