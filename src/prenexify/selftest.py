@@ -31,12 +31,23 @@ trace of a formula at a degree).  Criteria 1, 2 and 5 build one
 classifier and one transition cache per degree and drop both when the
 degree ends.  Criterion 7 draws its data from ``getrandbits`` alone.
 
+Criteria 3, 4, 6 and 7 share nothing with the degree loop.  Wherever
+``os.fork`` exists, ``run_selftest`` forks one child for them
+(``forked.Forked``) once the corpus is built, and the calling process
+runs criteria 1, 2 and 5 meanwhile; elsewhere the same function runs
+in-process after the degree loop.  Results, counts, failures and the
+progress messages are the same either way: the phase ends of criteria
+3, 4, 6 and 7 are reported after the child is reaped.  The child's
+memory is its own, so it is not in the caller's ``ru_maxrss``
+(``RUSAGE_SELF``), only in ``RUSAGE_CHILDREN``.
+
 The module is consumed both by ``prenexify selftest`` and by the
 acceptance test suite, which asserts every criterion at full scale.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -78,6 +89,8 @@ __all__ = ["CriterionResult", "run_selftest", "default_signature", "DEFAULT_SEED
 
 DEFAULT_SEED = 20240 + 5
 RANDOM_STEP_COUNT = 10_000
+# criteria 3, 4, 6 and 7 run in a forked child wherever the platform forks
+_FORKS = hasattr(os, "fork")
 
 
 @dataclass
@@ -134,19 +147,33 @@ def run_selftest(
     c2 = CriterionResult("criterion-2 normalizer soundness", True, 0)
     c5 = CriterionResult("criterion-5 backward closure", True, 0)
 
-    for n in range(n_max + 1):
-        _check_degree(c1, c2, c5, corpus, n, n_max, k_max, budget, progress)
-        say(f"degree {n} done")
+    def others() -> list[CriterionResult]:
+        return [
+            _check_stabilization(corpus, k_max),
+            _check_monotonicity(corpus, n_max, k_max),
+            _check_pinned_negatives(budget),
+            _check_rewrite_conformance(seed),
+        ]
 
-    c3 = _check_stabilization(corpus, k_max)
+    child = None
+    if _FORKS:
+        from .forked import Forked  # compiled only when a selftest runs
+
+        child = Forked(others)
+    try:
+        for n in range(n_max + 1):
+            _check_degree(c1, c2, c5, corpus, n, n_max, k_max, budget, progress)
+            say(f"degree {n} done")
+    except BaseException:
+        if child is not None:
+            child.kill()
+        raise
+    c3, c4, c6, c7 = others() if child is None else child.result()
+
     say("stabilization done")
-    c4 = _check_monotonicity(corpus, n_max, k_max)
     say("monotonicity done")
-    c6 = _check_pinned_negatives(budget)
     say("pinned negatives done")
-    c7 = _check_rewrite_conformance(seed)
     say("rewrite conformance done")
-
     return [c1, c2, c3, c4, c5, c6, c7]
 
 

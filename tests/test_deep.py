@@ -1,8 +1,9 @@
 """The deep run: ``prenexify selftest --size 7`` and its check counts.
 
-It takes about five minutes and about 1 GB of memory on two cores, so it
-is opt-in: set ``PRENEXIFY_DEEP=1`` to run it.  The default test run
-skips it.
+It took 212 s on a 2-CPU machine with Python 3.11.7; the calling
+process peaked at 879 MB and the forked child of criteria 3, 4, 6 and 7
+at 335 MB.  So it is opt-in: set ``PRENEXIFY_DEEP=1`` to run it.  The
+default test run skips it.
 """
 
 import os

@@ -1,5 +1,6 @@
 """Criteria 2, 4 and 7 of the selftest: their check counts, the faults
-they must catch, and the data criterion 7 draws.
+they must catch, and the data criterion 7 draws; and the split of
+``run_selftest`` between the calling process and a forked child.
 
 Criterion 4's faults are planted in ``semiclassical._least_levels``, the
 one place the classifier computes a node's least levels (k_J, k_R) at a
@@ -8,18 +9,25 @@ degree, so every membership the criterion reads sees them.  Criterion
 at levels above a formula's least one, where its normal form is the one
 already checked at the least level.  Criterion 7's seeded data is pinned
 by a digest, so a change to how it is drawn shows.
+
+Criteria 3, 4, 6 and 7 run in a forked child wherever ``os.fork``
+exists.  The tests below check that the forked run and the in-process
+run agree, that a fault planted before the call reaches the child, that
+the progress messages the benchmark slices on keep their order, and that
+no child outlives ``run_selftest``, whether it returns or raises.
 """
 
 import hashlib
 import itertools
 import math
+import os
 
 import pytest
 
 from prenexify import selftest, semiclassical
 from prenexify.formula import Exists, Or
 from prenexify.oracle import enumerate_formulas
-from prenexify.parser import render
+from prenexify.parser import ParseError, render
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -149,3 +157,118 @@ def test_criterion_7_counts(seed, checks):
     c7 = selftest._check_rewrite_conformance(seed)
     assert c7.passed, c7.line()
     assert c7.checks == checks
+
+
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _outcomes(results):
+    return [(r.name, r.passed, r.checks, r.failures) for r in results]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_forked_and_in_process_runs_agree(monkeypatch):
+    forked = run_selftest(size=4)
+    _assert_no_child_left()
+    monkeypatch.setattr(selftest, "_FORKS", False)
+    assert _outcomes(forked) == _outcomes(run_selftest(size=4))
+
+
+@forks
+@pytest.mark.parametrize("fault, first", FAULTS.values(), ids=FAULTS)
+def test_a_fault_planted_before_the_call_reaches_the_child(monkeypatch, fault, first):
+    monkeypatch.setattr(semiclassical, "_least_levels", fault)
+    c4 = run_selftest(size=4)[3]
+    assert not c4.passed
+    assert c4.failures[0] == first == _check_monotonicity(CORPUS, N_MAX, K_MAX).failures[0]
+
+
+PHASE_ENDS = [
+    "corpus: 884 alpha-distinct formulas up to size 4",
+    "degree 0 done",
+    "degree 1 done",
+    "degree 2 done",
+    "stabilization done",
+    "monotonicity done",
+    "pinned negatives done",
+    "rewrite conformance done",
+]
+
+
+@forks
+def test_phase_ends_keep_their_order_and_follow_the_child(monkeypatch):
+    children = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    messages = []
+    reaped = []
+
+    def progress(message):
+        messages.append(message)
+        if message == "rewrite conformance done":
+            with pytest.raises(ChildProcessError):
+                os.waitpid(children[0], os.WNOHANG)
+            reaped.append(True)
+
+    run_selftest(size=4, progress=progress)
+    assert [m for m in messages if not m.startswith(" ")] == PHASE_ENDS
+    assert len(children) == 1 and reaped == [True]
+
+
+def _raise_planted(seed):
+    raise ValueError("planted")
+
+
+@forks
+def test_an_exception_in_the_child_is_raised_by_the_caller(monkeypatch):
+    monkeypatch.setattr(selftest, "_check_rewrite_conformance", _raise_planted)
+    with pytest.raises(ValueError) as raised:
+        run_selftest(size=4)
+    assert type(raised.value) is ValueError and str(raised.value) == "planted"
+    _assert_no_child_left()
+
+
+def _raise_parse_error(seed):
+    raise ParseError("planted", 1, 2)
+
+
+@forks
+def test_an_exception_pickle_cannot_rebuild_is_named_in_a_runtime_error(monkeypatch):
+    # ParseError takes three arguments but keeps one in ``args``
+    monkeypatch.setattr(selftest, "_check_rewrite_conformance", _raise_parse_error)
+    with pytest.raises(RuntimeError) as raised:
+        run_selftest(size=4)
+    assert str(raised.value) == "ParseError: 1:2: planted"
+    _assert_no_child_left()
+
+
+@forks
+@pytest.mark.parametrize("status", [3, 0])
+def test_a_child_that_exits_without_a_result_is_an_error(monkeypatch, status):
+    monkeypatch.setattr(selftest, "_check_pinned_negatives", lambda budget: os._exit(status))
+    with pytest.raises(RuntimeError, match=f"status {status} "):
+        run_selftest(size=4)
+    _assert_no_child_left()
+
+
+@forks
+def test_the_child_is_killed_when_the_caller_raises(monkeypatch):
+    def broken_degree(*args):
+        raise KeyError("degree loop")
+
+    monkeypatch.setattr(selftest, "_check_degree", broken_degree)
+    with pytest.raises(KeyError):
+        run_selftest(size=4)
+    _assert_no_child_left()
