@@ -45,7 +45,6 @@ from .rewrite import (
     trace_to_text,
     verify_trace,
 )
-from .selftest import DEFAULT_SEED, run_selftest
 from .semiclassical import Classifier
 
 EXIT_OK = 0
@@ -233,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_corpus_size, default=6)
     p.add_argument("--n-max", type=_natural, default=2)
     p.add_argument("--k-max", type=_natural, default=4)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=_natural)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_selftest)
@@ -339,12 +338,15 @@ def cmd_search(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, so the other commands do not load the selftest
+    from .selftest import DEFAULT_SEED, run_selftest
+
     progress = None if args.quiet else lambda message: print(message, file=sys.stderr)
     results = run_selftest(
         size=args.size,
         n_max=args.n_max,
         k_max=args.k_max,
-        seed=args.seed,
+        seed=DEFAULT_SEED if args.seed is None else args.seed,
         budget=args.budget,
         progress=progress,
     )

@@ -31,18 +31,21 @@ class with the input's free variables, and build the ``Trace`` and the
 ``NormalizationResult``.  The selftest calls ``prenex_form`` directly and
 makes its own checks.
 
-The merge loops track a *contract* (target kind, level budget): hoisting a
-quantifier whose output kind matches the target keeps the contract, while
-an opposite-kind quantifier starts a new alternation block and decrements
-the budget.  Move policies below pick, at each step, a hoist that is valid
-under the degree-n side conditions and provably stays inside the contract;
-they are transcriptions of the constructive merging arguments for
-conjunction, disjunction (symmetric and asymmetric ranks) and implication.
-Every step is checked by the rewrite engine at its redex when its entry is
-built (``rewrite_node``, with every rule, strategy and side-condition
-check), so an invalid schedule cannot survive unnoticed.  No ancestor of
-the redex is rebuilt: a merge wraps its hoisted prefix around the
-connective once, when it ends.
+One hoist loop (``_hoist_prefixes``) merges every connective.  It
+tracks a *contract* (target kind, level budget): hoisting a quantifier
+whose output kind matches the target keeps the contract, while an
+opposite-kind quantifier starts a new alternation block and decrements
+the budget.  At each pass it asks the connective's move policy which
+operand to hoist from.  The three policies, chosen by the node's type,
+are pure functions of the two operands, the target and the degree: they
+pick a hoist that is valid under the degree-n side conditions and
+provably stays inside the contract, and they transcribe the constructive
+merging arguments for conjunction, disjunction (symmetric and asymmetric
+ranks) and implication.  Every hoist is checked by the rewrite engine at
+its redex when its entry is built (``rewrite_node``, with every rule,
+strategy and side-condition check), so an invalid schedule cannot survive
+unnoticed.  No ancestor of the redex is rebuilt: the loop wraps its
+hoisted prefix around the connective once, when it ends.
 """
 
 from __future__ import annotations
@@ -51,10 +54,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import (
+    And,
     Exists,
     Forall,
     Formula,
-    _Binary,
+    Imp,
+    Or,
     _Quant,
     free_vars,
     fresh_variable,
@@ -193,10 +198,10 @@ def _build_entries(root: tuple, n: int, checker: Classifier) -> Optional[_Normal
     and its entry is ``None``.  ``derive`` runs only for goals whose
     entries are built."""
     store = checker.normal_forms(n)
-    # a frame: a goal, its clause, and its operands' roots
+    # a frame: a goal and its operands' roots
     stack = [_frame(root, n, checker)]
     while stack:
-        key, clause, operands = stack[-1]
+        key, operands = stack[-1]
         pending = [g for g in operands if g[2] != 0 and g not in store]
         if pending:
             stack.extend(_frame(g, n, checker) for g in pending)
@@ -204,49 +209,41 @@ def _build_entries(root: tuple, n: int, checker: Classifier) -> Optional[_Normal
         stack.pop()
         if key not in store:  # a goal pending twice is built once
             forms = [store.get(g) for g in operands]
-            store[key] = _build(key, clause, forms, n)
+            store[key] = _build(key, forms, n)
     return store[root]
 
 
 def _frame(root: tuple, n: int, checker: Classifier) -> tuple:
-    """A root goal, its clause, and the roots of its premises."""
-    clause, premises = checker.derive(*root, n)
-    return root, clause, [checker.lift_root(*p, n) for p in premises]
+    """A root goal and the roots of its premises.  A root is neither
+    ``lift`` nor ``qf``, so its node's connective or quantifier fixes
+    its clause."""
+    _, premises = checker.derive(*root, n)
+    return root, [checker.lift_root(*p, n) for p in premises]
 
 
-def _build(goal: tuple, clause: str, forms: list, n: int) -> Optional[_NormalForm]:
+def _build(goal: tuple, forms: list, n: int) -> Optional[_NormalForm]:
     """The entry of a goal from its operands' entries."""
     phi, side, k = goal
-    if clause in ("exists", "forall"):
+    if isinstance(phi, _Quant):
         (body,) = forms
         if body is None:
             return None
         return _NormalForm(type(phi)(phi.var, body.output), (), (("b", body),))
 
     left, right = forms
-    merger = _Merger(
-        type(phi)(
-            phi.left if left is None else left.output,
-            phi.right if right is None else right.output,
-        ),
-        n,
+    node = type(phi)(
+        phi.left if left is None else left.output,
+        phi.right if right is None else right.output,
     )
-    target = SIGMA if side == J else PI
-    if clause == "and":
-        merger.merge_and(target, k)
-    elif clause in ("or", "or-left", "or-right"):
-        merger.merge_or(target, k)
-    else:
-        assert clause == "imp"
-        merger.merge_imp(target, k)
+    output, hoists = _hoist_prefixes(node, SIGMA if side == J else PI, k, n)
     children = []
     if left is not None:
         children.append(("l", left))
     if right is not None:
         children.append(("r", right))
-    if not merger.hoists and not children:
+    if not hoists and not children:
         return None  # the merge left phi as it was
-    return _NormalForm(merger.result(), tuple(merger.hoists), tuple(children))
+    return _NormalForm(output, tuple(hoists), tuple(children))
 
 
 def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
@@ -267,10 +264,6 @@ def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
     return tuple(steps)
 
 
-def _flip(target: str) -> str:
-    return PI if target == SIGMA else SIGMA
-
-
 _KIND = {SIGMA: Exists, PI: Forall}
 
 # (connective, side, quantifier) -> rule name
@@ -281,152 +274,119 @@ _HOIST_RULE = {
 }
 
 
-class _Merger:
-    """Hoists the quantifier prefixes of the operands of one connective
-    node above it; both operands stay prenex.  ``node`` is the connective
-    as it stands, ``prefix`` the quantifiers hoisted so far, outermost
-    first, and ``hoists`` their ``(rule, fresh)`` pairs; each hoist is
-    checked at the connective, and the prefix is wrapped around it once,
-    at the end."""
-
-    def __init__(self, node: _Binary, n: int):
-        self.node = node
-        self.prefix: list[_Quant] = []
-        self.n = n
-        self.hoists: list[tuple[str, Optional[str]]] = []
-
-    # one hoist: move the head quantifier of the given operand above the
-    # connective, which slides down one body position; returns the kind
-    # of the hoisted quantifier.
-    def _hoist(self, side: str) -> type:
-        node = self.node
-        quant = node.left if side == "l" else node.right
-        delta = node.right if side == "l" else node.left
+def _hoist_prefixes(
+    node: Formula, target: str, budget: int, n: int
+) -> tuple[Formula, list[tuple[str, Optional[str]]]]:
+    """Hoist the quantifier prefixes of the operands of the connective
+    ``node`` above it under the contract ``(target, budget)``; both
+    operands stay prenex.  Each pass asks the connective's move policy for
+    the operand to hoist from and moves that operand's head quantifier
+    above the connective, which slides down one body position; the hoist
+    is checked at the connective itself, its redex.  Returns the merged
+    formula, with the prefix wrapped around the connective once, at the
+    end, and the hoists' ``(rule, fresh)`` pairs."""
+    move = _MOVES[type(node)]
+    prefix: list[_Quant] = []
+    hoists: list[tuple[str, Optional[str]]] = []
+    while True:
+        left, right = node.left, node.right
+        side = move(left, right, target, n)
+        if side is None:
+            break
+        quant, delta = (left, right) if side == "l" else (right, left)
         assert isinstance(quant, _Quant), "hoisting a quantifier-free operand"
         rule = _HOIST_RULE[(type(node), side, type(quant))]
         fresh = None
         if quant.var in delta.free:
             # exactly the variables of the prefix over the node: a name
             # renamed away must drop out, or the fresh names would change
-            fresh = fresh_variable([q.var for q in self.prefix] + list(node.vars))
-        # checked at the connective itself, the redex of this hoist
-        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), self.n)
-        self.hoists.append((rule, fresh))
-        self.prefix.append(hoisted)
-        self.node = hoisted.body
-        return type(hoisted)
-
-    def result(self) -> Formula:
-        phi = self.node
-        for quant in reversed(self.prefix):
-            phi = type(quant)(quant.var, phi)
-        return phi
-
-    def _operands(self) -> tuple[Formula, Formula]:
-        return self.node.left, self.node.right
-
-    @staticmethod
-    def _level(phi: Formula) -> int:
-        shape = classify_prenex(phi)
-        assert shape is not None, "merge operand must stay prenex"
-        return shape.level
-
-    def _update(self, target: str, budget: int, out: type) -> tuple[str, int]:
+            fresh = fresh_variable([q.var for q in prefix] + list(node.vars))
+        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), n)
+        hoists.append((rule, fresh))
+        prefix.append(hoisted)
+        node = hoisted.body
         # Emitting a target-kind quantifier keeps the contract; an
         # opposite-kind one opens a new block and spends one level.
-        if _KIND[target] is out:
-            return target, budget
-        assert budget >= 1, "merge contract exhausted"
-        return _flip(target), budget - 1
+        if type(hoisted) is not _KIND[target]:
+            assert budget >= 1, "merge contract exhausted"
+            target = PI if target == SIGMA else SIGMA
+            budget -= 1
+    for quant in reversed(prefix):
+        node = type(quant)(quant.var, node)
+    return node, hoists
 
-    # -- conjunction: alternate stages, left operand first per stage ------
 
-    def merge_and(self, target: str, budget: int) -> None:
-        while True:
-            left, right = self._operands()
-            lh = _kind(left)
-            rh = _kind(right)
-            if lh is None and rh is None:
-                return
-            want = _KIND[target]
-            if lh is want:
-                out = self._hoist("l")
-            elif rh is want:
-                out = self._hoist("r")
-            elif lh is not None:
-                out = self._hoist("l")
-            else:
-                out = self._hoist("r")
-            target, budget = self._update(target, budget, out)
+def _level(phi: Formula) -> int:
+    shape = classify_prenex(phi)
+    assert shape is not None, "merge operand must stay prenex"
+    return shape.level
 
-    # -- disjunction ------------------------------------------------------
 
-    def merge_or(self, target: str, budget: int) -> None:
-        n = self.n
-        while True:
-            left, right = self._operands()
-            lh = _kind(left)
-            rh = _kind(right)
-            if lh is None and rh is None:
-                return
-            if lh is None:
-                out = self._hoist("r")  # delta quantifier-free, always legal
-            elif rh is None:
-                out = self._hoist("l")
-            elif target == SIGMA and lh is Exists and self._level(left) > n:
-                # an operand above the degree must shed its existential
-                # block before any universal hoist can see it as delta
-                out = self._hoist("l")
-            elif target == SIGMA and rh is Exists and self._level(right) > n:
-                out = self._hoist("r")
-            else:
-                ll, rl = self._level(left), self._level(right)
-                if ll != rl:
-                    # bring the higher-ranked side down to the lower one
-                    out = self._hoist("l" if ll > rl else "r")
-                else:
-                    want = _KIND[target]
-                    if lh is want:
-                        out = self._hoist("l")
-                    elif rh is want:
-                        out = self._hoist("r")
-                    else:
-                        out = self._hoist("l")
-            target, budget = self._update(target, budget, out)
+# -- move policies: (left, right, target, n) -> the operand whose head
+# quantifier is hoisted next, "l" or "r", or None when both operands are
+# quantifier-free.  Each is chosen by the connective and transcribes its
+# constructive merging argument.
 
-    # -- implication ------------------------------------------------------
 
-    def merge_imp(self, target: str, budget: int) -> None:
-        n = self.n
-        while True:
-            ante, cons = self._operands()
-            ah = _kind(ante)
-            ch = _kind(cons)
-            if ah is None and ch is None:
-                return
-            # moves: (operand side, head needed, validity test)
-            a_forall = ah is Forall and _in_u(ante, n)
-            a_exists = ah is Exists
-            c_exists = ch is Exists and _in_c(ante, n)
-            c_forall = ch is Forall
-            if target == SIGMA:
-                order = (
-                    ("l", a_forall),
-                    ("r", c_exists),
-                    ("l", a_exists),
-                    ("r", c_forall),
-                )
-            else:
-                order = (
-                    ("l", a_exists),
-                    ("r", c_forall),
-                    ("l", a_forall),
-                    ("r", c_exists),
-                )
-            for side, valid in order:
-                if valid:
-                    out = self._hoist(side)
-                    break
-            else:
-                raise AssertionError("no valid hoist; merge preconditions broken")
-            target, budget = self._update(target, budget, out)
+def _target_kind_first(left: Formula, right: Formula, target: str) -> str:
+    """A target-kind head first, the left operand first among equals."""
+    want = _KIND[target]
+    if _kind(left) is want:
+        return "l"
+    if _kind(right) is want:
+        return "r"
+    return "l" if _kind(left) is not None else "r"
+
+
+def _and_move(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
+    """Conjunction: alternate stages, left operand first per stage."""
+    if _kind(left) is None and _kind(right) is None:
+        return None
+    return _target_kind_first(left, right, target)
+
+
+def _or_move(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
+    """Disjunction, with symmetric and asymmetric ranks."""
+    lh = _kind(left)
+    rh = _kind(right)
+    if lh is None and rh is None:
+        return None
+    if lh is None:
+        return "r"  # delta quantifier-free, always legal
+    if rh is None:
+        return "l"
+    if target == SIGMA and lh is Exists and _level(left) > n:
+        # an operand above the degree must shed its existential block
+        # before any universal hoist can see it as delta
+        return "l"
+    if target == SIGMA and rh is Exists and _level(right) > n:
+        return "r"
+    ll, rl = _level(left), _level(right)
+    if ll != rl:
+        # bring the higher-ranked side down to the lower one
+        return "l" if ll > rl else "r"
+    return _target_kind_first(left, right, target)
+
+
+def _imp_move(ante: Formula, cons: Formula, target: str, n: int) -> Optional[str]:
+    """Implication: the first valid move in the target's order."""
+    ah = _kind(ante)
+    ch = _kind(cons)
+    if ah is None and ch is None:
+        return None
+    # moves: (operand side, head needed, validity test)
+    a_forall = ah is Forall and _in_u(ante, n)
+    a_exists = ah is Exists
+    c_exists = ch is Exists and _in_c(ante, n)
+    c_forall = ch is Forall
+    if target == SIGMA:
+        order = (("l", a_forall), ("r", c_exists), ("l", a_exists), ("r", c_forall))
+    else:
+        order = (("l", a_exists), ("r", c_forall), ("l", a_forall), ("r", c_exists))
+    for side, valid in order:
+        if valid:
+            return side
+    raise AssertionError("no valid hoist; merge preconditions broken")
+
+
+_MOVES = {And: _and_move, Or: _or_move, Imp: _imp_move}

@@ -11,6 +11,7 @@ formula so that they replay through the rewrite engine verbatim.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -73,13 +74,9 @@ class ReachableSet:
     def __contains__(self, phi: Formula) -> bool:
         return alpha_canonical(phi) in self._member_set
 
-    @property
+    @functools.cached_property
     def _member_set(self) -> set[Formula]:
-        cached = getattr(self, "_members_cache", None)
-        if cached is None:
-            cached = set(self.members)
-            object.__setattr__(self, "_members_cache", cached)
-        return cached
+        return set(self.members)
 
     def to_json(self) -> dict:
         return {

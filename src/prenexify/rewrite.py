@@ -473,8 +473,12 @@ def trace_from_text(text: str) -> Trace:
         if not line:
             continue
         if line.startswith("degree:"):
+            if degree is not None:
+                raise ValueError("trace has a second 'degree:' line")
             degree = _degree(line.split(":", 1)[1].strip())
         elif line.startswith("start:"):
+            if start is not None:
+                raise ValueError("trace has a second 'start:' line")
             start = parse(line.split(":", 1)[1].strip())
         elif (m := _STEP_RE.match(line)) is not None:
             steps.append(_step(*m.groups()))

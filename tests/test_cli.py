@@ -354,6 +354,22 @@ INPUT_ERRORS = {
         "c.txt:2:",
     ),
     "verify-not-utf8": (("verify", "t"), {"t": b"degree: 0\nstart: \xff"}, None, "t:"),
+    # a later header line must not replace an earlier one
+    "verify-text-two-degree-lines": (
+        ("verify", "t"),
+        {"t": b"degree: 0\nstart: (exists x. P(x)) & Q(y)\ndegree: 1\n"},
+        None,
+        "malformed trace: trace has a second 'degree:' line",
+    ),
+    "verify-text-two-start-lines": (
+        ("verify", "t"),
+        {
+            "t": b"degree: 0\nstart: (exists x. P(x)) & Q(y)\nExistsAnd@/\n"
+            b"start: (exists z. Q(z)) & P(y)\n"
+        },
+        None,
+        "malformed trace: trace has a second 'start:' line",
+    ),
     "verify-json-start-not-a-string": (
         ("verify", "t"),
         {"t": json.dumps({**START_NOT_A_STRING, "steps": []}).encode()},
@@ -442,6 +458,21 @@ def test_closed_stdout_ends_with_one_line_and_exit_2(tmp_path):
     assert proc.wait() == 2
     assert json.loads(first)["formula"] == "P(x) & Q(y)"
     assert err.startswith("cannot write stdout: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_the_selftest_unloaded():
+    # only the selftest command needs it, and it costs every other
+    # command its import time
+    src = os.path.dirname(os.path.dirname(prenexify.__file__))
+    script = "import sys, prenexify.cli; print('prenexify.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_classify_reports_every_bad_line(tmp_path, capsys):

@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from prenexify import formula
+from prenexify import formula, normalizer
 from prenexify.formula import (
     And,
     Exists,
@@ -26,7 +26,7 @@ from prenexify.normalizer import (
 )
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
-from prenexify.rewrite import RewriteStep, apply_step, verify_trace
+from prenexify.rewrite import RewriteStep, SideConditionError, apply_step, verify_trace
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
@@ -406,3 +406,47 @@ def test_one_entry_per_goal_over_the_size_4_corpus():
                         goals[n] |= _goals(phi, w)
     for n in range(3):
         assert set(checker.normal_forms(n)) == goals[n]
+
+
+def test_every_hoist_is_checked_by_rewrite_node(monkeypatch):
+    # the pins cannot see a hoist built without the rewrite engine's
+    # checks: each hoist an entry keeps is one rewrite_node call
+    calls = []
+    check = normalizer.rewrite_node
+
+    def counted(node, step, n):
+        calls.append(step)
+        return check(node, step, n)
+
+    monkeypatch.setattr(normalizer, "rewrite_node", counted)
+    # every merge of the size-4 corpus hoists once, so a few formulas
+    # whose merges hoist more than once join it
+    corpus = list(enumerate_formulas(default_signature(4)))
+    corpus += [
+        parse("(exists x. forall y. R(x, y)) & (forall z. Q(z))"),
+        parse("(forall x. P(x)) | (exists y. forall z. R(y, z))"),
+        parse("(exists x. P(x)) -> (forall y. exists z. R(y, z))"),
+    ]
+    hoists = []
+    for n in range(3):
+        checker = Classifier()  # cold, so every entry is built here
+        for phi in corpus:
+            for k in range(5):
+                in_j, in_r = checker.decide(phi, k, n)
+                if in_j:
+                    normalize_J(phi, k, n, checker)
+                if in_r:
+                    normalize_R(phi, k, n, checker)
+        forms = checker.normal_forms(n).values()
+        hoists += [len(form.hoists) for form in forms if form is not None]
+    assert max(hoists) > 1
+    assert len(calls) == sum(hoists)
+
+
+def test_a_refused_hoist_reaches_the_caller(monkeypatch):
+    def refuse(node, step, n):
+        raise SideConditionError(f"{step.rule} refused")
+
+    monkeypatch.setattr(normalizer, "rewrite_node", refuse)
+    with pytest.raises(SideConditionError, match="ExistsAnd refused"):
+        normalize_J(parse("(exists x. P(x)) & Q(y)"), 1, 0)

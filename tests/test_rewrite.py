@@ -187,6 +187,14 @@ def test_trace_text_roundtrip():
     assert verify_trace(again) is apply_step(start, step, 0)
 
 
+@pytest.mark.parametrize("header", ["degree: 1", "start: (exists z. Q(z)) & P(y)"])
+def test_trace_text_rejects_a_second_header(header):
+    text = f"degree: 0\nstart: (exists x. P(x)) & Q(y)\nExistsAnd@/\n{header}\n"
+    name = header.split(":")[0]
+    with pytest.raises(ValueError, match=f"second '{name}:' line"):
+        trace_from_text(text)
+
+
 def test_trace_json_roundtrip():
     start = parse("(exists x. P(x)) | (forall y. Q(y))")
     trace = Trace(
