@@ -4,12 +4,12 @@ Subcommands: parse | classify | normalize | verify | search | selftest.
 Exit codes: 0 pass, 1 fail (verify, selftest), 2 input error, 3 not in
 the class (normalize), 4 budget exhausted without an answer (search).
 Unusable outside input (argv, config, ``PRENEXIFY_BUDGET``, a file that
-cannot be read, decoded or written) raises :class:`InputError`; ``main``
-reports it, like a formula's ``ParseError`` and a standard output whose
-reader has closed it, as one stderr line and exit 2.  Signature and
-budget are resolved once, before dispatch: the flag, then the
-``--config`` file (``key=value`` lines: ``sig``, ``budget``; read for
-every command), then ``PRENEXIFY_BUDGET``, then the default.
+cannot be read, decoded or written, JSON output too deep to encode) raises
+:class:`InputError`; ``main`` reports it, like a formula's ``ParseError``
+and a standard output closed by its reader, as one stderr line and exit
+2.  Signature and budget are resolved once, before dispatch: the flag,
+then the ``--config`` file (``key=value`` lines: ``sig``, ``budget``;
+read for every command), then ``PRENEXIFY_BUDGET``, then the default.
 """
 
 from __future__ import annotations
@@ -239,10 +239,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _json_line(data) -> str:
+    try:
+        return json.dumps(data, sort_keys=True)
+    except RecursionError as exc:  # it recurses once per nesting level
+        raise InputError(f"cannot write the JSON output: {exc}") from None
+
+
 def cmd_parse(args) -> int:
     phi = parse(args.formula, args.sig)
-    out = json.dumps(formula_to_dict(phi), sort_keys=True) if args.json else render(phi)
-    print(out)
+    print(_json_line(formula_to_dict(phi)) if args.json else render(phi))
     return EXIT_OK
 
 
@@ -292,17 +298,27 @@ def cmd_normalize(args) -> int:
     except NotInClassError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_IN_CLASS
+    line = _json_line(result.to_json())
     if args.trace_out:
         _write(args.trace_out, trace_to_text(result.trace))
-    print(json.dumps(result.to_json(), sort_keys=True))
+    print(line)
     return EXIT_OK
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key is an error, not a replacement."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"JSON object repeats the key {max(keys, key=keys.count)!r}")
+    return data
 
 
 def cmd_verify(args) -> int:
     text = _read(args.trace)
     try:
         if text.lstrip().startswith("{"):
-            trace = trace_from_json(json.loads(text))
+            trace = trace_from_json(json.loads(text, object_pairs_hook=_unique_keys))
         else:
             trace = trace_from_text(text)
     except (ValueError, ParseError, RecursionError) as exc:

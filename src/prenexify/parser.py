@@ -18,7 +18,7 @@ parenthesised, e.g. ``(exists x. P(x)) -> Q``.  ``~p`` desugars to
 
 Predicates start with an uppercase letter, variables with a lowercase
 letter.  ``render`` emits minimal parentheses and ``parse(render(phi))``
-is structurally ``phi``.
+is structurally ``phi`` at any nesting depth; nothing here recurses.
 """
 
 from __future__ import annotations
@@ -63,8 +63,14 @@ _FIXED = {t: t for t in ("->", "(", ")", "&", "|", "~", ".", ",", *_KEYWORDS)}
 _FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "pred")
 _FIRST.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "var"))
 
-_PRECEDENCE = {"->": 1, "|": 2, "&": 3}
-_CONNECTIVES = {"->": Imp, "|": Or, "&": And}
+# The text of each connective with its precedence level (higher binds
+# tighter), and of each quantifier.
+_SYMBOLS = {Imp: (" -> ", 1), Or: (" | ", 2), And: (" & ", 3)}
+_WORDS = {Exists: "exists ", Forall: "forall "}
+_PRECEDENCE = {symbol.strip(): level for symbol, level in _SYMBOLS.values()}
+_CONNECTIVES = {level: cls for cls, (_, level) in _SYMBOLS.items()}
+# The parser's other stack entries, each ranking below every connective.
+_PAREN, _EXISTS, _FORALL, _NOT, _BOTTOM = 0, -1, -2, -3, -4
 
 
 class ParseError(Exception):
@@ -81,9 +87,8 @@ class ArityError(ParseError):
 
 
 class _Parser:
-    """Precedence climbing over parallel lists of token kinds and texts,
-    the last of them ``eof``.  It recurses once per nesting level; a
-    token's line and column are found only for an error."""
+    """Operator precedence with explicit stacks over the token kinds and
+    texts, ``eof`` last; a token's line and column are found only for an error."""
 
     def __init__(self, text: str, line: int, signature: Optional[dict[str, int]]):
         self.text = text
@@ -92,7 +97,6 @@ class _Parser:
         self.kinds = [_FIXED.get(t) or _FIRST.get(t[0], "char") for t in self.texts]
         self.kinds.append("eof")
         self.texts.append("")
-        self.pos = 0
         self.signature = signature
         self.seen_arities: dict[str, int] = {}
         if "char" in self.kinds:
@@ -106,57 +110,90 @@ class _Parser:
         line = self.line + self.text.count("\n", 0, offset)
         raise error(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def expect(self, kind: str) -> str:
-        i = self.pos
+    def expect(self, kind: str, i: int) -> str:
+        """The text of token ``i``, which must be of ``kind``."""
         if self.kinds[i] != kind:
             found = self.texts[i] or "end of input"
             self.fail(f"expected {kind!r}, found {found!r}", i)
-        self.pos = i + 1
         return self.texts[i]
 
-    def expr(self, min_prec: int) -> Formula:
-        """The longest formula whose connectives bind at least as tightly
-        as ``min_prec``; each connective is right associative."""
-        left = self.unary()
-        kinds = self.kinds
+    def formula(self) -> Formula:
+        """The formula the whole token list spells.  ``ops`` holds the open
+        ``(``, quantifiers, ``~`` and connectives, ``lefts`` the variable or
+        left operand of each open quantifier or connective.  Connectives apply
+        before the ``(`` or quantifier below them closes, never across it."""
+        kinds, texts = self.kinds, self.texts
+        ops = [_BOTTOM]
+        lefts: list = []
+        pos = 0
         while True:
-            op = kinds[self.pos]
-            prec = _PRECEDENCE.get(op, 0)
-            if prec < min_prec:
-                return left
-            self.pos += 1
-            left = _CONNECTIVES[op](left, self.expr(prec))
-
-    def unary(self) -> Formula:
-        i = self.pos
-        kind = self.kinds[i]
-        self.pos = i + 1
-        if kind == "~":
-            return Imp(self.unary(), FALSUM)
-        if kind == "exists" or kind == "forall":
-            var = self.expect("var")
-            self.expect(".")
-            body = self.expr(1)
-            return Exists(var, body) if kind == "exists" else Forall(var, body)
-        if kind == "pred":
-            args: list[str] = []
-            if self.kinds[self.pos] == "(":
-                self.pos += 1
-                args.append(self.expect("var"))
-                while self.kinds[self.pos] == ",":
-                    self.pos += 1
-                    args.append(self.expect("var"))
-                self.expect(")")
-            self.check_arity(i, len(args))
-            return Prime(self.texts[i], tuple(args))
-        if kind == "(":
-            inner = self.expr(1)
-            self.expect(")")
-            return inner
-        if kind == "false":
-            return FALSUM
-        found = self.texts[i] or "end of input"
-        self.fail(f"expected a formula, found {found!r}", i)
+            # operand position: prefixes up to an atom
+            kind = kinds[pos]
+            if kind == "(":
+                ops.append(_PAREN)
+                pos += 1
+                continue
+            if kind == "pred":
+                i = pos
+                args: list[str] = []
+                if kinds[pos + 1] == "(":
+                    pos += 2
+                    args.append(self.expect("var", pos))
+                    while kinds[pos + 1] == ",":
+                        pos += 2
+                        args.append(self.expect("var", pos))
+                    pos += 1
+                    self.expect(")", pos)
+                self.check_arity(i, len(args))
+                phi = Prime(texts[i], tuple(args))
+            elif kind == "exists" or kind == "forall":
+                lefts.append(self.expect("var", pos + 1))
+                self.expect(".", pos + 2)
+                pos += 3
+                ops.append(_EXISTS if kind == "exists" else _FORALL)
+                continue
+            elif kind == "~":
+                ops.append(_NOT)
+                pos += 1
+                continue
+            elif kind == "false":
+                phi = FALSUM
+            else:
+                self.fail(f"expected a formula, found {texts[pos] or 'end of input'!r}", pos)
+            pos += 1
+            # operator position, after the operand ``phi``
+            while True:
+                top = ops[-1]
+                while top == _NOT:  # a ~ applies once its operand is read
+                    ops.pop()
+                    phi = Imp(phi, FALSUM)
+                    top = ops[-1]
+                kind = kinds[pos]
+                prec = _PRECEDENCE.get(kind)
+                if prec is not None:
+                    # right associative: apply only what binds tighter
+                    while top > prec:
+                        phi = _CONNECTIVES[ops.pop()](lefts.pop(), phi)
+                        top = ops[-1]
+                    ops.append(prec)
+                    lefts.append(phi)
+                    pos += 1
+                    break
+                while top > 0:
+                    phi = _CONNECTIVES[ops.pop()](lefts.pop(), phi)
+                    top = ops[-1]
+                ops.pop()
+                if top == _PAREN:
+                    self.expect(")", pos)
+                    pos += 1
+                elif top == _EXISTS:
+                    phi = Exists(lefts.pop(), phi)
+                elif top == _FORALL:
+                    phi = Forall(lefts.pop(), phi)
+                elif kind != "eof":
+                    self.fail(f"unexpected trailing input {texts[pos]!r}", pos)
+                else:
+                    return phi
 
     def check_arity(self, i: int, arity: int) -> None:
         name = self.texts[i]
@@ -183,68 +220,7 @@ def parse(
     against it; without one, arities only need to be consistent within the
     formula.  ``line`` offsets error positions for multi-line inputs.
     """
-    parser = _Parser(text, line, signature)
-    try:
-        result = parser.expr(1)
-    except RecursionError:
-        depth = _nesting_depth(parser.kinds)
-        message = f"formula nests too deeply (depth {depth})"
-        raise ParseError(message, line, 1) from None
-    i = parser.pos
-    if parser.kinds[i] != "eof":
-        parser.fail(f"unexpected trailing input {parser.texts[i]!r}", i)
-    return result
-
-
-def _nesting_depth(kinds: list[str]) -> int:
-    """How many connectives, quantifiers and parentheses enclose the
-    deepest atom the token kinds spell, found without recursion by operator
-    precedence; it reads malformed input too, as best it can."""
-    depths: list[int] = []  # of the operands read so far
-    ops: list[str] = []  # "(", "~", "q" (a quantifier) and connectives
-
-    def apply() -> None:
-        op = ops.pop()
-        arity = 2 if op in _PRECEDENCE else 1
-        operands = [depths.pop() for _ in range(min(arity, len(depths)))]
-        depths.append(max(operands, default=0) + 1)
-
-    def operand_read() -> None:
-        while ops and ops[-1] == "~":
-            apply()
-
-    i = 0
-    while i < len(kinds):
-        kind = kinds[i]
-        if kind in ("pred", "false"):
-            if kind == "pred" and kinds[i + 1] == "(":
-                while kinds[i] not in (")", "eof"):
-                    i += 1
-            depths.append(0)
-            operand_read()
-        elif kind in ("exists", "forall"):
-            ops.append("q")
-        elif kind in ("~", "("):
-            ops.append(kind)
-        elif kind == ")":
-            while ops and ops[-1] != "(":
-                apply()
-            if ops:
-                ops.pop()
-                depths.append(depths.pop() + 1 if depths else 1)
-            operand_read()
-        elif kind in _PRECEDENCE:
-            while ops and _PRECEDENCE.get(ops[-1], 0) > _PRECEDENCE[kind]:
-                apply()
-            ops.append(kind)
-        i += 1
-    while ops:  # an unclosed "(" closes at the end
-        if ops[-1] == "(":
-            ops.pop()
-            depths.append(depths.pop() + 1 if depths else 1)
-        else:
-            apply()
-    return max(depths, default=0)
+    return _Parser(text, line, signature).formula()
 
 
 def is_variable(text: str) -> bool:
@@ -252,15 +228,8 @@ def is_variable(text: str) -> bool:
     return _VARIABLE_RE.fullmatch(text) is not None and text not in _KEYWORDS
 
 
-# The text of each connective with its precedence level (higher binds
-# tighter), and of each quantifier.
-_SYMBOLS = {Imp: (" -> ", 1), Or: (" | ", 2), And: (" & ", 3)}
-_WORDS = {Exists: "exists ", Forall: "forall "}
-
-
 def render(phi: Formula) -> str:
-    """Minimal-parentheses text for ``phi``; inverse of :func:`parse`.
-    Iterative, so nesting depth is not bounded by the recursion limit."""
+    """Minimal-parentheses text for ``phi``; inverse of :func:`parse`."""
     out: list[str] = []
     emit = out.append
     # ``tail`` is true when nothing follows the formula up to the end of
@@ -306,6 +275,7 @@ def render(phi: Formula) -> str:
 # The JSON name of every connective and quantifier, and its inverse.
 _OPS = {And: "and", Or: "or", Imp: "imp", Exists: "exists", Forall: "forall"}
 _OP_CLASSES = {op: cls for cls, op in _OPS.items()}
+_OP_CLASSES.update(falsum=Falsum, prime=Prime)
 
 
 def formula_to_dict(phi: Formula) -> dict:
@@ -331,17 +301,31 @@ def formula_to_dict(phi: Formula) -> dict:
 
 
 def formula_from_dict(data: dict) -> Formula:
-    op = data["op"]
-    if op == "falsum":
-        return FALSUM
-    if op == "prime":
-        return Prime(data["name"], tuple(data["args"]))
-    cls = _OP_CLASSES.get(op)
-    if cls is None:
-        raise ValueError(f"unknown formula op {op!r}")
-    if issubclass(cls, _Quant):
-        return cls(data["var"], formula_from_dict(data["body"]))
-    return cls(formula_from_dict(data["left"]), formula_from_dict(data["right"]))
+    """Inverse of :func:`formula_to_dict`.  Iterative: the dicts are listed
+    parents first, then built in reverse, each from its children's nodes."""
+    order = []
+    stack = [data]
+    while stack:
+        data = stack.pop()
+        cls = _OP_CLASSES.get(data["op"])
+        if cls is None:
+            raise ValueError(f"unknown formula op {data['op']!r}")
+        order.append((cls, data))
+        if issubclass(cls, _Quant):
+            stack.append(data["body"])
+        elif cls in _SYMBOLS:
+            stack.extend((data["right"], data["left"]))
+    built: list[Formula] = []
+    for cls, data in reversed(order):
+        if cls is Falsum:
+            built.append(FALSUM)
+        elif cls is Prime:
+            built.append(Prime(data["name"], tuple(data["args"])))
+        elif issubclass(cls, _Quant):
+            built.append(cls(data["var"], built.pop()))
+        else:  # the left operand is on top
+            built.append(cls(built.pop(), built.pop()))
+    return built.pop()
 
 
 def parse_signature_line(text: str, line: int = 1) -> dict[str, int]:

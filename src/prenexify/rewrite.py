@@ -455,13 +455,10 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def _degree(value) -> int:
-    try:
-        degree = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"trace degree is not an integer: {value!r}") from None
-    if degree < 0:
-        raise ValueError(f"trace degree must be a natural number, got {degree}")
-    return degree
+    """A JSON integer that is no ``bool``, at least 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"trace degree is not a natural number: {value!r}")
+    return value
 
 
 def trace_from_text(text: str) -> Trace:
@@ -475,7 +472,9 @@ def trace_from_text(text: str) -> Trace:
         if line.startswith("degree:"):
             if degree is not None:
                 raise ValueError("trace has a second 'degree:' line")
-            degree = _degree(line.split(":", 1)[1].strip())
+            value = line.split(":", 1)[1].strip()
+            # ASCII decimal digits only: no sign, no "_", no other script
+            degree = _degree(int(value) if value.isascii() and value.isdigit() else value)
         elif line.startswith("start:"):
             if start is not None:
                 raise ValueError("trace has a second 'start:' line")

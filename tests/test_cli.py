@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import prenexify
 from prenexify.cli import main
+from prenexify.normalizer import normalize_J
 from prenexify.parser import render
+from prenexify.rewrite import trace_to_text
 from test_formula import formulas
+from test_normalizer import deep_conjunction
 
 
 def run(capsys, *argv):
@@ -106,6 +109,25 @@ def test_normalize_not_in_class_exit_3(capsys):
     )
     assert code == 3
     assert "not in" in err
+
+
+def test_normalize_too_deep_for_json_writes_no_trace(tmp_path, capsys):
+    # the JSON line is made before the trace file is written
+    trace_file = tmp_path / "out.trace"
+    argv = ("normalize", "~" * 5000 + "P(x)", "-k", "0", "-n", "0")
+    code, out, err = run(capsys, *argv, "--trace-out", str(trace_file))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("cannot write the JSON output: ")
+    assert not trace_file.exists()
+
+
+def test_verify_the_trace_of_a_3000_deep_conjunction(tmp_path, capsys):
+    result = normalize_J(deep_conjunction(3000), 1, 0)
+    trace_file = tmp_path / "deep.trace"
+    trace_file.write_text(trace_to_text(result.trace))
+    code, out, err = run(capsys, "verify", str(trace_file))
+    assert (code, err) == (0, "")
+    assert out == render(result.output) + "\n"
 
 
 def test_verify_rejects_bad_step(tmp_path, capsys):
@@ -309,6 +331,11 @@ SEARCH_YES = (
     "2",
 )
 START_NOT_A_STRING = {"schema": "prenexify.trace/1", "degree": 0, "start": 5}
+# a JSON trace that verifies, with one step
+VERIFYING_JSON_TRACE = (
+    b'{"schema": "prenexify.trace/1", "degree": 0, "start": "(exists x. P(x)) & Q(y)",'
+    b' "steps": [{"rule": "ExistsAnd", "path": "/"}]}'
+)
 CONFIG = ("--config", "a.cfg")
 PARSE = ("parse", "P(x)")
 NORMALIZE = ("normalize", "P(x)", "-k", "0", "-n", "0")
@@ -370,6 +397,41 @@ INPUT_ERRORS = {
         None,
         "malformed trace: trace has a second 'start:' line",
     ),
+    "verify-json-two-start-keys": (
+        ("verify", "t"),
+        {"t": VERIFYING_JSON_TRACE.replace(b'"steps"', b'"start": "P(y)", "steps"')},
+        None,
+        "malformed trace: JSON object repeats the key 'start'",
+    ),
+    "verify-json-two-degree-keys": (
+        ("verify", "t"),
+        {"t": VERIFYING_JSON_TRACE.replace(b'"steps"', b'"degree": 1, "steps"')},
+        None,
+        "malformed trace: JSON object repeats the key 'degree'",
+    ),
+    **{
+        f"verify-json-degree-{name}": (
+            ("verify", "t"),
+            {"t": VERIFYING_JSON_TRACE.replace(b'"degree": 0', b'"degree": ' + degree)},
+            None,
+            f"malformed trace: trace degree is not a natural number: {shown}",
+        )
+        for name, degree, shown in [
+            ("true", b"true", "True"),
+            ("1.7", b"1.7", "1.7"),
+            ("1e0", b"1e0", "1.0"),
+            ("string", b'"2"', "'2'"),
+        ]
+    },
+    **{
+        f"verify-text-degree-{name}": (
+            ("verify", "t"),
+            {"t": f"degree: {degree}\nstart: (exists x. P(x)) & Q(y)\nExistsAnd@/\n".encode()},
+            None,
+            f"malformed trace: trace degree is not a natural number: {degree!r}",
+        )
+        for name, degree in [("plus-1", "+1"), ("1_0", "1_0"), ("arabic-indic", "\u0661")]
+    },
     "verify-json-start-not-a-string": (
         ("verify", "t"),
         {"t": json.dumps({**START_NOT_A_STRING, "steps": []}).encode()},
@@ -382,18 +444,18 @@ INPUT_ERRORS = {
         None,
         "malformed trace",
     ),
-    "verify-text-start-nested-3000-deep": (
-        ("verify", "t"),
-        {"t": b"degree: 0\nstart: " + b"~" * 3000 + b"P(x)"},
-        None,
-        "malformed trace: 1:1: formula nests too deeply (depth 3000)",
-    ),
-    "parse-nested-2000-deep": (("parse", "~" * 2000 + "P(x)"), {}, None, "depth 2000"),
-    "normalize-nested-1500-deep": (
-        ("normalize", "exists x. " * 1500 + "P(x)", "-k", "1", "-n", "0"),
+    # json.dumps recurses once per nesting level of the output
+    "parse-json-5000-deep": (
+        ("parse", "~" * 5000 + "P(x)", "--json"),
         {},
         None,
-        "parse error: 1:1: formula nests too deeply (depth 1500)",
+        "cannot write the JSON output: maximum recursion depth exceeded",
+    ),
+    "normalize-5000-deep": (
+        ("normalize", "~" * 5000 + "P(x)", "-k", "0", "-n", "0"),
+        {},
+        None,
+        "cannot write the JSON output: maximum recursion depth exceeded",
     ),
     "normalize-trace-out-missing-dir": (
         (*NORMALIZE, "--trace-out", "no/t"),
@@ -635,11 +697,11 @@ def test_cli_boundary_never_raises(invocation):
     exit code from 0 to 4; exit 2 prints one stderr line per error and
     nothing on stdout; exit 1 comes only from a trace step that fails.
 
-    Not covered: input nested too deeply to parse, which the parser
-    reports as a ``ParseError`` (exit 2, see ``test_input_errors_exit_2``).
-    At the default recursion limit, ``main`` parses up to 494 levels of
-    ``exists x.``, 495 of parentheses and 990 of ``~`` or of ``&``; a
-    formula of at most 30 characters reaches none of these depths.
+    Not covered: JSON output nested more deeply than ``json.dumps``
+    recurses (about 1,000 levels at the default recursion limit), which
+    the commands ``parse --json`` and ``normalize`` report as exit 2 (see
+    ``test_input_errors_exit_2``); a formula of at most 30 characters
+    nests far less deeply.
     """
     argv, files, budget_env = invocation
     command = next(arg for arg in argv if arg in COMMANDS or arg == "selftest")

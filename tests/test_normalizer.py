@@ -26,7 +26,14 @@ from prenexify.normalizer import (
 )
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
-from prenexify.rewrite import RewriteStep, SideConditionError, apply_step, verify_trace
+from prenexify.rewrite import (
+    RewriteStep,
+    SideConditionError,
+    apply_step,
+    trace_from_text,
+    trace_to_text,
+    verify_trace,
+)
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier
 
@@ -253,6 +260,22 @@ def test_renaming_a_3000_deep_conjunction():
     result = normalize_J(phi, 1, 0, Classifier())
     assert result.trace.steps == (step,)
     assert verify_trace(result.trace) is result.output
+
+
+def deep_conjunction(depth):
+    """``(exists x. Q(x) & ... depth times ... & P(x)) & P(x)``."""
+    body = Prime("P", ("x",))
+    for _ in range(depth):
+        body = And(Prime("Q", ("x",)), body)
+    return And(Exists("x", body), Prime("P", ("x",)))
+
+
+def test_the_trace_of_a_3000_deep_conjunction_reads_back():
+    # the parser keeps explicit stacks, so the start line parses again
+    result = normalize_J(deep_conjunction(3000), 1, 0)
+    again = trace_from_text(trace_to_text(result.trace))
+    assert again == result.trace
+    assert verify_trace(again) is result.output
 
 
 def test_not_in_class_message_on_a_5000_deep_chain():

@@ -73,19 +73,32 @@ def test_syntax_error_positions():
         parse("exists P. Q(x)")  # binder must be a variable
 
 
-def test_too_deep_input_is_a_parse_error():
-    # the depth counts connectives, quantifiers and parentheses
-    cases = {
-        "~" * 2000 + "P(x)": 2000,
-        "exists x. " * 1500 + "P(x)": 1500,
-        "(" * 2000 + "P" + ")" * 2000: 2000,
-        " & ".join(["P"] * 3000): 2999,
-        "P -> (" * 1000 + "Q" + ")" * 1000: 2000,
-    }
-    for text, depth in cases.items():
-        message = rf"^1:1: formula nests too deeply \(depth {depth}\)$"
-        with pytest.raises(ParseError, match=message):
-            parse(text)
+def _nest(depth, make, phi):
+    for _ in range(depth):
+        phi = make(phi)
+    return phi
+
+
+def test_5000_deep_input_round_trips():
+    # the parser keeps explicit stacks, like render and the dict form
+    chains = [
+        _nest(5000, lambda phi: Imp(phi, FALSUM), Px),  # ~ chain
+        _nest(5000, lambda phi: Exists("x", phi), Px),
+        _nest(5000, lambda phi: Imp(phi, Qx), Px),  # parenthesised antecedents
+        _nest(5000, lambda phi: Imp(Exists("x", phi), Qx), Px),
+        _nest(5000, lambda phi: And(Qx, phi), Px),
+        _nest(5000, lambda phi: Imp(Qx, phi), Px),
+    ]
+    for phi in chains:
+        assert parse(render(phi)) is phi
+        assert formula_from_dict(formula_to_dict(phi)) is phi
+    assert parse("~" * 5000 + "P(x)") is chains[0]
+    assert parse("(" * 5000 + "P(x)" + ")" * 5000) is Px
+    assert render(chains[2]).startswith("(" * 4999 + "P(x) -> Q(x)) -> Q(x)")
+    deeper = _nest(20000, lambda phi: Exists("x", phi), Px)
+    assert parse("exists x. " * 20000 + "P(x)") is deeper
+    with pytest.raises(ParseError, match=r"^1:5005: expected '\)', found 'end of input'$"):
+        parse("(" * 5000 + "P(x)")
 
 
 def test_arity_checking():

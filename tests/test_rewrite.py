@@ -277,7 +277,7 @@ def _negation_chain(depth, body):
 
 
 def test_walkers_on_5000_deep_chains():
-    # built with the constructors: the parser still recurses per level
+    # built with the constructors, so that only the walkers are tested
     redex = parse("(exists y. P(y)) & Q(x)")
     chain = _exists_chain(5000, redex)
     assert sum(1 for _ in positions(chain)) == 5000 + redex.size
