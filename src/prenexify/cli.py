@@ -76,13 +76,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _natural(text: str, where: str = "") -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    # ASCII digits only: int() also takes a sign, underscores and the
+    # digits of other scripts
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
         raise InputError(f"{where}expected a natural number, got {text!r}")
-    return value
+    return int(digits)
 
 
 def _corpus_size(text: str) -> int:
@@ -278,15 +277,34 @@ def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> 
 
 
 def cmd_classify(args) -> int:
+    """One JSON line per corpus formula.  Apart from the formula's text, a
+    record is fixed by the formula's prenex shape and its least levels at
+    each degree, so each distinct body (the text after the formula's value)
+    is encoded once per call and spliced after the prefix of every formula
+    that shares it.  The splice holds because ``"formula"`` is the first of
+    the record's keys in sorted order, and ``json.dumps`` encodes a string
+    the same way alone as inside the record."""
     _, formulas, errors = parse_corpus(_read(args.input).split("\n"), args.sig)
     for exc in errors:
         print(f"{args.input}:{exc}", file=sys.stderr)
     if errors:
         return EXIT_INPUT
     checker = Classifier()
+    # (prenex shape, least levels per degree) -> encoded record body
+    bodies: dict[tuple, str] = {}
     for _, phi in formulas:
-        record = _classify_record(phi, args.n, args.k_max, checker)
-        print(json.dumps(record, sort_keys=True))
+        key = (
+            classify_prenex(phi),
+            tuple(checker.min_levels(phi, n, args.k_max) for n in args.n),
+        )
+        prefix = '{"formula": ' + json.dumps(render(phi)) + ", "
+        body = bodies.get(key)
+        if body is None:
+            record = _classify_record(phi, args.n, args.k_max, checker)
+            line = json.dumps(record, sort_keys=True)
+            assert line.startswith(prefix), line
+            body = bodies[key] = line[len(prefix):]
+        print(prefix + body)
     return EXIT_OK
 
 

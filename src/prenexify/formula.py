@@ -230,7 +230,11 @@ class _Quant(Formula):
         self.var = var
         self.body = body
         self.size = 1 + body.size
-        self.free = tuple(v for v in body.free if v != var)
+        free = body.free
+        if var in free:
+            i = free.index(var)
+            free = free[:i] + free[i + 1:]
+        self.free = free
         self.vars = _merge((var,), body.vars)
         self.is_qf = False
         self._canon = None

@@ -335,7 +335,7 @@ def parse_signature_line(text: str, line: int = 1) -> dict[str, int]:
         raise ParseError("signature line must start with 'sig'", line, 1)
     signature: dict[str, int] = {}
     for field in fields[1:]:
-        m = re.fullmatch(r"([A-Z][A-Za-z0-9_]*)/(\d+)", field)
+        m = re.fullmatch(r"([A-Z][A-Za-z0-9_]*)/([0-9]+)", field)
         if m is None:
             raise ParseError(f"malformed signature entry {field!r}", line, 1)
         name, arity = m.group(1), int(m.group(2))

@@ -479,6 +479,32 @@ INPUT_ERRORS = {
     # the size-0 corpus is empty, and every criterion would pass with 0 checks
     "selftest-size-0": (("selftest", "--size", "0"), {}, None, "at least 1, got 0"),
     "selftest-budget-x": (("selftest", "--budget", "x"), {}, None, "natural"),
+    # a number is ASCII digits: no sign, no underscores, no other script's
+    # digits, all of which int() takes
+    "normalize-k-plus-1": (("normalize", "P(x)", "-k", "+1", "-n", "0"), {}, None, "'+1'"),
+    "normalize-n-1_0": (("normalize", "P(x)", "-k", "0", "-n", "1_0"), {}, None, "'1_0'"),
+    "env-budget-arabic-indic": (SEARCH, {}, " ٣ ", "PRENEXIFY_BUDGET"),
+    "config-budget-plus-1": ((*CONFIG, *SEARCH), {"a.cfg": b"budget=+1"}, None, "'+1'"),
+    "search-budget-1_0": ((*SEARCH, "--budget", "1_0"), {}, None, "'1_0'"),
+    "parse-sig-arabic-indic-arity": (
+        (*PARSE, "--sig", "P/١"),
+        {},
+        None,
+        "malformed signature entry",
+    ),
+    "classify-degrees-plus-1-and-1_0": (
+        ("classify", "c.txt", "--n", "+1,1_0"),
+        {"c.txt": b"P(x)\n"},
+        None,
+        "'+1'",
+    ),
+    "classify-k-max-arabic-indic": (
+        ("classify", "c.txt", "--k-max", "٤"),
+        {"c.txt": b"P(x)\n"},
+        None,
+        "natural",
+    ),
+    "selftest-size-plus-1": (("selftest", "--size", "+1"), {}, None, "'+1'"),
 }
 
 
