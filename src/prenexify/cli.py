@@ -84,6 +84,16 @@ def _natural(text: str, where: str = "") -> int:
     return int(digits)
 
 
+def _seed(text: str) -> int:
+    # an optional "-" and ASCII digits; a seed may be negative, so this is
+    # not _natural
+    digits = text.strip()
+    unsigned = digits[1:] if digits.startswith("-") else digits
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        raise InputError(f"expected an integer seed, got {text!r}")
+    return int(digits)
+
+
 def _corpus_size(text: str) -> int:
     size = _natural(text)
     if size == 0:
@@ -231,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_corpus_size, default=6)
     p.add_argument("--n-max", type=_natural, default=2)
     p.add_argument("--k-max", type=_natural, default=4)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--budget", type=_natural)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_selftest)
@@ -251,7 +261,9 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> dict:
+def _classify_record(phi: Formula, degrees, k_max: int, levels: tuple) -> dict:
+    """The record of ``phi``, whose ``min_levels(phi, n, k_max)`` is
+    ``levels[i]`` for the ``i``-th of the ``degrees``."""
     shape = classify_prenex(phi)
     sigma, pi = sigma_plus_floor(phi), pi_plus_floor(phi)
     record = {
@@ -265,9 +277,8 @@ def _classify_record(phi: Formula, degrees, k_max: int, checker: Classifier) -> 
         "grid": [],
         "min_levels": {},
     }
-    for n in degrees:
+    for n, (k_j, k_r) in zip(degrees, levels):
         # every class is cumulative in k, so the least levels fix the grid
-        k_j, k_r = checker.min_levels(phi, n, k_max)
         for k in range(k_max + 1):
             in_j = k_j is not None and k >= k_j
             in_r = k_r is not None and k >= k_r
@@ -293,14 +304,12 @@ def cmd_classify(args) -> int:
     # (prenex shape, least levels per degree) -> encoded record body
     bodies: dict[tuple, str] = {}
     for _, phi in formulas:
-        key = (
-            classify_prenex(phi),
-            tuple(checker.min_levels(phi, n, args.k_max) for n in args.n),
-        )
+        levels = tuple(checker.min_levels(phi, n, args.k_max) for n in args.n)
+        key = (classify_prenex(phi), levels)
         prefix = '{"formula": ' + json.dumps(render(phi)) + ", "
         body = bodies.get(key)
         if body is None:
-            record = _classify_record(phi, args.n, args.k_max, checker)
+            record = _classify_record(phi, args.n, args.k_max, levels)
             line = json.dumps(record, sort_keys=True)
             assert line.startswith(prefix), line
             body = bodies[key] = line[len(prefix):]

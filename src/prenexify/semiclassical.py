@@ -196,7 +196,16 @@ class Classifier:
         return self._normal_forms[n]
 
     def _pair(self, phi: Formula, n: int) -> tuple:
-        """(k_J, k_R) of ``phi`` at degree ``n``, computed bottom-up."""
+        """(k_J, k_R) of ``phi`` at degree ``n``, computed bottom-up.
+
+        The walk peeks at the top of an explicit stack: it reads each
+        operand's pair (``_QF``, or the cached one) and pushes the operands
+        still missing; once none is, it pops the node and looks its pair up
+        by its connective and its operands' pairs.  A node is visited at
+        most twice per push.  A node pending under two parents may be pushed
+        twice, and its second visit finds its operands cached, so the walk
+        costs one visit per edge of the DAG, not one per path of the tree.
+        """
         if phi.is_qf:
             return _QF
         cache = self._levels[n]
@@ -207,18 +216,30 @@ class Classifier:
         stack = [phi]
         while stack:
             psi = stack[-1]
-            operands = _operands(psi)
-            pending = [c for c in operands if not c.is_qf and c not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
+            if isinstance(psi, _Binary):
+                left, right = psi.left, psi.right
+                left_pair = _QF if left.is_qf else cache.get(left)
+                right_pair = _QF if right.is_qf else cache.get(right)
+                if left_pair is None or right_pair is None:
+                    if left_pair is None:
+                        stack.append(left)
+                    if right_pair is None:
+                        stack.append(right)
+                    continue
+                key = (type(psi), left_pair, right_pair)
+            else:
+                body = psi.body
+                body_pair = _QF if body.is_qf else cache.get(body)
+                if body_pair is None:
+                    stack.append(body)
+                    continue
+                key = (type(psi), body_pair)
             stack.pop()
-            key = (type(psi), *[_QF if c.is_qf else cache[c] for c in operands])
             pair = by_pairs.get(key)
             if pair is None:
                 pair = by_pairs[key] = _least_levels(psi, n, key[1:])
             cache[psi] = pair
-        return cache[phi]
+        return pair
 
     def decide(self, phi: Formula, k: int, n: int) -> tuple[bool, bool]:
         """(in_J, in_R) for ``phi`` at level ``k``, degree ``n``."""

@@ -1,7 +1,8 @@
 """``classify`` encodes each distinct record body once per call and splices
 it after each formula's own text.  Every line must still be the record
-``_classify_record`` builds for that formula, and the builder must run
-once per distinct body, whatever the degrees, levels and signature."""
+``_classify_record`` builds for that formula, the builder must run once
+per distinct body, and each formula's least levels must be read once per
+degree, whatever the degrees, levels and signature."""
 
 import json
 import random
@@ -64,22 +65,32 @@ def test_each_line_is_its_record_and_each_body_is_built_once(
         argv += ["--sig", sig]
     args = cli._build_parser().parse_args(argv)
     build = cli._classify_record
+    min_levels = Classifier.min_levels
     calls = []
+    reads = []
 
     def counted(*a):
         calls.append(a[0])
         return build(*a)
 
+    def counted_reads(*a):
+        reads.append(a[1])
+        return min_levels(*a)
+
     monkeypatch.setattr(cli, "_classify_record", counted)
+    monkeypatch.setattr(Classifier, "min_levels", counted_reads)
     assert cli.main(argv) == 0
+    monkeypatch.undo()
     lines = capsys.readouterr().out.splitlines()
 
     _, formulas, errors = parse_corpus(corpus.read_text().split("\n"))
     assert not errors and len(lines) == len(formulas) == 884 + 300
+    assert len(reads) == len(formulas) * len(args.n)
     checker = Classifier()
     bodies = set()
     for line, (_, phi) in zip(lines, formulas):
-        assert line == json.dumps(build(phi, args.n, args.k_max, checker), sort_keys=True)
+        levels = tuple(checker.min_levels(phi, n, args.k_max) for n in args.n)
+        assert line == json.dumps(build(phi, args.n, args.k_max, levels), sort_keys=True)
         prefix = json.dumps({"formula": render(phi)})[:-1]
         bodies.add(line[len(prefix):])
     assert len(calls) == len(bodies) < len(lines) // 10

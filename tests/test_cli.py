@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prenexify
-from prenexify.cli import main
+from prenexify.cli import _build_parser, main
 from prenexify.normalizer import normalize_J
 from prenexify.parser import render
 from prenexify.rewrite import trace_to_text
@@ -319,6 +319,15 @@ def test_selftest_small(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("seed, value", [("-2", -2), (" 7 ", 7)])
+def test_selftest_takes_a_negative_or_padded_seed(capsys, seed, value):
+    argv = ("selftest", "--size", "1", "--n-max", "0", "--k-max", "0", "--seed", seed)
+    assert _build_parser().parse_args(argv).seed == value
+    code, out, _ = run(capsys, *argv, "--quiet")
+    assert code == 0
+    assert len([line for line in out.splitlines() if line.startswith("PASS")]) == 7
+
+
 SEARCH = ("search", "P(x)", "-n", "0", "--target", "j", "-k", "0")
 SEARCH_YES = (
     "search",
@@ -505,6 +514,10 @@ INPUT_ERRORS = {
         "natural",
     ),
     "selftest-size-plus-1": (("selftest", "--size", "+1"), {}, None, "'+1'"),
+    # a seed is an optional "-" and ASCII digits
+    "selftest-seed-arabic-indic": (("selftest", "--seed", "١"), {}, None, "'١'"),
+    "selftest-seed-1_0": (("selftest", "--seed", "1_0"), {}, None, "'1_0'"),
+    "selftest-seed-plus-3": (("selftest", "--seed", "+3"), {}, None, "'+3'"),
 }
 
 

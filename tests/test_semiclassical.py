@@ -5,6 +5,7 @@ levels.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from prenexify.formula import (
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
 from prenexify.selftest import default_signature
-from prenexify.semiclassical import Classifier, Witness
+from prenexify.semiclassical import Classifier, Witness, _least_levels
+from test_classify_cache import random_formula
 from test_formula import formulas
 
 
@@ -324,10 +326,93 @@ def test_min_levels_are_exact(phi):
         assert Classifier().min_levels(phi, n) == least
 
 
-def test_deep_alternation_needs_no_recursion():
+def deep_alternation():
+    """5,000 nested connectives, a negation and a forall in turn."""
     phi = Prime("P", ("x",))
     for depth in range(5000):
         phi = Forall("x", phi) if depth % 2 else Imp(phi, FALSUM)
+    return phi
+
+
+def reference_levels(corpus, n):
+    """(k_J, k_R) of every non-quantifier-free subformula of ``corpus`` at
+    degree ``n``: ``_least_levels`` folded over an explicit postorder list
+    of the subformulas, each listed once, after its operands."""
+    postorder, seen = [], set()
+    stack = [(phi, False) for phi in reversed(corpus)]
+    while stack:
+        psi, operands_listed = stack.pop()
+        if operands_listed:
+            postorder.append(psi)
+        elif not psi.is_qf and psi not in seen:
+            seen.add(psi)
+            stack.append((psi, True))
+            if isinstance(psi, _Binary):
+                stack += [(psi.right, False), (psi.left, False)]
+            else:
+                stack.append((psi.body, False))
+    pairs = {}
+    for psi in postorder:
+        operands = (psi.left, psi.right) if isinstance(psi, _Binary) else (psi.body,)
+        pairs[psi] = _least_levels(psi, n, [pairs.get(c, (0, 0)) for c in operands])
+    return pairs
+
+
+def random_corpus():
+    rng = random.Random(18)
+    return [random_formula(rng, rng.randint(10, 40)) for _ in range(300)]
+
+
+WALK_CORPORA = {
+    "size-5": lambda: list(enumerate_formulas(default_signature(5))),
+    "random-300": random_corpus,
+    "deep-alternation": lambda: [deep_alternation()],
+}
+
+
+@pytest.mark.parametrize("order", [(2, 0, 1, 3), (0, 1, 2, 3)], ids=["2-0-1-3", "0-1-2-3"])
+@pytest.mark.parametrize("corpus", WALK_CORPORA.values(), ids=WALK_CORPORA)
+def test_the_walk_stores_the_reference_pair_of_every_node(corpus, order):
+    # one Classifier asked for every degree of one formula before the next
+    corpus = corpus()
+    checker = Classifier()
+    answers = {n: [] for n in order}
+    for phi in corpus:
+        for n in order:
+            answers[n].append(checker.levels(phi, n))
+    for n in order:
+        expected = reference_levels(corpus, n)
+        assert checker._levels[n] == expected
+        assert answers[n] == [expected.get(phi, (0, 0)) for phi in corpus]
+
+
+def test_the_walk_visits_a_shared_node_once_per_parent():
+    # phi_{i+1} = phi_i & exists x. phi_i has 2^i paths to phi_0 but only
+    # 2i + 1 distinct nodes; a walk per path would not finish
+    phi = Prime("P", ("x",))
+    for _ in range(40):
+        phi = And(phi, Exists("x", phi))
+    expected = reference_levels([phi], 0)
+    distinct = len(expected)
+    assert distinct == 80
+
+    class Bounded(dict):
+        stores = 0
+
+        def __setitem__(self, key, value):
+            Bounded.stores += 1
+            if Bounded.stores > 2 * distinct:
+                raise AssertionError(f"{Bounded.stores} stores for {distinct} nodes")
+            super().__setitem__(key, value)
+
+    checker = Classifier()
+    checker._levels[0] = Bounded()
+    assert checker.levels(phi, 0) == expected[phi]
+    assert checker._levels[0] == expected
+
+
+def test_deep_alternation_needs_no_recursion():
+    phi = deep_alternation()
     checker = Classifier()
     assert checker.decide(phi, 3, 0) == (False, False)
     assert checker.min_levels(phi, 0) == (None, None)
