@@ -128,7 +128,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """``key=value`` lines with ``#`` comments; the keys are sig and budget."""
+    """``key=value`` lines with ``#`` comments; the keys are sig and budget,
+    each given at most once."""
     config: dict = {}
     for lineno, raw in enumerate(_read(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,6 +139,8 @@ def _load_config(path: str) -> dict:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise InputError(f"{where}expected key=value")
+        if key in config:  # a later line must not replace an earlier one
+            raise InputError(f"{where}repeats the key {key!r}")
         if key == "sig":
             try:
                 config["sig"] = parse_signature_line("sig " + value, lineno)
@@ -367,8 +370,8 @@ def cmd_search(args) -> int:
     predicate = {
         "sigma": lambda m: in_sigma_plus(m, k),
         "pi": lambda m: in_pi_plus(m, k),
-        "j": lambda m: checker.in_J(m, k, n),
-        "r": lambda m: checker.in_R(m, k, n),
+        "j": lambda m: k >= checker.levels(m, n)[0],
+        "r": lambda m: k >= checker.levels(m, n)[1],
     }[args.target]
     result = oracle.can_reach(phi, n, predicate, args.budget)
     text = trace_to_text(result.trace) if result.status == "yes" else ""

@@ -23,13 +23,13 @@ Both walks keep explicit stacks, so nesting depth is not bounded by the
 recursion limit.
 
 ``prenex_form`` is that one path: a read of the node's least levels
-(``Classifier.levels``), which decides membership and finds the root, a
-lookup in the store, and the ``(output, steps)`` pair of the entry, the
-same objects on every call for the goal.  ``normalize_J`` /
-``normalize_R`` wrap it: they assert that the output is in the target
-class with the input's free variables, and build the ``Trace`` and the
-``NormalizationResult``.  The selftest calls ``prenex_form`` directly and
-makes its own checks.
+(``Classifier.levels``), which decides membership, the goal's root
+(``Classifier.lift_root``), a lookup in the store, and the ``(output,
+steps)`` pair of the entry, the same objects on every call for the
+goal.  ``normalize_J`` / ``normalize_R`` wrap it: they assert that the
+output is in the target class with the input's free variables, and build
+the ``Trace`` and the ``NormalizationResult``.  The selftest calls
+``prenex_form`` directly and makes its own checks.
 
 One hoist loop (``_hoist_prefixes``) merges every connective.  It
 tracks a *contract* (target kind, level budget): hoisting a quantifier
@@ -76,7 +76,7 @@ from .rewrite import (
     rewrite_node,
     trace_to_json,
 )
-from .semiclassical import J, R, Classifier, _check_levels, _lift_foot
+from .semiclassical import J, R, Classifier, _check_levels
 
 __all__ = [
     "NormalizationResult",
@@ -156,10 +156,9 @@ def prenex_form(
     side = J if target == SIGMA else R
     if k < (k_j if side == J else k_r):
         raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
-    foot_side, foot = _lift_foot(k_j, k_r)
-    if foot == 0:  # quantifier-free: its own normal form
+    root = checker.lift_root(phi, side, k, n)
+    if root[2] == 0:  # quantifier-free: its own normal form
         return phi, ()
-    root = (phi, side, k) if k <= foot else (phi, foot_side, foot)
     try:
         form = checker.normal_forms(n)[root]
     except KeyError:

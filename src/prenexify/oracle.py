@@ -54,13 +54,6 @@ REACHABLE_SCHEMA = "prenexify.reachable/1"
 Transitions = dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]]
 
 
-def _expand(state: Formula, n: int) -> tuple[tuple[RewriteStep, Formula], ...]:
-    return tuple(
-        (step, alpha_canonical(apply_step(state, step, n)))
-        for step in applicable_steps(state, n)
-    )
-
-
 @dataclass
 class ReachableSet:
     """Closure of a start formula under degree-n rewriting, modulo alpha."""
@@ -99,6 +92,52 @@ class ReachableSet:
         }
 
 
+def _closure(
+    phi: Formula,
+    n: int,
+    node_budget: int,
+    transitions: Transitions,
+    goal: Optional[Callable[[Formula], bool]] = None,
+) -> tuple[ReachableSet, bool]:
+    """The one breadth-first search: the closure of ``phi`` under the
+    steps applicable at degree n, cut at ``node_budget`` members, and
+    stopped at the first member, the start included, that ``goal``
+    accepts.  The flag says whether one did; it is then the last member.
+    ``transitions`` caches each state's expansion."""
+    start = alpha_canonical(phi)
+    members = [start]
+    index = {start: 0}
+    edges: dict[int, list[tuple[RewriteStep, int]]] = {}
+    exhausted = True
+    found = goal is not None and goal(start)
+    head = 0
+    while head < len(members) and not found:
+        state = members[head]
+        out = []
+        successors = transitions.get((state, n))
+        if successors is None:
+            successors = transitions[state, n] = tuple(
+                (step, alpha_canonical(apply_step(state, step, n)))
+                for step in applicable_steps(state, n)
+            )
+        for step, succ in successors:
+            dst = index.get(succ)
+            if dst is None:
+                if len(members) >= node_budget:
+                    exhausted = False
+                    continue
+                dst = index[succ] = len(members)
+                members.append(succ)
+                found = goal is not None and goal(succ)
+            out.append((step, dst))
+            if found:
+                break
+        if out:
+            edges[head] = out
+        head += 1
+    return ReachableSet(phi, n, members, edges, exhausted), found
+
+
 def reachable_set(
     phi: Formula,
     n: int,
@@ -114,36 +153,7 @@ def reachable_set(
     related start formulas, so a caller closing many passes its own dict
     to every call.  ``checker`` is ignored.
     """
-    if transitions is None:
-        transitions = {}
-    start = alpha_canonical(phi)
-    members = [start]
-    index = {start: 0}
-    edges: dict[int, list[tuple[RewriteStep, int]]] = {}
-    queue = [start]
-    exhausted = True
-    head = 0
-    while head < len(queue):
-        state = queue[head]
-        head += 1
-        out = []
-        successors = transitions.get((state, n))
-        if successors is None:
-            successors = transitions[state, n] = _expand(state, n)
-        for step, succ in successors:
-            dst = index.get(succ)
-            if dst is None:
-                if len(members) >= node_budget:
-                    exhausted = False
-                    continue
-                dst = len(members)
-                index[succ] = dst
-                members.append(succ)
-                queue.append(succ)
-            out.append((step, dst))
-        if out:
-            edges[index[state]] = out
-    return ReachableSet(phi, n, members, edges, exhausted)
+    return _closure(phi, n, node_budget, {} if transitions is None else transitions)[0]
 
 
 @dataclass(frozen=True)
@@ -164,39 +174,23 @@ def can_reach(
     then position order), "no" only when the closure is exhausted, and
     "unknown" when the node budget was hit first.
     """
-    start = alpha_canonical(phi)
-    if predicate(start):
-        return SearchResult("yes", Trace(phi, (), n))
-    parent: dict[Formula, tuple[Formula, RewriteStep]] = {start: None}
-    queue = [start]
-    head = 0
-    exhausted = True
-    goal: Optional[Formula] = None
-    while head < len(queue) and goal is None:
-        state = queue[head]
-        head += 1
-        for step, succ in _expand(state, n):
-            if succ in parent:
-                continue
-            if len(parent) >= node_budget:
-                exhausted = False
-                continue
-            parent[succ] = (state, step)
-            queue.append(succ)
-            if predicate(succ):
-                goal = succ
-                break
-    if goal is None:
-        return SearchResult("no" if exhausted else "unknown")
+    closure, found = _closure(phi, n, node_budget, {}, predicate)
+    if not found:
+        return SearchResult("no" if closure.exhausted else "unknown")
 
-    # Canonical-state path, rebuilt as a concrete trace from phi itself.
-    states = [goal]
-    while parent[states[-1]] is not None:
-        states.append(parent[states[-1]][0])
-    states.reverse()
+    # Canonical-state path along the edge that discovered each member (its
+    # first edge in), rebuilt as a concrete trace from phi itself.
+    parent: dict[int, int] = {}
+    for src, out in closure.edges.items():
+        for _, dst in out:
+            parent.setdefault(dst, src)
+    path = [len(closure.members) - 1]
+    while path[-1]:
+        path.append(parent[path[-1]])
     concrete = phi
     steps: list[RewriteStep] = []
-    for nxt in states[1:]:
+    for member in reversed(path[:-1]):
+        nxt = closure.members[member]
         for step in applicable_steps(concrete, n):
             result = apply_step(concrete, step, n)
             if alpha_canonical(result) is nxt:

@@ -360,7 +360,7 @@ def parse_corpus(
         if not text:
             continue
         try:
-            if header and (text == "sig" or text.startswith("sig ")):
+            if header and text.split(maxsplit=1)[0] == "sig":
                 if signature is None:
                     signature = parse_signature_line(text, lineno)
             else:

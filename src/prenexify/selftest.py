@@ -15,12 +15,12 @@ random data for the rewrite-conformance check):
 7. rewrite-engine conformance on seeded random steps.
 
 Every class is cumulative in k, so a formula's memberships at one degree
-are fixed by its least levels (k_J, k_R).  Criteria 1, 3, 4 and 5 read
-that pair once per formula and degree (``Classifier.levels``) and
+are fixed by its least levels (k_J, k_R).  Criteria 1, 3, 4, 5 and 6
+read that pair once per formula and degree (``Classifier.levels``) and
 compare each level against it; every check is still counted and reported
-on its own.  The inversion laws alone query ``in_J`` / ``in_R`` / ``in_D``
-at the levels their hand-written case split names, independently of the
-classifier's clause table.
+on its own.  The inversion laws read each operand's pair once per
+degree as well, and compare it against the levels their hand-written
+case split names, independently of the classifier's clause table.
 
 Criterion 2 takes each positive verdict's normal form from
 ``normalizer.prenex_form``, the path ``normalize_J`` / ``normalize_R``
@@ -379,8 +379,16 @@ def _check_inversions(
     k_max: int,
     checker: Classifier,
 ) -> None:
-    """The five inversion laws, with their case splits on level vs degree."""
+    """The five inversion laws, with their case splits on level vs degree.
+    Each operand's least levels are read once per degree; an operand is in
+    J_k^n from its k_J on, in R_k^n from its k_R on, and in D_k^n from the
+    lesser of the two on."""
     for n, (k_j, k_r) in enumerate(levels):
+        if isinstance(phi, (And, Or, Imp)):
+            l_j, l_r = checker.levels(phi.left, n)
+            r_j, r_r = checker.levels(phi.right, n)
+        elif isinstance(phi, (Exists, Forall)):
+            b_j, b_r = checker.levels(phi.body, n)
         for k in range(1, k_max + 1):
             kk = k - 1
             j, r = k >= k_j, k >= k_r
@@ -390,69 +398,49 @@ def _check_inversions(
             ok = True
             if isinstance(phi, And):
                 if j:
-                    ok &= checker.in_J(phi.left, k, n) and checker.in_J(phi.right, k, n)
+                    ok &= k >= l_j and k >= r_j
                 if r:
-                    ok &= checker.in_R(phi.left, k, n) and checker.in_R(phi.right, k, n)
+                    ok &= k >= l_r and k >= r_r
             elif isinstance(phi, Or):
                 if j:
                     if kk <= n:
-                        ok &= checker.in_J(phi.left, k, n) and checker.in_J(
-                            phi.right, k, n
-                        )
+                        ok &= k >= l_j and k >= r_j
                     else:
-                        ok &= (
-                            checker.in_J(phi.left, k, n)
-                            and checker.in_J(phi.right, n + 1, n)
-                        ) or (
-                            checker.in_J(phi.left, n + 1, n)
-                            and checker.in_J(phi.right, k, n)
-                        )
+                        ok &= (k >= l_j and n + 1 >= r_j) or (n + 1 >= l_j and k >= r_j)
                 if r:
                     if kk < n:
-                        ok &= checker.in_R(phi.left, k, n) and checker.in_R(
-                            phi.right, k, n
-                        )
+                        ok &= k >= l_r and k >= r_r
                     elif kk == n:
-                        ok &= (
-                            checker.in_R(phi.left, k, n)
-                            and checker.in_D(phi.right, kk, n)
-                        ) or (
-                            checker.in_D(phi.left, kk, n)
-                            and checker.in_R(phi.right, k, n)
+                        ok &= (k >= l_r and kk >= min(r_j, r_r)) or (
+                            kk >= min(l_j, l_r) and k >= r_r
                         )
                     else:
-                        ok &= (
-                            checker.in_R(phi.left, k, n)
-                            and checker.in_J(phi.right, n + 1, n)
-                        ) or (
-                            checker.in_J(phi.left, n + 1, n)
-                            and checker.in_R(phi.right, k, n)
-                        )
+                        ok &= (k >= l_r and n + 1 >= r_j) or (n + 1 >= l_j and k >= r_r)
             elif isinstance(phi, Imp):
                 if j:
                     if kk < n:
-                        ok &= checker.in_R(phi.left, k, n)
+                        ok &= k >= l_r
                     elif kk == n:
-                        ok &= checker.in_D(phi.left, kk, n)
+                        ok &= kk >= min(l_j, l_r)
                     else:
-                        ok &= checker.in_J(phi.left, n + 1, n)
-                    ok &= checker.in_J(phi.right, k, n)
+                        ok &= n + 1 >= l_j
+                    ok &= k >= r_j
                 if r:
                     if kk <= n:
-                        ok &= checker.in_J(phi.left, k, n)
+                        ok &= k >= l_j
                     else:
-                        ok &= checker.in_J(phi.left, n + 1, n)
-                    ok &= checker.in_R(phi.right, k, n)
+                        ok &= n + 1 >= l_j
+                    ok &= k >= r_r
             elif isinstance(phi, Exists):
                 if j:
-                    ok &= checker.in_J(phi.body, k, n)
+                    ok &= k >= b_j
                 if r:
-                    ok &= kk > 0 and checker.in_J(phi, kk, n)
+                    ok &= kk > 0 and kk >= k_j
             elif isinstance(phi, Forall):
                 if j:
-                    ok &= kk > 0 and checker.in_R(phi, kk, n)
+                    ok &= kk > 0 and kk >= k_r
                 if r:
-                    ok &= checker.in_R(phi.body, k, n)
+                    ok &= k >= b_r
             if not ok:
                 result.fail(f"inversion fails for {render(phi)} k={k} n={n}")
 
@@ -462,14 +450,15 @@ def _check_pinned_negatives(budget: int) -> CriterionResult:
     checker = Classifier()
 
     neg = parse("(forall x. P(x)) -> false")
+    k_j, k_r = checker.levels(neg, 0)
     for k in range(7):
         result.checks += 2
-        if checker.in_J(neg, k, 0):
+        if k >= k_j:
             result.fail(f"(forall x. P(x)) -> false entered J_{k}^0")
-        if checker.in_R(neg, k, 0):
+        if k >= k_r:
             result.fail(f"(forall x. P(x)) -> false entered R_{k}^0")
     result.checks += 1
-    if not checker.in_J(neg, 2, 1):
+    if 2 < checker.levels(neg, 1)[0]:
         result.fail("(forall x. P(x)) -> false missing from J_2^1")
 
     # semantically reducible at degree 1, yet syntactically out of reach

@@ -135,13 +135,6 @@ def _least_levels(phi: Formula, n: int, pairs: list) -> tuple:
     return (INF, INF)
 
 
-def _lift_foot(k_j, k_r) -> tuple:
-    """(side, level) at which a lift chain ends on a node with least levels
-    (k_J, k_R): the lift clause fires while k > min(k_J, k_R), and its
-    last step lands on the side whose least level that is, J first."""
-    return (J, k_j) if k_j <= k_r else (R, k_r)
-
-
 @dataclass(frozen=True)
 class Witness:
     """One node of a derivation tree for a positive membership verdict.
@@ -247,26 +240,16 @@ class Classifier:
         k_j, k_r = self._pair(phi, n)
         return k >= k_j, k >= k_r
 
-    def in_J(self, phi: Formula, k: int, n: int) -> bool:
-        return self.decide(phi, k, n)[0]
-
-    def in_R(self, phi: Formula, k: int, n: int) -> bool:
-        return self.decide(phi, k, n)[1]
-
-    def in_D(self, phi: Formula, k: int, n: int) -> bool:
-        j, r = self.decide(phi, k, n)
-        return j or r
-
     # -- witnesses ---------------------------------------------------------
 
     def derive(self, psi: Formula, side: str, k: int, n: int) -> tuple[str, list]:
         """One derivation step: the clause that derives the goal ``psi`` in
         S_k^n (S = ``side``) and its premises, one ``(operand, side,
         level)`` goal each, with every D premise resolved to J or R.  The
-        goal must hold, so ``decide`` has seen a formula containing psi."""
+        goal must hold, so the least levels of psi have been read."""
         levels = self._levels[n]
         k_j, k_r = levels.get(psi, _QF)
-        if k > _lift_foot(k_j, k_r)[1]:  # psi lies in D_{k-1}^n
+        if k > min(k_j, k_r):  # psi lies in D_{k-1}^n
             return "lift", [(psi, J if k > k_j else R, k - 1)]
         if k == 0:
             return "qf", []
@@ -286,8 +269,12 @@ class Classifier:
         the goal ``(psi, side, k)``, found without walking it: the goal
         itself when its clause is not ``lift``.  The root's clause is
         ``qf`` exactly when its level is 0.  The goal must hold."""
-        foot_side, foot = _lift_foot(*self._levels[n].get(psi, _QF))
-        return (psi, side, k) if k <= foot else (psi, foot_side, foot)
+        k_j, k_r = self._levels[n].get(psi, _QF)
+        if k <= min(k_j, k_r):
+            return (psi, side, k)
+        # the lift clause fires while k > min(k_J, k_R), and its last step
+        # lands on the side whose least level that is, J first
+        return (psi, J, k_j) if k_j <= k_r else (psi, R, k_r)
 
     def witness(self, phi: Formula, k: int, n: int, side: str) -> Optional[Witness]:
         """Derivation tree for a positive verdict, or ``None``."""

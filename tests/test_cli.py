@@ -360,6 +360,19 @@ INPUT_ERRORS = {
     "config-no-equals": ((*CONFIG, *PARSE), {"a.cfg": b"budget"}, None, "key=value"),
     "config-missing": (("--config", "none.cfg", *PARSE), {}, None, "none.cfg"),
     "config-read-by-verify": ((*CONFIG, "verify", "t"), {"a.cfg": b"x=1"}, None, "'x'"),
+    # a later line must not replace an earlier one, in either order
+    "config-budget-twice": (
+        (*CONFIG, *SEARCH),
+        {"a.cfg": b"budget = 1\nbudget = 100000\n"},
+        None,
+        "a.cfg:2: repeats the key 'budget'",
+    ),
+    "config-sig-twice": (
+        (*CONFIG, *PARSE),
+        {"a.cfg": b"sig = P/1\n# c\nsig = P/2\n"},
+        None,
+        "a.cfg:3: repeats the key 'sig'",
+    ),
     "env-budget-zz": (SEARCH, {}, "zz", "PRENEXIFY_BUDGET"),
     "env-budget-negative": (SEARCH, {}, "-1", "PRENEXIFY_BUDGET"),
     "search-budget-negative": ((*SEARCH, "--budget", "-3"), {}, None, "natural"),
@@ -583,6 +596,20 @@ def test_classify_reports_every_bad_line(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert [line.split(":")[1] for line in err.splitlines()] == ["2", "4"]
+
+
+def test_classify_reads_a_tab_separated_sig_header(tmp_path, capsys):
+    # the header splits on any whitespace, as --sig and a config's sig do
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("sig\tP/1\nP(x)\n")
+    code, out, err = run(capsys, "classify", str(corpus))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["formula"] == "P(x)"
+    # and its arities still hold
+    corpus.write_text("sig\tP/1\nP(x, y)\n")
+    code, out, err = run(capsys, "classify", str(corpus))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{corpus}:2:") and err.count("\n") == 1
 
 
 def test_budget_precedence(tmp_path, capsys, monkeypatch):

@@ -205,7 +205,7 @@ def test_converse_consistency_regression():
         result = normalize_J(phi, k, n)
         floor = sigma_plus_floor(result.output)
         assert floor is not None and floor <= k
-        assert checker.in_J(phi, floor, n)
+        assert checker.decide(phi, floor, n)[0]
 
 
 def test_steps_cost_constant_nodes_on_a_wide_conjunction(monkeypatch):

@@ -14,7 +14,7 @@ from prenexify.oracle import (
     reachable_set,
 )
 from prenexify.parser import parse, render
-from prenexify.rewrite import verify_trace
+from prenexify.rewrite import apply_step, verify_trace
 
 SIG = Signature.make({"P": 1, "Q": 1}, ("x", "y"), 4)
 
@@ -101,6 +101,93 @@ def test_can_reach_class_predicates():
     assert verify_trace(result.trace) is parse(
         "forall y. exists x. Q(y) | P(x)"
     )
+
+
+def _discovery_path(closure, member: int) -> list:
+    """The members on the BFS route to ``member``: each is reached by the
+    first edge into it, the edge that discovered it."""
+    parent = {}
+    for src, out in closure.edges.items():
+        for _, dst in out:
+            parent.setdefault(dst, src)
+    path = [member]
+    while path[-1]:
+        path.append(parent[path[-1]])
+    return [closure.members[i] for i in reversed(path)]
+
+
+TARGETS = [
+    (f"{name} {k}", lambda m, member=member, k=k: member(m, k))
+    for name, member in (("sigma", in_sigma_plus), ("pi", in_pi_plus))
+    for k in range(3)
+]
+
+
+def test_can_reach_answers_as_the_closure_does():
+    # yes exactly when a member of the closure meets the target; the trace
+    # replays to the first such member in BFS order along its BFS route
+    answers = Counter()
+    for n in range(3):
+        transitions = {}
+        for phi in enumerate_formulas(SIG):
+            closure = reachable_set(phi, n, transitions=transitions)
+            assert closure.exhausted
+            for name, target in TARGETS:
+                result = can_reach(phi, n, target)
+                first = next(
+                    (i for i, m in enumerate(closure.members) if target(m)), None
+                )
+                answers[result.status] += 1
+                if first is None:
+                    assert result.status == "no", (render(phi), n, name)
+                    continue
+                assert result.status == "yes", (render(phi), n, name)
+                route = [phi]
+                for step in result.trace.steps:
+                    route.append(apply_step(route[-1], step, n))
+                assert route[-1] is verify_trace(result.trace)
+                assert [alpha_canonical(m) for m in route] == _discovery_path(
+                    closure, first
+                )
+    assert answers["yes"] and answers["no"] and not answers["unknown"]
+
+
+def test_can_reach_under_a_budget_answers_as_the_closure_does():
+    # the same budget cuts both searches at the same members
+    formulas = [
+        "(exists x. P(x)) | (forall y. Q(y))",
+        "(forall x. P(x)) -> (exists y. Q(y))",
+        "((exists x. P(x)) & (forall y. Q(y))) | (exists x. Q(x))",
+    ]
+    statuses = set()
+    for text in formulas:
+        phi = parse(text)
+        for n in range(2):
+            for budget in range(1, 5):
+                closure = reachable_set(phi, n, budget)
+                for name, target in TARGETS:
+                    result = can_reach(phi, n, target, budget)
+                    statuses.add(result.status)
+                    if any(target(m) for m in closure.members):
+                        assert result.status == "yes", (text, n, budget, name)
+                        assert len(result.trace.steps) < budget
+                    else:
+                        expected = "no" if closure.exhausted else "unknown"
+                        assert result.status == expected, (text, n, budget, name)
+    assert statuses == {"yes", "no", "unknown"}
+
+
+def test_can_reach_runs_its_own_search(monkeypatch):
+    # the benchmark counts the reachable_set calls of a selftest round
+    import prenexify.oracle as oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("can_reach called reachable_set")
+
+    monkeypatch.setattr(oracle, "reachable_set", refuse)
+    phi = parse("(exists x. P(x)) | (forall y. Q(y))")
+    result = can_reach(phi, 0, lambda m: in_sigma_plus(m, 2))
+    assert result.status == "yes" and len(result.trace.steps) == 2
 
 
 def test_enumeration_contains_basics():

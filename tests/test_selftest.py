@@ -86,7 +86,7 @@ def test_criterion_4_passes_and_counts_each_distinct_check_once():
         expected += K_MAX + 1  # the prenex inclusions
         for n in range(N_MAX + 1):
             for k in range(K_MAX + 1):
-                if checker.in_D(phi, k, n):
+                if any(checker.decide(phi, k, n)):
                     expected += 1  # subformula closure of D
                     expected += k >= 1  # the inversion laws
     assert result.checks == expected == 47060

@@ -128,18 +128,18 @@ def witness_holds(phi, w):
 def test_quantifier_free_base():
     checker = Classifier()
     for n in range(4):
-        assert checker.in_J(parse("P(x)"), 0, n)
-        assert checker.in_R(parse("P(x) -> false"), 0, n)
-    assert not checker.in_J(parse("exists x. P(x)"), 0, 0)
+        assert checker.decide(parse("P(x)"), 0, n)[0]
+        assert checker.decide(parse("P(x) -> false"), 0, n)[1]
+    assert not checker.decide(parse("exists x. P(x)"), 0, 0)[0]
 
 
 def test_negated_universal_needs_degree_one():
     phi = parse("(forall x. P(x)) -> false")
     checker = Classifier()
-    assert checker.in_J(phi, 2, 1)
+    assert checker.decide(phi, 2, 1)[0]
     for k in range(6):
-        assert not checker.in_J(phi, k, 0)
-        assert not checker.in_R(phi, k, 0)
+        assert not checker.decide(phi, k, 0)[0]
+        assert not checker.decide(phi, k, 0)[1]
     assert naive_in(phi, 2, 1, "J")
     assert not naive_in(phi, 5, 0, "J")
 
@@ -147,24 +147,32 @@ def test_negated_universal_needs_degree_one():
 def test_disjunction_of_quantifiers():
     phi = parse("(exists x. P(x)) | (forall y. Q(y))")
     checker = Classifier()
-    assert checker.in_J(phi, 2, 0)
+    assert checker.decide(phi, 2, 0)[0]
     assert naive_in(phi, 2, 0, "J")
-    assert not checker.in_J(phi, 1, 0)
+    assert not checker.decide(phi, 1, 0)[0]
 
 
 def test_existential_R_side():
     phi = parse("exists x. P(x)")
     checker = Classifier()
-    assert not checker.in_R(phi, 1, 0)
-    assert checker.in_R(phi, 2, 0)
+    assert not checker.decide(phi, 1, 0)[1]
+    assert checker.decide(phi, 2, 0)[1]
     assert naive_in(phi, 2, 0, "R") and not naive_in(phi, 1, 0, "R")
 
 
 def test_in_D():
+    # D_k^n = J_k^n u R_k^n holds a formula from the lesser of its least
+    # levels on
     checker = Classifier()
-    assert checker.in_D(parse("P(x) -> false"), 0, 3)
-    assert checker.in_D(parse("exists x. P(x)"), 1, 0)
-    assert not checker.in_D(parse("(forall x. P(x)) -> false"), 1, 0)
+    for text, k, n, member in [
+        ("P(x) -> false", 0, 3, True),
+        ("exists x. P(x)", 1, 0, True),
+        ("exists x. P(x)", 0, 0, False),
+        ("(forall x. P(x)) -> false", 1, 0, False),
+    ]:
+        phi = parse(text)
+        assert (min(checker.levels(phi, n)) <= k) is member
+        assert any(checker.decide(phi, k, n)) is member
 
 
 def test_min_levels():
@@ -195,10 +203,10 @@ def test_levels_are_min_levels_with_inf_for_none():
 def test_cumulative_e_u_classes():
     # E_k+ is J_k^k and U_k+ is R_k^k
     checker = Classifier()
-    assert checker.in_J(parse("(exists x. P(x)) | (forall y. Q(y))"), 2, 2)
-    assert not checker.in_J(parse("forall x. P(x)"), 1, 1)
-    assert checker.in_R(parse("forall x. P(x)"), 1, 1)
-    assert checker.in_J(parse("P(x)"), 0, 0)
+    assert checker.decide(parse("(exists x. P(x)) | (forall y. Q(y))"), 2, 2)[0]
+    assert not checker.decide(parse("forall x. P(x)"), 1, 1)[0]
+    assert checker.decide(parse("forall x. P(x)"), 1, 1)[1]
+    assert checker.decide(parse("P(x)"), 0, 0)[0]
 
 
 def test_verdict_and_witness_replay():
@@ -209,10 +217,10 @@ def test_verdict_and_witness_replay():
     # the R-side disjunction clause at k > n needs a quantifier-free
     # disjunct, so the Pi side only opens up one level later
     assert checker.witness(phi, 2, 0, "R") is None
-    assert checker.in_R(phi, 3, 0)
+    assert checker.decide(phi, 3, 0)[1]
     assert witness_holds(phi, checker.witness(phi, 3, 0, "R"))
     negative = parse("(forall x. P(x)) -> false")
-    assert not checker.in_D(negative, 1, 0)
+    assert not any(checker.decide(negative, 1, 0))
     assert checker.witness(negative, 1, 0, "J") is None
     assert checker.witness(negative, 1, 0, "R") is None
 
@@ -221,7 +229,7 @@ def test_witness_tracks_asymmetric_or():
     # k > n forces the or-left/or-right clause with a low-side operand
     phi = parse("(exists x. forall y. P(x)) | (exists x. Q(x))")
     checker = Classifier()
-    assert checker.in_J(phi, 2, 0)
+    assert checker.decide(phi, 2, 0)[0]
     w = checker.witness(phi, 2, 0, "J")
     assert w.clause in ("or-left", "or-right")
     assert witness_holds(phi, w)
@@ -236,9 +244,9 @@ def test_witness_tracks_asymmetric_or():
 def test_invalid_levels_rejected():
     checker = Classifier()
     with pytest.raises(ValueError):
-        checker.in_J(parse("P(x)"), -1, 0)
+        checker.decide(parse("P(x)"), -1, 0)
     with pytest.raises(ValueError):
-        checker.in_J(parse("P(x)"), 0, -2)
+        checker.decide(parse("P(x)"), 0, -2)
     with pytest.raises(ValueError):
         checker.witness(parse("P(x)"), -1, 0, "J")
     with pytest.raises(ValueError):
@@ -248,7 +256,7 @@ def test_invalid_levels_rejected():
 def test_witness_with_child_at_another_degree_is_rejected():
     phi = parse("exists z. ((forall x. P(x)) -> false)")
     checker = Classifier()
-    assert not checker.in_J(phi, 2, 0)
+    assert not checker.decide(phi, 2, 0)[0]
     child = checker.witness(phi.body, 2, 1, "J")
     assert child is not None
     forged = Witness("J", 2, 0, "exists", (child,))
@@ -276,9 +284,9 @@ def test_cumulativity_and_monotonicity(phi):
             if j or r:
                 assert checker.decide(phi, k + 1, n) == (True, True)
             if j:
-                assert checker.in_J(phi, k, n + 1)
+                assert checker.decide(phi, k, n + 1)[0]
             if r:
-                assert checker.in_R(phi, k, n + 1)
+                assert checker.decide(phi, k, n + 1)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,8 +305,8 @@ def test_subformula_closure(phi):
     checker = Classifier()
     for n in range(2):
         for k in range(4):
-            if checker.in_D(phi, k, n):
-                assert all(checker.in_D(psi, k, n) for psi in subformulas(phi))
+            if any(checker.decide(phi, k, n)):
+                assert all(any(checker.decide(psi, k, n)) for psi in subformulas(phi))
 
 
 @settings(max_examples=150, deadline=None)
