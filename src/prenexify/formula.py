@@ -3,7 +3,11 @@
 Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
-formulas that nothing outside the table refers to.  Negation is not a
+formulas that nothing outside the table refers to.  Building a node costs
+its intern key, its size and whether it is quantifier-free; its sorted
+tuples of free variables (``free``) and of all variables (``vars``) are
+each filled on first read, for the node and every node below it that
+lacks that tuple, and then kept.  Negation is not a
 primitive; ``~p`` is represented as ``Imp(p, Falsum)``.  Quantifiers bind
 exactly one variable per node and terms are restricted to variables.
 """
@@ -73,13 +77,26 @@ class Formula:
     construction goes through the subclass constructors, which intern.
     """
 
-    __slots__ = ("size", "free", "vars", "is_qf", "_canon", "_shape")
+    __slots__ = ("size", "_free", "_vars", "is_qf", "_canon", "_shape")
 
     size: int
-    free: tuple[str, ...]  # free variables, sorted
-    vars: tuple[str, ...]  # every variable occurring (free or bound), sorted
     is_qf: bool
-    # _canon caches alpha_canonical, _shape caches hierarchy.classify_prenex
+    # _free backs ``free`` and _vars backs ``vars``: set when an atom is
+    # built, None in a compound node until the first read fills it, then
+    # kept.  _canon caches alpha_canonical, _shape caches
+    # hierarchy.classify_prenex.
+
+    @property
+    def free(self) -> tuple[str, ...]:
+        """The free variables, sorted."""
+        free = self._free
+        return free if free is not None else _fill_free(self)
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """Every variable occurring (free or bound), sorted."""
+        names = self._vars
+        return names if names is not None else _fill_vars(self)
 
     def __str__(self) -> str:
         from .parser import render
@@ -147,8 +164,7 @@ class Prime(Formula):
         self.name = name
         self.args = args
         self.size = 1
-        self.free = tuple(sorted(set(args)))
-        self.vars = self.free
+        self._free = self._vars = tuple(sorted(set(args)))
         self.is_qf = True
         self._canon = self
         self._shape = None
@@ -167,8 +183,7 @@ class Falsum(Formula):
             return cached
         self = object.__new__(cls)
         self.size = 1
-        self.free = ()
-        self.vars = ()
+        self._free = self._vars = ()
         self.is_qf = True
         self._canon = self
         self._shape = None
@@ -193,8 +208,7 @@ class _Binary(Formula):
         self.left = left
         self.right = right
         self.size = 1 + left.size + right.size
-        self.free = _merge(left.free, right.free)
-        self.vars = _merge(left.vars, right.vars)
+        self._free = self._vars = None
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
         self._shape = None
@@ -230,12 +244,7 @@ class _Quant(Formula):
         self.var = var
         self.body = body
         self.size = 1 + body.size
-        free = body.free
-        if var in free:
-            i = free.index(var)
-            free = free[:i] + free[i + 1:]
-        self.free = free
-        self.vars = _merge((var,), body.vars)
+        self._free = self._vars = None
         self.is_qf = False
         self._canon = None
         self._shape = None
@@ -265,13 +274,78 @@ def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(sorted(set(a) | set(b)))
 
 
+def _fill_free(phi: Formula) -> tuple[str, ...]:
+    """Set ``_free`` on ``phi`` and on every node below it that lacks it.
+
+    The walk peeks at the top of an explicit stack: a node whose operands
+    all have theirs is popped and given its own, otherwise the operands
+    still lacking it are pushed.  Atoms have theirs from the start, so only
+    compound nodes are pushed.  A node pending under two parents may be
+    pushed twice; its second visit finds it filled and pops it, so the
+    walk costs one visit per edge of the DAG.
+    """
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if node._free is None:
+            if isinstance(node, _Binary):
+                left, right = node.left._free, node.right._free
+                if left is None or right is None:
+                    if left is None:
+                        stack.append(node.left)
+                    if right is None:
+                        stack.append(node.right)
+                    continue
+                node._free = _merge(left, right)
+            else:
+                free, var = node.body._free, node.var
+                if free is None:
+                    stack.append(node.body)
+                    continue
+                i = bisect_left(free, var)
+                if i < len(free) and free[i] == var:
+                    free = free[:i] + free[i + 1:]
+                node._free = free
+        stack.pop()
+    return phi._free
+
+
+def _fill_vars(phi: Formula) -> tuple[str, ...]:
+    """Set ``_vars`` on ``phi`` and on every node below it that lacks it,
+    by the walk of ``_fill_free``."""
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if node._vars is None:
+            if isinstance(node, _Binary):
+                left, right = node.left._vars, node.right._vars
+                if left is None or right is None:
+                    if left is None:
+                        stack.append(node.left)
+                    if right is None:
+                        stack.append(node.right)
+                    continue
+                node._vars = _merge(left, right)
+            else:
+                names = node.body._vars
+                if names is None:
+                    stack.append(node.body)
+                    continue
+                node._vars = _merge((node.var,), names)
+        stack.pop()
+    return phi._vars
+
+
 def free_vars(phi: Formula) -> tuple[str, ...]:
-    """Free variables of ``phi``, as a sorted tuple."""
+    """Free variables of ``phi``, as a sorted tuple; the first read fills
+    them for ``phi`` and every subformula that lacks them."""
     return phi.free
 
 
 def all_vars(phi: Formula) -> tuple[str, ...]:
-    """Every variable name occurring in ``phi``, free or bound, sorted."""
+    """Every variable name occurring in ``phi``, free or bound, sorted; the
+    first read fills them for ``phi`` and every subformula that lacks
+    them."""
     return phi.vars
 
 

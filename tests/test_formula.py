@@ -1,4 +1,8 @@
 import gc
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +230,203 @@ def test_alpha_canonical_forms_survive_a_sweep():
     del corpus, canons
     formula._sweep()
     assert [render(canon) for canon in canonical_forms()[1]] == texts
+
+
+# Variable sets are filled on first read.  Each check below builds its own
+# nodes, with predicate names no other test uses, so that no set is filled
+# before it is read.
+
+
+def _operands(node):
+    if isinstance(node, (And, Or, Imp)):
+        return (node.left, node.right)
+    if isinstance(node, (Exists, Forall)):
+        return (node.body,)
+    return ()
+
+
+def _postorder(roots):
+    """Each distinct node under ``roots`` once, operands first."""
+    order, seen, stack = [], set(), [(root, False) for root in reversed(roots)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(_operands(node)))
+    return order
+
+
+def _tagged(roots, tag):
+    """``roots`` rebuilt with ``tag`` appended to every predicate name."""
+    copy = {}
+    for node in _postorder(roots):
+        if isinstance(node, Prime):
+            copy[node] = Prime(node.name + tag, node.args)
+        elif node is FALSUM:
+            copy[node] = FALSUM
+        elif isinstance(node, (Exists, Forall)):
+            copy[node] = type(node)(node.var, copy[node.body])
+        else:
+            copy[node] = type(node)(copy[node.left], copy[node.right])
+    return [copy[root] for root in roots]
+
+
+def _reference_sets(order):
+    """(free, vars) of every node of a postorder list, folded eagerly."""
+    sets = {}
+    for node in order:
+        if isinstance(node, Prime):
+            sets[node] = (set(node.args), set(node.args))
+        elif node is FALSUM:
+            sets[node] = (set(), set())
+        elif isinstance(node, (Exists, Forall)):
+            free, names = sets[node.body]
+            sets[node] = (free - {node.var}, names | {node.var})
+        else:
+            (lf, lv), (rf, rv) = sets[node.left], sets[node.right]
+            sets[node] = (lf | rf, lv | rv)
+    return {node: (tuple(sorted(f)), tuple(sorted(v))) for node, (f, v) in sets.items()}
+
+
+_READ_ORDERS = [
+    (sets, nodes) for sets in ("free first", "vars first") for nodes in ("root first", "root last")
+]
+
+
+def _check_lazy_sets(build, label):
+    """Build fresh copies of ``build(tag)`` and read their sets in each of
+    the four orders, against the eager reference."""
+    for i, (sets, nodes) in enumerate(_READ_ORDERS):
+        roots = build(f"{label}{i}")
+        order = _postorder(roots)
+        # every atom carries the tag, so a compound node above one is new
+        fresh = set()
+        for node in order:
+            if isinstance(node, Prime) or any(c in fresh for c in _operands(node)):
+                fresh.add(node)
+        compound = [node for node in fresh if _operands(node)]
+        assert compound, label
+        assert all(node._free is None and node._vars is None for node in compound)
+        reference = _reference_sets(order)
+        if nodes == "root first":
+            order.reverse()
+        for index in ((0, 1) if sets == "free first" else (1, 0)):
+            for node in order:
+                read = node.free if index == 0 else node.vars
+                assert read == reference[node][index], (label, sets, nodes, node)
+        for root in roots:
+            assert (free_vars(root), all_vars(root)) == reference[root]
+
+
+def test_lazy_sets_match_the_eager_fold_on_the_size_5_corpus():
+    corpus = list(enumerate_formulas(default_signature(5)))
+    _check_lazy_sets(lambda tag: _tagged(corpus, tag), "Corpus")
+
+
+def _random_formula(rng, budget, tag):
+    if budget <= 1:
+        name, arity = rng.choice((("P", 1), ("Q", 1), ("R", 2), ("F", 0)))
+        if arity == 0:
+            return FALSUM
+        return Prime(name + tag, tuple(rng.choice("xyz") for _ in range(arity)))
+    shape = rng.randrange(5)
+    if shape < 2:
+        kind = (Exists, Forall)[shape]
+        return kind(rng.choice("xyz"), _random_formula(rng, budget - 1, tag))
+    left = rng.randrange(1, budget - 1) if budget > 2 else 1
+    right = max(1, budget - 1 - left)
+    return (And, Or, Imp)[shape - 2](
+        _random_formula(rng, left, tag), _random_formula(rng, right, tag)
+    )
+
+
+def test_lazy_sets_match_the_eager_fold_on_random_formulas():
+    def build(tag):
+        rng = random.Random(2020)
+        return [_random_formula(rng, rng.randrange(1, 40), tag) for _ in range(300)]
+
+    _check_lazy_sets(build, "Random")
+
+
+def _chains(tag, depth):
+    """Chains ``depth`` deep: a binder chain over two quantified atoms,
+    quantifiers over implications whose atoms cycle through names, and a
+    conjunction spine whose free names cycle."""
+    exists = And(Exists("y", Prime("P" + tag, ("y",))), Exists("y", Prime("Q" + tag, ("y",))))
+    alternation = Prime("R" + tag, ("x", "y"))
+    spine = FALSUM
+    for i in range(depth):
+        exists = Exists("x", exists)
+        var = f"u{i % 7}"
+        alternation = (Exists, Forall)[i % 2](var, Imp(Prime("R" + tag, (var, "y")), alternation))
+        spine = And(Prime("P" + tag, (f"w{i % 50}",)), spine)
+    return [exists, alternation, spine]
+
+
+def test_lazy_sets_match_the_eager_fold_on_5000_deep_chains():
+    _check_lazy_sets(lambda tag: _chains(tag, 5000), "Chain")
+
+
+def test_a_shared_dag_fills_each_set_once_per_node(monkeypatch):
+    # 81 distinct nodes, 2**40 paths from the root to the atom
+    phi = Prime("Dag", ("x", "y"))
+    for _ in range(40):
+        phi = And(phi, Exists("x", phi))
+    distinct = len(_postorder([phi]))
+    merges = [0]
+    merge = formula._merge
+
+    def counting(a, b):
+        merges[0] += 1
+        assert merges[0] <= 2 * distinct, "the fill walks paths, not nodes"
+        return merge(a, b)
+
+    monkeypatch.setattr(formula, "_merge", counting)
+    assert phi.free == ("x", "y")
+    merges[0] = 0
+    assert phi.vars == ("x", "y")
+
+
+def test_a_100000_deep_chain_reads_its_sets():
+    phi = Prime("Deep100k", ("x", "y"))
+    for i in range(100_000):
+        phi = (Exists, Forall)[i % 2]("x", phi)
+    assert phi.free == ("y",)
+    assert phi.vars == ("x", "y")
+    assert phi.body.free == ("y",)
+
+
+def test_building_and_classifying_the_size_5_corpus_merges_nothing(tmp_path):
+    # a fresh process, so that every node is built from the text
+    corpus = tmp_path / "size5.txt"
+    lines = [render(phi) for phi in enumerate_formulas(default_signature(5))]
+    corpus.write_text("sig P/1 Q/1\n" + "\n".join(lines) + "\n")
+    script = """
+import contextlib, io, sys
+from prenexify import cli, formula
+from prenexify.parser import parse_corpus
+merges = [0]
+merge = formula._merge
+def counting(a, b):
+    merges[0] += 1
+    return merge(a, b)
+formula._merge = counting
+with open(sys.argv[1]) as f:
+    _, formulas, errors = parse_corpus(f)
+built = merges[0]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["classify", sys.argv[1], "--n", "0,1,2", "--k-max", "4"])
+print(len(formulas), len(errors), built, code, out.getvalue().count("\\n"), merges[0])
+"""
+    src = os.path.dirname(os.path.dirname(formula.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(lines)), "0", "0", "0", str(len(lines)), "0"]

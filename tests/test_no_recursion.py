@@ -1,6 +1,6 @@
 """The package keeps explicit stacks: no function reaches itself through
-calls by bare name or by ``self.<method>``, so the nesting depth of an
-input never meets the recursion limit."""
+calls by bare name or by ``self.<method>``, or through reads of a property,
+so the nesting depth of an input never meets the recursion limit."""
 
 import ast
 from pathlib import Path
@@ -23,11 +23,21 @@ def _own_nodes(node):
             stack.extend(ast.iter_child_nodes(child))
 
 
+def _is_property(node) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+    )
+
+
 def call_graph(module: str, source: str) -> dict[str, set[str]]:
     """Each function's qualified name, mapped to the functions of the module
     it calls: a bare name resolves in the enclosing function scopes, then
-    at module level; ``self.<name>`` resolves to a method of the class."""
+    at module level; ``self.<name>`` resolves to a method of the class.
+    Reading an attribute named after a ``@property`` of a class in the
+    module counts as a call to every such getter, whatever the object."""
     graph: dict[str, set[str]] = {}
+    loads: dict[str, set[str]] = {}  # function -> attribute names it reads
+    getters: dict[str, set[str]] = {}  # property name -> its getters
     # (node, its qualified name, the bare names it sees, its class's methods)
     todo = [(ast.parse(source), module, {}, {})]
     while todo:
@@ -37,6 +47,9 @@ def call_graph(module: str, source: str) -> dict[str, set[str]]:
         if isinstance(node, ast.ClassDef):
             methods = {key: f"{name}.{key}" for key in defs}
             scope = outer
+            for key, child in defs.items():
+                if _is_property(child):
+                    getters.setdefault(key, set()).add(methods[key])
         else:
             scope = {**outer, **{key: f"{name}.{key}" for key in defs}}
         for key, child in defs.items():
@@ -47,6 +60,11 @@ def call_graph(module: str, source: str) -> dict[str, set[str]]:
         if not isinstance(node, _DEFS):
             continue
         calls = graph.setdefault(name, set())
+        loads[name] = {
+            child.attr
+            for child in nodes
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+        }
         for child in nodes:
             if not isinstance(child, ast.Call):
                 continue
@@ -60,6 +78,9 @@ def call_graph(module: str, source: str) -> dict[str, set[str]]:
                 and func.attr in methods
             ):
                 calls.add(methods[func.attr])
+    for name, attrs in loads.items():
+        for attr in attrs & getters.keys():
+            graph[name] |= getters[attr]
     return graph
 
 
@@ -94,10 +115,20 @@ class K:
         inner()
     def three(self): three()
 def three(): pass
+class Node:
+    @property
+    def depth(self): return self.child.depth + 1
+    @property
+    def leaf(self): return self.label
+def label(node): return node.leaf
 '''
     graph = call_graph("m", source)
-    assert recursive(graph) == {"m.a", "m.b", "m.c.walk", "m.K.one", "m.K.two", "m.K.two.inner"}
+    assert recursive(graph) == {
+        "m.a", "m.b", "m.c.walk", "m.K.one", "m.K.two", "m.K.two.inner", "m.Node.depth"
+    }
     assert graph["m.K.three"] == {"m.three"}
+    assert graph["m.label"] == {"m.Node.leaf"}
+    assert graph["m.Node.leaf"] == set()
 
 
 def test_no_function_recurses():
