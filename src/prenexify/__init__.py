@@ -18,20 +18,15 @@ from .formula import (
     Or,
     Prime,
     alpha_canonical,
-    alpha_equivalent,
     free_vars,
     fresh_variable,
-    is_quantifier_free,
-    positions,
     replace_at,
     subformula_at,
 )
 from .hierarchy import (
     PrenexShape,
     classify_prenex,
-    in_pi,
     in_pi_plus,
-    in_sigma,
     in_sigma_plus,
     is_prenex,
 )
@@ -43,7 +38,6 @@ from .rewrite import (
     Trace,
     applicable_steps,
     apply_step,
-    lifts_to_degree,
     verify_trace,
 )
 from .semiclassical import Classifier, Witness

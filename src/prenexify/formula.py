@@ -35,14 +35,10 @@ __all__ = [
     "BODY",
     "free_vars",
     "all_vars",
-    "is_quantifier_free",
-    "size",
-    "positions",
     "subformula_at",
     "replace_at",
     "subformulas",
     "alpha_canonical",
-    "alpha_equivalent",
     "fresh_variable",
     "rename_bound",
 ]
@@ -349,35 +345,6 @@ def all_vars(phi: Formula) -> tuple[str, ...]:
     return phi.vars
 
 
-def is_quantifier_free(phi: Formula) -> bool:
-    return phi.is_qf
-
-
-def size(phi: Formula) -> int:
-    """Number of AST nodes."""
-    return phi.size
-
-
-def _preorder(phi: Formula) -> Iterator[tuple[Position, Formula]]:
-    """``(position, node)`` for every node of ``phi`` in preorder (root
-    first, left before right before body), without recursion."""
-    stack: list[tuple[Position, Formula]] = [((), phi)]
-    while stack:
-        pos, node = stack.pop()
-        yield pos, node
-        if isinstance(node, _Binary):
-            stack.append((pos + (RIGHT,), node.right))
-            stack.append((pos + (LEFT,), node.left))
-        elif isinstance(node, _Quant):
-            stack.append((pos + (BODY,), node.body))
-
-
-def positions(phi: Formula) -> Iterator[Position]:
-    """All valid positions of ``phi`` in preorder (root first, left before
-    right before body)."""
-    return (pos for pos, _ in _preorder(phi))
-
-
 def _child(node: Formula, sel: str):
     """The ``sel`` child of ``node``, or ``None`` if ``node`` has none."""
     if isinstance(node, _Binary):
@@ -563,6 +530,3 @@ def alpha_canonical(phi: Formula) -> Formula:
     phi._canon = canon
     return canon
 
-
-def alpha_equivalent(phi: Formula, psi: Formula) -> bool:
-    return alpha_canonical(phi) is alpha_canonical(psi)

@@ -1,11 +1,12 @@
-"""Classical prenex classes: strict Sigma_k / Pi_k and their cumulative
-variants Sigma_k+ / Pi_k+.
+"""Classical prenex classes: a prenex formula's shape and the cumulative
+classes Sigma_k+ / Pi_k+.
 
 A formula is in prenex normal form when it is an alternation of non-empty
 quantifier blocks over a quantifier-free matrix.  Sigma_0 = Pi_0 is the
 class of quantifier-free formulas; Sigma_{k+1} prefixes a non-empty
-existential block to a Pi_k formula, and dually for Pi.  The cumulative
-class adds every strictly lower Sigma_i and Pi_i.
+existential block to a Pi_k formula, and dually for Pi, so a shape's kind
+and level name its strict class.  The cumulative class adds every
+strictly lower Sigma_i and Pi_i.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "PrenexShape",
     "classify_prenex",
     "is_prenex",
-    "in_sigma",
-    "in_pi",
     "in_sigma_plus",
     "in_pi_plus",
     "sigma_plus_floor",
@@ -84,22 +83,6 @@ def _classify(phi: Formula):
 
 def is_prenex(phi: Formula) -> bool:
     return classify_prenex(phi) is not None
-
-
-def in_sigma(phi: Formula, k: int) -> bool:
-    """Strict membership: exactly k maximal alternating blocks starting
-    with an existential one (k = 0 meaning quantifier-free)."""
-    shape = classify_prenex(phi)
-    if shape is None or shape.level != k:
-        return False
-    return k == 0 or shape.kind == SIGMA
-
-
-def in_pi(phi: Formula, k: int) -> bool:
-    shape = classify_prenex(phi)
-    if shape is None or shape.level != k:
-        return False
-    return k == 0 or shape.kind == PI
 
 
 def sigma_plus_floor(phi: Formula) -> Optional[int]:

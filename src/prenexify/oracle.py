@@ -11,7 +11,6 @@ formula so that they replay through the rewrite engine verbatim.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -27,14 +26,7 @@ from .formula import (
     Prime,
     alpha_canonical,
 )
-from .parser import render
-from .rewrite import (
-    RewriteStep,
-    Trace,
-    applicable_steps,
-    apply_step,
-    format_position,
-)
+from .rewrite import RewriteStep, Trace, applicable_steps, apply_step
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -44,11 +36,9 @@ __all__ = [
     "reachable_set",
     "can_reach",
     "enumerate_formulas",
-    "REACHABLE_SCHEMA",
 ]
 
 DEFAULT_NODE_BUDGET = 100_000
-REACHABLE_SCHEMA = "prenexify.reachable/1"
 
 # (canonical state, degree) -> ((step on the state, canonical successor), ...)
 Transitions = dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]]
@@ -63,33 +53,6 @@ class ReachableSet:
     members: list[Formula]  # alpha-canonical, in BFS discovery order
     edges: dict[int, list[tuple[RewriteStep, int]]]  # member index -> successors
     exhausted: bool
-
-    def __contains__(self, phi: Formula) -> bool:
-        return alpha_canonical(phi) in self._member_set
-
-    @functools.cached_property
-    def _member_set(self) -> set[Formula]:
-        return set(self.members)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": REACHABLE_SCHEMA,
-            "start": render(self.start),
-            "degree": self.n,
-            "exhausted": self.exhausted,
-            "members": [render(m) for m in self.members],
-            "edges": [
-                {
-                    "from": src,
-                    "to": dst,
-                    "rule": step.rule,
-                    "path": format_position(step.position),
-                    "fresh": step.fresh,
-                }
-                for src in range(len(self.members))
-                for step, dst in self.edges.get(src, [])
-            ],
-        }
 
 
 def _closure(

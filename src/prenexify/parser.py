@@ -48,7 +48,6 @@ __all__ = [
     "is_variable",
     "parse_signature_line",
     "formula_to_dict",
-    "formula_from_dict",
 ]
 
 # One token per match, after optional whitespace: the arrow, a punctuation
@@ -272,15 +271,13 @@ def render(phi: Formula) -> str:
     return "".join(out)
 
 
-# The JSON name of every connective and quantifier, and its inverse.
+# The JSON name of every connective and quantifier.
 _OPS = {And: "and", Or: "or", Imp: "imp", Exists: "exists", Forall: "forall"}
-_OP_CLASSES = {op: cls for cls, op in _OPS.items()}
-_OP_CLASSES.update(falsum=Falsum, prime=Prime)
 
 
 def formula_to_dict(phi: Formula) -> dict:
-    """JSON-friendly AST form; inverse of :func:`formula_from_dict`.
-    Iterative: each node's dict is made before its children's are filled."""
+    """JSON-friendly AST form.  Iterative: each node's dict is made before
+    its children's are filled."""
     root: dict = {}
     stack = [(phi, root)]
     while stack:
@@ -298,34 +295,6 @@ def formula_to_dict(phi: Formula) -> dict:
             stack.append((phi.right, out["right"]))
             stack.append((phi.left, out["left"]))
     return root
-
-
-def formula_from_dict(data: dict) -> Formula:
-    """Inverse of :func:`formula_to_dict`.  Iterative: the dicts are listed
-    parents first, then built in reverse, each from its children's nodes."""
-    order = []
-    stack = [data]
-    while stack:
-        data = stack.pop()
-        cls = _OP_CLASSES.get(data["op"])
-        if cls is None:
-            raise ValueError(f"unknown formula op {data['op']!r}")
-        order.append((cls, data))
-        if issubclass(cls, _Quant):
-            stack.append(data["body"])
-        elif cls in _SYMBOLS:
-            stack.extend((data["right"], data["left"]))
-    built: list[Formula] = []
-    for cls, data in reversed(order):
-        if cls is Falsum:
-            built.append(FALSUM)
-        elif cls is Prime:
-            built.append(Prime(data["name"], tuple(data["args"])))
-        elif issubclass(cls, _Quant):
-            built.append(cls(data["var"], built.pop()))
-        else:  # the left operand is on top
-            built.append(cls(built.pop(), built.pop()))
-    return built.pop()
 
 
 def parse_signature_line(text: str, line: int = 1) -> dict[str, int]:

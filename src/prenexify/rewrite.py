@@ -20,6 +20,9 @@ the other one, with ``x`` not free in ``delta``:
     ExistsVar   exists x xi              ~>  exists y xi[y/x]         [y not in xi]
     ForallVar   forall x xi              ~>  forall y xi[y/x]         [y not in xi]
 
+ForallImpN's two conditions are one test: the whole operand ``forall x xi``
+is in Pi_n+.  No universal formula is in Pi_0+, which excludes degree 0.
+
 Every rule applies only at a redex whose proper subformulas are all in
 prenex normal form; since every subformula of a prenex formula is prenex,
 this is equivalent to both immediate children of the redex being prenex,
@@ -83,7 +86,6 @@ __all__ = [
     "apply_step",
     "rewrite_node",
     "verify_trace",
-    "lifts_to_degree",
     "measure",
     "trace_to_text",
     "trace_from_text",
@@ -129,7 +131,7 @@ class _Rule:
     qkind: type  # Exists or Forall (kind matched on the LHS)
     out: type  # quantifier kind produced
     needs_delta_c: bool = False  # delta in C_n+ (= Sigma_n+ u Pi_n+ on prenex delta)
-    needs_xi_u: bool = False  # xi in U_n+ (= Pi_n+ on prenex xi), plus n != 0
+    needs_xi_u: bool = False  # xi in U_n+ and n != 0 (forall x xi in Pi_n+)
 
 
 RULES: dict[str, _Rule] = {
@@ -217,9 +219,11 @@ def _match(rule: _Rule, node: Formula) -> Optional[tuple[_Quant, Formula]]:
 
 
 def _in_u(quant: _Quant, n: int) -> bool:
-    """``n != 0`` and the operand ``forall x xi`` has ``xi`` in U_n+: for
-    n >= 1 both have one Pi+ floor, or both floors are at most 1."""
-    return n != 0 and in_pi_plus(quant, n)
+    """``n != 0`` and the operand ``forall x xi`` has ``xi`` in U_n+, read
+    as ``forall x xi`` in Pi_n+: for n >= 1 both have one Pi+ floor, or
+    both floors are at most 1, and degree 0 is excluded because no
+    universal formula is in Pi_0+."""
+    return in_pi_plus(quant, n)
 
 
 def _in_c(delta: Formula, n: int) -> bool:
@@ -321,8 +325,6 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
             "other operand (no or unusable fresh rename)"
         )
     if rule.needs_xi_u:
-        if n == 0:
-            raise SideConditionError(f"{step.rule} is inapplicable at degree 0")
         # the operand as matched: ``_strategy_ok`` has already cached its
         # shape, and renaming does not change it
         if not _in_u(m[0], n):
@@ -382,15 +384,6 @@ def verify_trace(trace: Trace, checker=None) -> Formula:
         except Exception as exc:  # noqa: BLE001 - rewrap with the step index
             raise TraceStepError(index, exc) from exc
     return _rebuild(spine, path, node)
-
-
-def lifts_to_degree(trace: Trace, n_prime: int) -> bool:
-    """Whether the trace is valid at degree ``n_prime`` (degrees only ever
-    gain rules, so any n' >= trace.n works; replayed to make sure)."""
-    if n_prime < trace.n:
-        return False
-    verify_trace(Trace(trace.start, trace.steps, n_prime))
-    return True
 
 
 def measure(phi: Formula) -> int:

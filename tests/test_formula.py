@@ -19,15 +19,11 @@ from prenexify.formula import (
     Prime,
     PositionError,
     alpha_canonical,
-    alpha_equivalent,
     all_vars,
     free_vars,
     fresh_variable,
-    is_quantifier_free,
-    positions,
     rename_bound,
     replace_at,
-    size,
     subformula_at,
 )
 from prenexify.oracle import enumerate_formulas
@@ -55,6 +51,20 @@ def formulas(max_leaves=5):
     )
 
 
+def positions(phi):
+    """Every position of ``phi`` in preorder (root first, left before right
+    before body), without recursion."""
+    stack = [((), phi)]
+    while stack:
+        pos, node = stack.pop()
+        yield pos
+        if isinstance(node, (And, Or, Imp)):
+            stack.append((pos + ("r",), node.right))
+            stack.append((pos + ("l",), node.left))
+        elif isinstance(node, (Exists, Forall)):
+            stack.append((pos + ("b",), node.body))
+
+
 def test_interning_makes_equality_identity():
     assert And(Px, Qy) is And(Px, Qy)
     assert Exists("x", Px) is Exists("x", Px)
@@ -69,9 +79,9 @@ def test_free_vars():
 
 
 def test_is_quantifier_free():
-    assert is_quantifier_free(Imp(Px, FALSUM))
-    assert not is_quantifier_free(Exists("x", Px))
-    assert is_quantifier_free(Or(And(Px, Qx), FALSUM))
+    assert Imp(Px, FALSUM).is_qf
+    assert not Exists("x", Px).is_qf
+    assert Or(And(Px, Qx), FALSUM).is_qf
 
 
 def test_subformula_at():
@@ -142,7 +152,8 @@ def debruijn(phi, env=()):
 @settings(max_examples=300)
 @given(formulas(), formulas())
 def test_alpha_equivalence_matches_de_bruijn_oracle(phi, psi):
-    assert alpha_equivalent(phi, psi) == (debruijn(phi) == debruijn(psi))
+    same = alpha_canonical(phi) is alpha_canonical(psi)
+    assert same == (debruijn(phi) == debruijn(psi))
 
 
 @settings(max_examples=200)
@@ -151,7 +162,7 @@ def test_alpha_canonical_is_idempotent_and_preserves_structure(phi):
     canon = alpha_canonical(phi)
     assert alpha_canonical(canon) is canon
     assert free_vars(canon) == free_vars(phi)
-    assert size(canon) == size(phi)
+    assert canon.size == phi.size
     assert debruijn(canon) == debruijn(phi)
     for p in positions(phi):
         subformula_at(canon, p)  # canonicalization preserves shape

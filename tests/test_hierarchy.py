@@ -1,11 +1,11 @@
 from hypothesis import given, settings
 
+from prenexify.formula import Exists, Forall
 from prenexify.hierarchy import (
+    PI,
     SIGMA,
     classify_prenex,
-    in_pi,
     in_pi_plus,
-    in_sigma,
     in_sigma_plus,
     is_prenex,
 )
@@ -29,15 +29,15 @@ def test_quantifier_free_is_sigma_zero():
 
 
 def test_strict_membership():
-    phi = parse("forall x. exists y. P(x, y)")
-    assert not in_sigma(phi, 3)
-    assert in_pi(phi, 2)
-    assert in_sigma(parse("P(x)"), 0)
-    assert in_pi(parse("P(x)"), 0)
+    # a shape's kind and level name its strict class: this one is Pi_2
+    shape = classify_prenex(parse("forall x. exists y. P(x, y)"))
+    assert (shape.kind, shape.level, shape.blocks) == (PI, 2, (1, 1))
+    # Sigma_0 = Pi_0, reported as Sigma level 0
+    shape = classify_prenex(parse("P(x)"))
+    assert (shape.kind, shape.level, shape.blocks) == (SIGMA, 0, ())
     # maximal blocks: two existentials form one block, not two levels
-    two = parse("exists x. exists y. P(x, y)")
-    assert in_sigma(two, 1)
-    assert not in_sigma(two, 2)
+    shape = classify_prenex(parse("exists x. exists y. P(x, y)"))
+    assert (shape.kind, shape.level, shape.blocks) == (SIGMA, 1, (2,))
 
 
 def test_cumulative_membership():
@@ -63,25 +63,19 @@ def test_cumulative_classes_grow(phi):
 
 @settings(max_examples=300)
 @given(formulas())
-def test_classified_level_is_unique_for_unit_blocks(phi):
-    shape = classify_prenex(phi)
-    if shape is None or any(b != 1 for b in shape.blocks):
-        return
-    level = shape.level
-    for k in range(6):
-        strict = in_sigma(phi, k) or in_pi(phi, k)
-        assert strict == (k == level)
-
-
-@settings(max_examples=300)
-@given(formulas())
 def test_strict_membership_matches_shape(phi):
-    shape = classify_prenex(phi)
-    assert is_prenex(phi) == (shape is not None)
-    if shape is not None:
-        if shape.level == 0:
-            assert in_sigma(phi, 0) and in_pi(phi, 0)
-        elif shape.kind == SIGMA:
-            assert in_sigma(phi, shape.level) and not in_pi(phi, shape.level)
+    # the blocks are the maximal runs of one quantifier kind in the prefix,
+    # and the formula is prenex when the prefix ends on its matrix
+    runs, node = [], phi
+    while isinstance(node, (Exists, Forall)):
+        if runs and type(node) is runs[-1][0]:
+            runs[-1][1] += 1
         else:
-            assert in_pi(phi, shape.level) and not in_sigma(phi, shape.level)
+            runs.append([type(node), 1])
+        node = node.body
+    shape = classify_prenex(phi)
+    assert is_prenex(phi) == (shape is not None) == node.is_qf
+    if shape is not None:
+        assert shape.blocks == tuple(count for _, count in runs)
+        assert shape.level == len(runs)
+        assert shape.kind == (PI if runs and runs[0][0] is Forall else SIGMA)

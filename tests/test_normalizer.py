@@ -10,10 +10,9 @@ from prenexify.formula import (
     Forall,
     Prime,
     _Quant,
-    alpha_equivalent,
+    alpha_canonical,
     free_vars,
     rename_bound,
-    size,
     subformulas,
 )
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
@@ -252,7 +251,7 @@ def test_renaming_a_3000_deep_conjunction():
     q = Exists("x", body)
     renamed = rename_bound(q, "z")
     assert renamed.var == "z" and renamed.body.vars == ("z",)
-    assert alpha_equivalent(renamed, q)
+    assert alpha_canonical(renamed) is alpha_canonical(q)
     phi = And(q, Prime("P", ("x",)))
     step = RewriteStep("ExistsAnd", (), "v0")
     hoisted = Exists("v0", And(rename_bound(q, "v0").body, phi.right))
@@ -300,7 +299,7 @@ def test_json_and_subformulas_on_a_5000_deep_chain():
         ast = ast["body"]
     assert ast["op"] == "and" and ast["right"]["body"]["name"] == "Q"
     nodes = list(subformulas(phi))
-    assert len(nodes) == size(phi) == 5005
+    assert len(nodes) == phi.size == 5005
     conj = nodes[5000]
     left, right = conj.left, conj.right
     assert nodes[5000:] == [conj, left, left.body, right, right.body]

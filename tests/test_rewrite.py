@@ -12,7 +12,6 @@ from prenexify.formula import (
     all_vars,
     free_vars,
     fresh_variable,
-    positions,
     subformula_at,
 )
 from prenexify.hierarchy import is_prenex
@@ -28,7 +27,6 @@ from prenexify.rewrite import (
     TraceStepError,
     applicable_steps,
     apply_step,
-    lifts_to_degree,
     measure,
     parse_position,
     trace_from_json,
@@ -37,7 +35,7 @@ from prenexify.rewrite import (
     trace_to_text,
     verify_trace,
 )
-from test_formula import formulas
+from test_formula import formulas, positions
 
 
 def test_rule_table_has_fourteen_rules():
@@ -157,15 +155,20 @@ def test_verify_trace_examples():
 
 
 def test_lifts_to_degree():
+    # degrees only gain rules: a trace valid at n replays at every n' >= n
     start = parse("(exists x. P(x)) | (forall y. Q(y))")
-    trace = Trace(
-        start, (RewriteStep("ExistsOr", ()), RewriteStep("OrForallN", ("b",))), 0
-    )
-    assert lifts_to_degree(trace, 2)
-    assert lifts_to_degree(trace, 0)
-    one = Trace(parse("(forall x. P(x)) -> false"), (RewriteStep("ForallImpN", ()),), 1)
-    assert not lifts_to_degree(one, 0)
-    assert lifts_to_degree(one, 3)
+    steps = (RewriteStep("ExistsOr", ()), RewriteStep("OrForallN", ("b",)))
+    for n in (0, 2, 3):
+        assert verify_trace(Trace(start, steps, n)) is parse("exists x. forall y. P(x) | Q(y)")
+    start = parse("(forall x. P(x)) -> false")
+    steps = (RewriteStep("ForallImpN", ()),)
+    for n in (1, 2, 3):
+        assert verify_trace(Trace(start, steps, n)) is parse("exists x. ~P(x)")
+    with pytest.raises(TraceStepError) as info:
+        verify_trace(Trace(start, steps, 0))
+    assert info.value.index == 0
+    assert isinstance(info.value.reason, SideConditionError)
+    assert "U_0+" in str(info.value.reason)
 
 
 def test_measure_decreases_by_one_per_step():
