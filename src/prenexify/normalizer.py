@@ -35,13 +35,14 @@ One hoist loop (``_hoist_prefixes``) merges every connective.  It
 tracks a *contract* (target kind, level budget): hoisting a quantifier
 whose output kind matches the target keeps the contract, while an
 opposite-kind quantifier starts a new alternation block and decrements
-the budget.  At each pass it asks the connective's move policy which
-operand to hoist from.  The three policies, chosen by the node's type,
-are pure functions of the two operands, the target and the degree: they
-pick a hoist that is valid under the degree-n side conditions and
-provably stays inside the contract, and they transcribe the constructive
-merging arguments for conjunction, disjunction (symmetric and asymmetric
-ranks) and implication.  Every hoist is checked by the rewrite engine at
+the budget.  At each pass the rewrite engine lists the hoists valid at
+the connective under the degree-n side conditions (``valid_hoists``),
+and the loop only orders them: it takes the first of them in one table of
+preferences per connective and target (``_PREFERENCE``), which
+transcribes the constructive merging arguments for conjunction,
+disjunction and implication so that the hoist stays inside the contract.
+A disjunction of two quantified operands first lets their ranks pick the
+operand (``_or_rank``).  Every hoist is checked by the rewrite engine at
 its redex when its entry is built (``rewrite_node``, with every rule,
 strategy and side-condition check), so an invalid schedule cannot survive
 unnoticed.  No ancestor of the redex is rebuilt: the loop wraps its
@@ -66,16 +67,7 @@ from .formula import (
 )
 from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
 from .parser import formula_to_dict, render
-from .rewrite import (
-    RULES,
-    RewriteStep,
-    Trace,
-    _in_c,
-    _in_u,
-    _kind,
-    rewrite_node,
-    trace_to_json,
-)
+from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
 from .semiclassical import J, R, Classifier, _check_levels
 
 __all__ = [
@@ -265,11 +257,18 @@ def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
 
 _KIND = {SIGMA: Exists, PI: Forall}
 
-# (connective, side, quantifier) -> rule name
-_HOIST_RULE = {
-    (rule.conn, rule.qside, rule.qkind): name
-    for name, rule in RULES.items()
-    if rule.conn is not None
+# (connective, target) -> the connective's rules in order of preference:
+# each pass of a merge hoists the first one that is valid at the redex.
+# Conjunction and disjunction take a target-kind quantifier first, then an
+# opposite-kind one, the left operand's first each time; implication
+# prefers the rules that emit the target kind.
+_PREFERENCE = {
+    (And, SIGMA): ("ExistsAnd", "AndExists", "ForallAnd", "AndForall"),
+    (And, PI): ("ForallAnd", "AndForall", "ExistsAnd", "AndExists"),
+    (Or, SIGMA): ("ExistsOr", "OrExists", "ForallOrN", "OrForallN"),
+    (Or, PI): ("ForallOrN", "OrForallN", "ExistsOr", "OrExists"),
+    (Imp, SIGMA): ("ForallImpN", "ImpExistsN", "ExistsImp", "ImpForall"),
+    (Imp, PI): ("ExistsImp", "ImpForall", "ForallImpN", "ImpExistsN"),
 }
 
 
@@ -278,23 +277,26 @@ def _hoist_prefixes(
 ) -> tuple[Formula, list[tuple[str, Optional[str]]]]:
     """Hoist the quantifier prefixes of the operands of the connective
     ``node`` above it under the contract ``(target, budget)``; both
-    operands stay prenex.  Each pass asks the connective's move policy for
-    the operand to hoist from and moves that operand's head quantifier
-    above the connective, which slides down one body position; the hoist
-    is checked at the connective itself, its redex.  Returns the merged
+    operands stay prenex.  Each pass hoists the preferred valid rule at
+    the connective, its redex (``_PREFERENCE``, after the ranks of a
+    disjunction), which moves one operand's head quantifier above it and
+    slides the connective down one body position.  Returns the merged
     formula, with the prefix wrapped around the connective once, at the
     end, and the hoists' ``(rule, fresh)`` pairs."""
-    move = _MOVES[type(node)]
     prefix: list[_Quant] = []
     hoists: list[tuple[str, Optional[str]]] = []
-    while True:
+    while not (node.left.is_qf and node.right.is_qf):
         left, right = node.left, node.right
-        side = move(left, right, target, n)
-        if side is None:
-            break
-        quant, delta = (left, right) if side == "l" else (right, left)
-        assert isinstance(quant, _Quant), "hoisting a quantifier-free operand"
-        rule = _HOIST_RULE[(type(node), side, type(quant))]
+        valid = valid_hoists(node, n)
+        side = _or_rank(left, right, target, n) if type(node) is Or else None
+        for rule in _PREFERENCE[type(node), target]:
+            if rule in valid:
+                qside = RULES[rule].qside
+                if side is None or qside == side:
+                    break
+        else:
+            raise AssertionError("no valid hoist; merge preconditions broken")
+        quant, delta = (left, right) if qside == "l" else (right, left)
         fresh = None
         if quant.var in delta.free:
             # exactly the variables of the prefix over the node: a name
@@ -321,71 +323,21 @@ def _level(phi: Formula) -> int:
     return shape.level
 
 
-# -- move policies: (left, right, target, n) -> the operand whose head
-# quantifier is hoisted next, "l" or "r", or None when both operands are
-# quantifier-free.  Each is chosen by the connective and transcribes its
-# constructive merging argument.
-
-
-def _target_kind_first(left: Formula, right: Formula, target: str) -> str:
-    """A target-kind head first, the left operand first among equals."""
-    want = _KIND[target]
-    if _kind(left) is want:
-        return "l"
-    if _kind(right) is want:
-        return "r"
-    return "l" if _kind(left) is not None else "r"
-
-
-def _and_move(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
-    """Conjunction: alternate stages, left operand first per stage."""
-    if _kind(left) is None and _kind(right) is None:
+def _or_rank(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
+    """The operand of a disjunction that the ranks of its two quantified
+    operands make hoist from next, "l" or "r", or None when they leave
+    the choice to the preference order, as a quantifier-free operand
+    always does."""
+    if left.is_qf or right.is_qf:
         return None
-    return _target_kind_first(left, right, target)
-
-
-def _or_move(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
-    """Disjunction, with symmetric and asymmetric ranks."""
-    lh = _kind(left)
-    rh = _kind(right)
-    if lh is None and rh is None:
-        return None
-    if lh is None:
-        return "r"  # delta quantifier-free, always legal
-    if rh is None:
-        return "l"
-    if target == SIGMA and lh is Exists and _level(left) > n:
+    if target == SIGMA and type(left) is Exists and _level(left) > n:
         # an operand above the degree must shed its existential block
         # before any universal hoist can see it as delta
         return "l"
-    if target == SIGMA and rh is Exists and _level(right) > n:
+    if target == SIGMA and type(right) is Exists and _level(right) > n:
         return "r"
     ll, rl = _level(left), _level(right)
     if ll != rl:
         # bring the higher-ranked side down to the lower one
         return "l" if ll > rl else "r"
-    return _target_kind_first(left, right, target)
-
-
-def _imp_move(ante: Formula, cons: Formula, target: str, n: int) -> Optional[str]:
-    """Implication: the first valid move in the target's order."""
-    ah = _kind(ante)
-    ch = _kind(cons)
-    if ah is None and ch is None:
-        return None
-    # moves: (operand side, head needed, validity test)
-    a_forall = ah is Forall and _in_u(ante, n)
-    a_exists = ah is Exists
-    c_exists = ch is Exists and _in_c(ante, n)
-    c_forall = ch is Forall
-    if target == SIGMA:
-        order = (("l", a_forall), ("r", c_exists), ("l", a_exists), ("r", c_forall))
-    else:
-        order = (("l", a_exists), ("r", c_forall), ("l", a_forall), ("r", c_exists))
-    for side, valid in order:
-        if valid:
-            return side
-    raise AssertionError("no valid hoist; merge preconditions broken")
-
-
-_MOVES = {And: _and_move, Or: _or_move, Imp: _imp_move}
+    return None

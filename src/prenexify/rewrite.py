@@ -30,6 +30,9 @@ which is what the implementation checks.  So ``xi`` and ``delta`` are
 prenex, and there ``U_n+`` (= R_n^n) is Pi_n+ and ``C_n+`` (= D_n^n) is
 Sigma_n+ u Pi_n+: the side conditions read the prenex hierarchy, not the
 classifier, so the rewrite search checks the classifier independently.
+One function, ``_side_condition``, states the four degree conditions.
+``applicable_steps`` (the search), ``rewrite_node`` (step replay) and
+``valid_hoists`` (the normalizer's choice of hoist) all read them there.
 
 A step may carry a ``fresh`` variable.  For the two Var rules it is the
 new bound name.  For the other rules it folds an implicit renaming of the
@@ -52,11 +55,13 @@ from .formula import (
     RIGHT,
     And,
     Exists,
+    Falsum,
     Forall,
     Formula,
     Imp,
     Or,
     Position,
+    Prime,
     _Binary,
     _child,
     _dangling,
@@ -69,7 +74,7 @@ from .formula import (
     replace_at,
     subformula_at,
 )
-from .hierarchy import in_pi_plus, in_sigma_plus, is_prenex
+from .hierarchy import classify_prenex, is_prenex
 from .parser import is_variable, parse, render
 
 __all__ = [
@@ -83,6 +88,7 @@ __all__ = [
     "SideConditionError",
     "TraceStepError",
     "applicable_steps",
+    "valid_hoists",
     "apply_step",
     "rewrite_node",
     "verify_trace",
@@ -130,8 +136,9 @@ class _Rule:
     qside: Optional[str]  # "l" or "r"; None for the Var rules
     qkind: type  # Exists or Forall (kind matched on the LHS)
     out: type  # quantifier kind produced
-    needs_delta_c: bool = False  # delta in C_n+ (= Sigma_n+ u Pi_n+ on prenex delta)
-    needs_xi_u: bool = False  # xi in U_n+ and n != 0 (forall x xi in Pi_n+)
+    # the degree side conditions, read by ``_side_condition`` alone
+    needs_delta_c: bool = False  # delta in C_n+
+    needs_xi_u: bool = False  # xi in U_n+ and n != 0
 
 
 RULES: dict[str, _Rule] = {
@@ -157,14 +164,9 @@ RULES: dict[str, _Rule] = {
 RULE_ORDER = tuple(RULES)
 
 
-def _kind(node: Formula) -> Optional[type]:
-    kind = type(node)
-    return kind if kind is Exists or kind is Forall else None
-
-
-# (connective, left operand's kind, right operand's kind) -> the connective
+# (connective, left operand's type, right operand's type) -> the connective
 # rules whose left-hand side has that shape, as (index in RULE_ORDER, rule),
-# in declaration order; a kind is Exists, Forall or None for any other node
+# in declaration order
 _CANDIDATES: dict[tuple, tuple[tuple[int, _Rule], ...]] = {
     (conn, left, right): tuple(
         (index, rule)
@@ -172,8 +174,8 @@ _CANDIDATES: dict[tuple, tuple[tuple[int, _Rule], ...]] = {
         if rule.conn is conn and rule.qkind is (left if rule.qside == "l" else right)
     )
     for conn in (And, Or, Imp)
-    for left in (Exists, Forall, None)
-    for right in (Exists, Forall, None)
+    for left in (Falsum, Prime, And, Or, Imp, Exists, Forall)
+    for right in (Falsum, Prime, And, Or, Imp, Exists, Forall)
 }
 
 
@@ -199,7 +201,11 @@ def _strategy_ok(redex: Formula) -> bool:
     # All proper subformulas of the redex are prenex iff its immediate
     # children are (subformulas of prenex formulas are prenex).
     if isinstance(redex, _Binary):
-        return is_prenex(redex.left) and is_prenex(redex.right)
+        # the shapes read directly: every step and hoist passes here
+        return (
+            classify_prenex(redex.left) is not None
+            and classify_prenex(redex.right) is not None
+        )
     if isinstance(redex, _Quant):
         return is_prenex(redex.body)
     return True
@@ -218,23 +224,20 @@ def _match(rule: _Rule, node: Formula) -> Optional[tuple[_Quant, Formula]]:
     return quant, delta
 
 
-def _in_u(quant: _Quant, n: int) -> bool:
-    """``n != 0`` and the operand ``forall x xi`` has ``xi`` in U_n+, read
-    as ``forall x xi`` in Pi_n+: for n >= 1 both have one Pi+ floor, or
-    both floors are at most 1, and degree 0 is excluded because no
-    universal formula is in Pi_0+."""
-    return in_pi_plus(quant, n)
-
-
-def _in_c(delta: Formula, n: int) -> bool:
-    """The prenex ``delta`` is in C_n+."""
-    return in_sigma_plus(delta, n) or in_pi_plus(delta, n)
-
-
-def _degree_ok(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> bool:
-    if rule.needs_xi_u and not _in_u(quant, n):
-        return False
-    return not rule.needs_delta_c or _in_c(delta, n)
+def _side_condition(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> Optional[str]:
+    """Why the degree-``n`` side condition of ``rule`` refuses the redex
+    split into the prenex ``quant`` and ``delta``, or ``None`` when it
+    allows it.  Both conditions bound an operand's prenex level by ``n``.
+    ``xi`` in U_n+ with ``n != 0`` is ``forall x xi`` in Pi_n+: for n >= 1
+    both have one Pi+ floor, or both floors are at most 1, and no
+    universal formula is in Pi_0+; a universal formula's Pi+ floor is its
+    level.  ``delta`` in C_n+ is ``delta`` in Sigma_n+ or in Pi_n+, the
+    lesser of its two floors being its level."""
+    if rule.needs_xi_u and classify_prenex(quant).level > n:
+        return f"quantified operand body is not in U_{n}+"
+    if rule.needs_delta_c and classify_prenex(delta).level > n:
+        return f"other operand is not in C_{n}+"
+    return None
 
 
 def _position_key(pos: Position) -> tuple[int, ...]:
@@ -264,12 +267,12 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
             continue
         stack.append((pos + (LEFT,), node.left))
         stack.append((pos + (RIGHT,), node.right))
-        candidates = _CANDIDATES[type(node), _kind(node.left), _kind(node.right)]
+        candidates = _CANDIDATES[type(node), type(node.left), type(node.right)]
         if not candidates or not _strategy_ok(node):
             continue
         for index, rule in candidates:
             quant, delta = _match(rule, node)
-            if not _degree_ok(rule, quant, delta, n):
+            if _side_condition(rule, quant, delta, n) is not None:
                 continue
             fresh = None
             if quant.var in delta.free:
@@ -280,6 +283,26 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
             found.append((index, _position_key(pos), step))
     found.sort(key=lambda item: (item[0], item[1]))
     return [step for _, _, step in found]
+
+
+def valid_hoists(node: Formula, n: int) -> list[str]:
+    """The rules that may hoist a quantified operand above the connective
+    ``node`` at degree ``n``, in declaration order: those whose left-hand
+    side ``node`` matches, if its operands are prenex, and whose side
+    condition allows the hoist.  A bound variable that is free in the
+    other operand refuses none of them: a fresh rename discharges it."""
+    if not _strategy_ok(node):
+        return []
+    left, right = node.left, node.right
+    valid = []
+    for _, rule in _CANDIDATES[type(node), type(left), type(right)]:
+        if rule.qside == "l":
+            reason = _side_condition(rule, left, right, n)
+        else:
+            reason = _side_condition(rule, right, left, n)
+        if reason is None:
+            valid.append(rule.name)
+    return valid
 
 
 def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
@@ -324,15 +347,11 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
             f"{step.rule}: bound variable {quant.var} occurs free in the "
             "other operand (no or unusable fresh rename)"
         )
-    if rule.needs_xi_u:
-        # the operand as matched: ``_strategy_ok`` has already cached its
-        # shape, and renaming does not change it
-        if not _in_u(m[0], n):
-            raise SideConditionError(
-                f"{step.rule}: quantified operand body is not in U_{n}+"
-            )
-    if rule.needs_delta_c and not _in_c(delta, n):
-        raise SideConditionError(f"{step.rule}: other operand is not in C_{n}+")
+    # the operand as matched: ``_strategy_ok`` has already cached its
+    # shape, and renaming does not change it
+    reason = _side_condition(rule, m[0], delta, n)
+    if reason is not None:
+        raise SideConditionError(f"{step.rule}: {reason}")
 
     if rule.qside == "l":
         inner = rule.conn(quant.body, delta)

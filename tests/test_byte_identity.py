@@ -1,7 +1,7 @@
 """Output bytes pinned by SHA-256 digests of the size-4 corpus (884
 formulas over P/1 Q/1 with variables x y), of three wide merges, of the
-rewrite steps on the size-5 corpus and of the parser's answers on seeded
-random strings.  A change to the classifier's verdicts, least levels or
+normal forms and rewrite steps on the size-5 corpus and of the parser's
+answers on seeded random strings.  A change to the classifier's verdicts, least levels or
 witness choices, to the normalizer's positions and fresh names, to the
 order, positions or fresh names of the applicable rewrite steps, or to a
 parse error's message, line or column, shows up here even when every
@@ -29,6 +29,10 @@ CORPUS = list(enumerate_formulas(default_signature(4)))
 CLASSIFY_SHA256 = "9dc815524f31c0e6fd2dcd8824b032db999290f915abfde16ec50d0b0eb98bc1"
 # the text traces of every positive normalization with k <= 4, n <= 2
 TRACES_SHA256 = "9dd60b1fad6fe2ad527a3d264c1491c8c9f90967d1a7cbfbbd769b6f09579c94"
+# the text traces of every positive normalization of the size-5 corpus
+# with k <= 4, n <= 2: unlike the size-4 corpus, it has disjunctions of two
+# quantified operands of unequal ranks and above the degree
+SIZE5_TRACES_SHA256 = "3bdffc0717bea08f412b5c596501d38efdb534eba925bd66e494c3857f54c480"
 # the repr of every positive witness with k <= 4, n <= 2, J before R
 WITNESSES_SHA256 = "33d2eedf6e616d0b12b36a164f527e3ceeeec359099f448220f69e350934db16"
 # the J then R text traces at k = 2, n = 1 of 40 quantified atoms,
@@ -90,6 +94,25 @@ def test_cold_normal_forms_give_the_same_traces():
                         count += 1
     assert count == 18403
     assert digest.hexdigest() == TRACES_SHA256
+
+
+def test_size5_normalizer_traces_are_byte_identical():
+    corpus = list(enumerate_formulas(default_signature(5)))
+    assert len(corpus) == 7014
+    checker = Classifier()
+    digest = hashlib.sha256()
+    count = 0
+    for phi in corpus:
+        for n in range(3):
+            k_j, k_r = checker.levels(phi, n)
+            for k in range(5):
+                for floor, normalize in ((k_j, normalize_J), (k_r, normalize_R)):
+                    if k >= floor:
+                        trace = normalize(phi, k, n, checker).trace
+                        digest.update(trace_to_text(trace).encode())
+                        count += 1
+    assert count == 152600
+    assert digest.hexdigest() == SIZE5_TRACES_SHA256
 
 
 def test_witnesses_are_byte_identical():

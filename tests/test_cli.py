@@ -140,6 +140,34 @@ def test_verify_rejects_bad_step(tmp_path, capsys):
     assert "step 0 failed" in err
 
 
+@pytest.mark.parametrize(
+    "degree, start, step, reason",
+    [
+        (0, "(forall x. P(x)) -> false", "ForallImpN",
+         "quantified operand body is not in U_0+"),
+        (1, "(forall x. exists y. P(y)) -> false", "ForallImpN",
+         "quantified operand body is not in U_1+"),
+        (0, "(forall x. P(x)) -> exists y. Q(y)", "ImpExistsN",
+         "other operand is not in C_0+"),
+        (0, "(forall x. P(x)) | (exists y. Q(y))", "ForallOrN",
+         "other operand is not in C_0+"),
+        (1, "(exists y. forall z. Q(z)) | (forall x. P(x))", "OrForallN",
+         "other operand is not in C_1+"),
+        (0, "(exists y. Q(y)) | (forall x. P(x))", "OrForallN",
+         "other operand is not in C_0+"),
+    ],
+)
+def test_verify_names_the_refused_degree_condition(
+    tmp_path, capsys, degree, start, step, reason
+):
+    # one refused step of each rule with a degree side condition
+    trace_file = tmp_path / "refused.trace"
+    trace_file.write_text(f"degree: {degree}\nstart: {start}\n{step}@/\n")
+    code, out, err = run(capsys, "verify", str(trace_file))
+    assert (code, out) == (1, "")
+    assert err == f"step 0 failed: {step}: {reason}\n"
+
+
 def test_verify_json_trace(tmp_path, capsys):
     trace_file = tmp_path / "trace.json"
     trace_file.write_text(
