@@ -35,18 +35,19 @@ One hoist loop (``_hoist_prefixes``) merges every connective.  It
 tracks a *contract* (target kind, level budget): hoisting a quantifier
 whose output kind matches the target keeps the contract, while an
 opposite-kind quantifier starts a new alternation block and decrements
-the budget.  At each pass the rewrite engine lists the hoists valid at
-the connective under the degree-n side conditions (``valid_hoists``),
-and the loop only orders them: it takes the first of them in one table of
-preferences per connective and target (``_PREFERENCE``), which
-transcribes the constructive merging arguments for conjunction,
-disjunction and implication so that the hoist stays inside the contract.
-A disjunction of two quantified operands first lets their ranks pick the
-operand (``_or_rank``).  Every hoist is checked by the rewrite engine at
-its redex when its entry is built (``rewrite_node``, with every rule,
-strategy and side-condition check), so an invalid schedule cannot survive
-unnoticed.  No ancestor of the redex is rebuilt: the loop wraps its
-hoisted prefix around the connective once, when it ends.
+the budget.  The loop only orders the hoists: one table of preferences
+per connective and target (``_PREFERENCE``) transcribes the constructive
+merging arguments for conjunction, disjunction and implication so that
+the hoist stays inside the contract, and a disjunction of two quantified
+operands first lets their ranks pick the operand (``_or_rank``).  At each
+pass the rewrite engine returns the first rule of that order that is
+valid at the connective under the degree-n side conditions
+(``valid_hoists``), and checks no rule after it.  Every hoist is checked
+by the rewrite engine at its redex when its entry is built
+(``rewrite_node``, with every rule, strategy and side-condition check),
+so an invalid schedule cannot survive unnoticed.  No ancestor of the
+redex is rebuilt: the loop wraps its hoisted prefix around the
+connective once, when it ends.
 """
 
 from __future__ import annotations
@@ -270,6 +271,15 @@ _PREFERENCE = {
     (Imp, SIGMA): ("ForallImpN", "ImpExistsN", "ExistsImp", "ImpForall"),
     (Imp, PI): ("ExistsImp", "ImpForall", "ForallImpN", "ImpExistsN"),
 }
+# (connective, target, side) -> the rules of that order that hoist from
+# the operand ``side`` ("l" or "r"), or all of them for ``None``
+_BY_SIDE = {
+    (conn, target, side): tuple(
+        RULES[name] for name in names if side in (None, RULES[name].qside)
+    )
+    for (conn, target), names in _PREFERENCE.items()
+    for side in (None, "l", "r")
+}
 
 
 def _hoist_prefixes(
@@ -278,7 +288,7 @@ def _hoist_prefixes(
     """Hoist the quantifier prefixes of the operands of the connective
     ``node`` above it under the contract ``(target, budget)``; both
     operands stay prenex.  Each pass hoists the preferred valid rule at
-    the connective, its redex (``_PREFERENCE``, after the ranks of a
+    the connective, its redex (``_BY_SIDE``, after the ranks of a
     disjunction), which moves one operand's head quantifier above it and
     slides the connective down one body position.  Returns the merged
     formula, with the prefix wrapped around the connective once, at the
@@ -287,23 +297,18 @@ def _hoist_prefixes(
     hoists: list[tuple[str, Optional[str]]] = []
     while not (node.left.is_qf and node.right.is_qf):
         left, right = node.left, node.right
-        valid = valid_hoists(node, n)
         side = _or_rank(left, right, target, n) if type(node) is Or else None
-        for rule in _PREFERENCE[type(node), target]:
-            if rule in valid:
-                qside = RULES[rule].qside
-                if side is None or qside == side:
-                    break
-        else:
+        rule = valid_hoists(node, n, _BY_SIDE[type(node), target, side])
+        if rule is None:
             raise AssertionError("no valid hoist; merge preconditions broken")
-        quant, delta = (left, right) if qside == "l" else (right, left)
+        quant, delta = (left, right) if rule.qside == "l" else (right, left)
         fresh = None
         if quant.var in delta.free:
             # exactly the variables of the prefix over the node: a name
             # renamed away must drop out, or the fresh names would change
             fresh = fresh_variable([q.var for q in prefix] + list(node.vars))
-        hoisted = rewrite_node(node, RewriteStep(rule, (), fresh), n)
-        hoists.append((rule, fresh))
+        hoisted = rewrite_node(node, RewriteStep(rule.name, (), fresh), n)
+        hoists.append((rule.name, fresh))
         prefix.append(hoisted)
         node = hoisted.body
         # Emitting a target-kind quantifier keeps the contract; an

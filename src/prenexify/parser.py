@@ -19,6 +19,13 @@ parenthesised, e.g. ``(exists x. P(x)) -> Q``.  ``~p`` desugars to
 Predicates start with an uppercase letter, variables with a lowercase
 letter.  ``render`` emits minimal parentheses and ``parse(render(phi))``
 is structurally ``phi`` at any nesting depth; nothing here recurses.
+
+``_tokenize`` splits a line with string methods: it spaces out the
+punctuation, splits at whitespace and reads each token's kind from one
+table (``_KINDS``), which keeps the kinds of at most ``_KINDS_CAP``
+names.  A line holding any token that is neither punctuation nor a name
+is tokenized again by the pattern ``_TOKEN_RE``, which also places every
+error at its line and column.
 """
 
 from __future__ import annotations
@@ -51,16 +58,59 @@ __all__ = [
 ]
 
 # One token per match, after optional whitespace: the arrow, a punctuation
-# character, a name, or any other character, which is an error.
+# character, a name, or any other character, which is an error.  It
+# splits only a line that holds a bad token (``_tokenize`` splits the
+# others) and finds the offset of a token an error names.
 _TOKEN_RE = re.compile(r"\s*(->|[()&|~.,]|[A-Za-z][A-Za-z0-9_]*|\S)")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _VARIABLE_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _KEYWORDS = ("exists", "forall", "false")
 
-# The kind of each token that is its own kind; a name's kind is given by
-# its first letter, and any other text is an unexpected character.
+# The kind of each token that is its own kind.
 _FIXED = {t: t for t in ("->", "(", ")", "&", "|", "~", ".", ",", *_KEYWORDS)}
-_FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "pred")
-_FIRST.update(dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "var"))
+# The most names the kind table holds; a name past it is classified anew.
+_KINDS_CAP = 4096
+
+
+class _KindTable(dict):
+    """Token text -> kind: its own for ``_FIXED``, ``pred`` or ``var`` by a
+    name's first letter, ``char`` for any other text, which is an error.
+    A name is stored while the table holds fewer than ``_KINDS_CAP``."""
+
+    def __missing__(self, token: str) -> str:
+        if _NAME_RE.fullmatch(token) is None:
+            return "char"
+        kind = "pred" if token[0].isupper() else "var"
+        if len(self) < _KINDS_CAP:
+            self[token] = kind
+        return kind
+
+
+_KINDS = _KindTable(_FIXED)
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The tokens of ``text`` and their kinds.  Spacing out the punctuation
+    and splitting at whitespace gives ``_TOKEN_RE``'s tokens wherever every
+    token is punctuation or a name; a line with any other token is
+    tokenized again by the pattern, which splits it as errors are placed."""
+    texts = (
+        text.replace("->", " -> ")
+        .replace("(", " ( ")
+        .replace(")", " ) ")
+        .replace("&", " & ")
+        .replace("|", " | ")
+        .replace("~", " ~ ")
+        .replace(".", " . ")
+        .replace(",", " , ")
+        .split()
+    )
+    kinds = list(map(_KINDS.__getitem__, texts))
+    if "char" in kinds:
+        texts = _TOKEN_RE.findall(text)
+        kinds = list(map(_KINDS.__getitem__, texts))
+    return texts, kinds
+
 
 # The text of each connective with its precedence level (higher binds
 # tighter), and of each quantifier.
@@ -92,8 +142,7 @@ class _Parser:
     def __init__(self, text: str, line: int, signature: Optional[dict[str, int]]):
         self.text = text
         self.line = line
-        self.texts = _TOKEN_RE.findall(text)
-        self.kinds = [_FIXED.get(t) or _FIRST.get(t[0], "char") for t in self.texts]
+        self.texts, self.kinds = _tokenize(text)
         self.kinds.append("eof")
         self.texts.append("")
         self.signature = signature

@@ -285,24 +285,24 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     return [step for _, _, step in found]
 
 
-def valid_hoists(node: Formula, n: int) -> list[str]:
-    """The rules that may hoist a quantified operand above the connective
-    ``node`` at degree ``n``, in declaration order: those whose left-hand
-    side ``node`` matches, if its operands are prenex, and whose side
-    condition allows the hoist.  A bound variable that is free in the
+def valid_hoists(node: Formula, n: int, order: tuple[_Rule, ...]) -> Optional[_Rule]:
+    """The first rule of ``order`` that may hoist a quantified operand
+    above the connective ``node`` at degree ``n``: its left-hand side
+    matches ``node``, whose operands are prenex, and its side condition
+    allows the hoist; ``None`` when no rule of ``order`` is valid.  The
+    rules after it are not checked.  A bound variable that is free in the
     other operand refuses none of them: a fresh rename discharges it."""
     if not _strategy_ok(node):
-        return []
+        return None
     left, right = node.left, node.right
-    valid = []
-    for _, rule in _CANDIDATES[type(node), type(left), type(right)]:
+    for rule in order:
         if rule.qside == "l":
-            reason = _side_condition(rule, left, right, n)
+            quant, delta = left, right
         else:
-            reason = _side_condition(rule, right, left, n)
-        if reason is None:
-            valid.append(rule.name)
-    return valid
+            quant, delta = right, left
+        if type(quant) is rule.qkind and _side_condition(rule, quant, delta, n) is None:
+            return rule
+    return None
 
 
 def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
