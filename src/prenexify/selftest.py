@@ -26,20 +26,31 @@ Criterion 2 takes each positive verdict's normal form from
 ``normalizer.prenex_form``, the path ``normalize_J`` / ``normalize_R``
 wrap, and checks it itself: the replay of its trace must be the output
 itself, in the target class at the verdict's level, with the input's
-free variables.  Replays are shared per steps tuple (one per distinct
-trace of a formula at a degree).  Criteria 1, 2 and 5 build one
-classifier and one transition cache per degree and drop both when the
-degree ends.  Criterion 7 draws its data from ``getrandbits`` alone.
+free variables.  It reads a formula's free variables once, and checks
+each distinct (steps, output) pair of a formula at a degree once: its
+replay, its Sigma+ / Pi+ floors and its free variables.  Criteria 1 and
+5 build one classifier and one transition cache per degree and drop
+both when the degree ends; criterion 2 builds its own classifier per
+degree, and criteria 3 and 4 share one.  Criterion 7 draws its data
+from ``getrandbits`` alone.
 
-Criteria 3, 4, 6 and 7 share nothing with the degree loop.  Wherever
-``os.fork`` exists, ``run_selftest`` forks one child for them
-(``forked.Forked``) once the corpus is built, and the calling process
-runs criteria 1, 2 and 5 meanwhile; elsewhere the same function runs
-in-process after the degree loop.  Results, counts, failures and the
-progress messages are the same either way: the phase ends of criteria
-3, 4, 6 and 7 are reported after the child is reaped.  The child's
-memory is its own, so it is not in the caller's ``ru_maxrss``
-(``RUSAGE_SELF``), only in ``RUSAGE_CHILDREN``.
+The calling process runs criteria 1 and 5, one degree at a time.  Every
+other piece of work is a task in a fixed list: criterion 7, criterion 2
+at each degree, criteria 3 and 4, and criterion 6.  Wherever ``os.fork``
+exists, ``run_selftest`` forks two workers (``forked.run_tasks``) once
+the corpus is built; they take the tasks from a shared queue, a pipe
+holding one byte per task, until it ends.  The caller takes no task, so
+its own work, and what a tracer installed in it counts, does not depend
+on timing.  Where the platform does not fork, the caller takes the same
+tasks from the same queue after its degree loop.  Results, counts,
+failures and the progress messages are the same either way: each
+criterion's result is merged in task order (criterion 2's degrees in
+degree order, its first ten failures kept), and the phase ends of
+criteria 3, 4, 6 and 7 are reported after every worker is reaped.  A
+worker that fails has its error raised by the caller once the other is
+killed and reaped.  The workers' memory is their own, so it is not in
+the caller's ``ru_maxrss`` (``RUSAGE_SELF``), only in
+``RUSAGE_CHILDREN``.
 
 The module is consumed both by ``prenexify selftest`` and by the
 acceptance test suite, which asserts every criterion at full scale.
@@ -65,12 +76,7 @@ from .formula import (
     free_vars,
     subformulas,
 )
-from .hierarchy import (
-    in_pi_plus,
-    in_sigma_plus,
-    pi_plus_floor,
-    sigma_plus_floor,
-)
+from .hierarchy import PI, SIGMA, in_sigma_plus, pi_plus_floor, sigma_plus_floor
 from .normalizer import prenex_form
 from .oracle import Signature, enumerate_formulas
 from .parser import parse, render
@@ -89,8 +95,9 @@ __all__ = ["CriterionResult", "run_selftest", "default_signature", "DEFAULT_SEED
 
 DEFAULT_SEED = 20240 + 5
 RANDOM_STEP_COUNT = 10_000
-# criteria 3, 4, 6 and 7 run in a forked child wherever the platform forks
+# the queued criteria run in two forked workers wherever the platform forks
 _FORKS = hasattr(os, "fork")
+_WORKERS = 2
 
 
 @dataclass
@@ -143,43 +150,57 @@ def run_selftest(
     corpus = list(enumerate_formulas(default_signature(size)))
     say(f"corpus: {len(corpus)} alpha-distinct formulas up to size {size}")
 
+    from .forked import run_tasks  # compiled only when a selftest runs
+
     c1 = CriterionResult("criterion-1 characterization", True, 0)
-    c2 = CriterionResult("criterion-2 normalizer soundness", True, 0)
     c5 = CriterionResult("criterion-5 backward closure", True, 0)
 
-    def others() -> list[CriterionResult]:
-        return [
-            _check_stabilization(corpus, k_max),
-            _check_monotonicity(corpus, n_max, k_max),
-            _check_pinned_negatives(budget),
-            _check_rewrite_conformance(seed),
-        ]
-
-    child = None
-    if _FORKS:
-        from .forked import Forked  # compiled only when a selftest runs
-
-        child = Forked(others)
-    try:
+    def degree_loop() -> None:
         for n in range(n_max + 1):
-            _check_degree(c1, c2, c5, corpus, n, n_max, k_max, budget, progress)
+            _check_degree(c1, c5, corpus, n, n_max, k_max, budget, progress)
             say(f"degree {n} done")
-    except BaseException:
-        if child is not None:
-            child.kill()
-        raise
-    c3, c4, c6, c7 = others() if child is None else child.result()
 
+    tasks = _queued_tasks(corpus, n_max, k_max, seed, budget)
+    outputs = run_tasks(tasks, _WORKERS if _FORKS else 0, degree_loop)
     say("stabilization done")
     say("monotonicity done")
     say("pinned negatives done")
     say("rewrite conformance done")
-    return [c1, c2, c3, c4, c5, c6, c7]
+    # one result per criterion; the names start "criterion-<digit> "
+    parts = [c1, c5] + [result for output in outputs for result in output]
+    return sorted(_merged(parts), key=lambda result: result.name)
+
+
+def _queued_tasks(
+    corpus: list[Formula], n_max: int, k_max: int, seed: int, budget: int
+) -> list[Callable[[], list[CriterionResult]]]:
+    """The work beside criteria 1 and 5, in the order it is taken:
+    criterion 7, criterion 2 at each degree, criteria 3 and 4, and
+    criterion 6.  Each task returns the results it made."""
+    return [
+        lambda: [_check_rewrite_conformance(seed)],
+        *[lambda n=n: [_check_normal_forms(corpus, n, k_max)] for n in range(n_max + 1)],
+        lambda: _check_levels_suites(corpus, n_max, k_max),
+        lambda: [_check_pinned_negatives(budget)],
+    ]
+
+
+def _merged(parts: list[CriterionResult]) -> list[CriterionResult]:
+    """One result per name: the checks summed, and the failures kept in
+    the order of ``parts``, at most ten, as one sequential pass keeps
+    them."""
+    merged: dict[str, CriterionResult] = {}
+    for part in parts:
+        into = merged.setdefault(part.name, CriterionResult(part.name, True, 0))
+        into.checks += part.checks
+        into.passed = into.passed and part.passed
+        for message in part.failures:
+            into.fail(message)
+    return list(merged.values())
 
 
 def _check_degree(
     c1: CriterionResult,
-    c2: CriterionResult,
     c5: CriterionResult,
     corpus: list[Formula],
     n: int,
@@ -188,7 +209,7 @@ def _check_degree(
     budget: int,
     progress: Optional[Callable[[str], None]],
 ) -> None:
-    """Criteria 1, 2 and 5 at degree ``n``.  The degree's classifier and
+    """Criteria 1 and 5 at degree ``n``.  The degree's classifier and
     transitions are freed when it returns."""
     checker = Classifier()
     transitions: oracle.Transitions = {}
@@ -201,7 +222,6 @@ def _check_degree(
             continue
         floor_s, floor_p = _floors(rs.members)
         k_j, k_r = checker.levels(phi, n)
-        replays: dict = {}  # id(steps) -> (steps, replay), for phi at degree n
         for k in range(k_max + 1):
             j, r = k >= k_j, k >= k_r
             reach_j = floor_s is not None and floor_s <= k
@@ -217,11 +237,24 @@ def _check_degree(
                     f"R mismatch {render(phi)} k={k} n={n}: "
                     f"classifier={r} oracle={reach_r}"
                 )
-            if j:
-                _check_normal_form(c2, phi, k, n, "sigma", checker, replays)
-            if r:
-                _check_normal_form(c2, phi, k, n, "pi", checker, replays)
     _check_backward_closure(c5, transitions, n_max, k_max, checker)
+
+
+def _check_normal_forms(corpus: list[Formula], n: int, k_max: int) -> CriterionResult:
+    """Criterion 2 at degree ``n``: one check per positive verdict, with
+    its own classifier."""
+    result = CriterionResult("criterion-2 normalizer soundness", True, 0)
+    checker = Classifier()
+    for phi in corpus:
+        k_j, k_r = checker.levels(phi, n)
+        free = free_vars(phi)
+        replays: dict = {}  # phi's normal forms at degree n, see below
+        for k in range(k_max + 1):
+            if k >= k_j:
+                _check_normal_form(result, phi, k, n, SIGMA, checker, free, replays)
+            if k >= k_r:
+                _check_normal_form(result, phi, k, n, PI, checker, free, replays)
+    return result
 
 
 def _check_normal_form(
@@ -231,42 +264,51 @@ def _check_normal_form(
     n: int,
     target: str,
     checker: Classifier,
+    free: tuple,
     replays: dict,
 ) -> None:
     """One normalization of ``phi`` at (k, n), checked against the replay
-    of its trace.  A replay depends only on the trace (start, steps and
-    degree), and ``replays`` serves one ``phi`` at one ``n``, so it keeps
-    one replay per steps tuple, keyed by identity: the replayed formula,
-    or the exception the replay raised.  The tuple is kept with its
-    replay, so its id cannot be reused while ``replays`` lives; an equal
-    tuple that is another object is replayed again."""
+    of its trace.  What is checked of a normal form depends only on its
+    steps and output, and ``replays`` serves one ``phi`` (whose free
+    variables are ``free``) at one ``n``, so it keeps, per distinct
+    ``(steps, output)`` pair keyed by identity, the replayed formula or
+    the exception the replay raised, the output's Sigma+ and Pi+ floors
+    and whether its free variables are ``free``.  The pair is kept with
+    them, so neither id can be reused while ``replays`` lives; an equal
+    pair of other objects is checked again."""
     result.checks += 1
     try:
         output, steps = prenex_form(phi, k, n, target, checker)
     except Exception as exc:  # noqa: BLE001 - report any failure verbatim
         result.fail(f"normalize {target} failed for {render(phi)} k={k} n={n}: {exc}")
         return
-    seen = replays.get(id(steps))
+    key = (id(steps), id(output))
+    seen = replays.get(key)
     if seen is None:
         try:
             replayed = verify_trace(Trace(phi, steps, n))
         except Exception as exc:  # noqa: BLE001
             replayed = exc
-        replays[id(steps)] = (steps, replayed)
-    else:
-        replayed = seen[1]
+        seen = replays[key] = (
+            steps,
+            output,
+            replayed,
+            (sigma_plus_floor(output), pi_plus_floor(output)),
+            free_vars(output) == free,
+        )
+    _, _, replayed, floors, same_free = seen
     if isinstance(replayed, Exception):
         result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {replayed}")
         return
-    member = in_sigma_plus if target == "sigma" else in_pi_plus
+    floor = floors[0 if target == SIGMA else 1]
     if replayed is not output:
         result.fail(f"replay diverges for {render(phi)} k={k} n={n}")
-    elif not member(output, k):
+    elif floor is None or floor > k:
         result.fail(
             f"output {render(output)} not in target class "
             f"({target} {k}) for {render(phi)} n={n}"
         )
-    elif free_vars(output) != free_vars(phi):
+    elif not same_free:
         result.fail(f"free variables changed for {render(phi)} k={k} n={n}")
 
 
@@ -298,9 +340,22 @@ def _check_backward_closure(
                         )
 
 
-def _check_stabilization(corpus: list[Formula], k_max: int) -> CriterionResult:
-    result = CriterionResult("criterion-3 stabilization", True, 0)
+def _check_levels_suites(
+    corpus: list[Formula], n_max: int, k_max: int
+) -> list[CriterionResult]:
+    """Criteria 3 and 4 over one classifier: criterion 4 reads the least
+    levels at ``n <= n_max`` that criterion 3 has computed."""
     checker = Classifier()
+    return [
+        _check_stabilization(corpus, k_max, checker),
+        _check_monotonicity(corpus, n_max, k_max, checker),
+    ]
+
+
+def _check_stabilization(
+    corpus: list[Formula], k_max: int, checker: Classifier
+) -> CriterionResult:
+    result = CriterionResult("criterion-3 stabilization", True, 0)
     top = min(3, k_max)
     for phi in corpus:
         levels = [checker.levels(phi, n) for n in range(top + 3)]
@@ -315,10 +370,9 @@ def _check_stabilization(corpus: list[Formula], k_max: int) -> CriterionResult:
 
 
 def _check_monotonicity(
-    corpus: list[Formula], n_max: int, k_max: int
+    corpus: list[Formula], n_max: int, k_max: int, checker: Classifier
 ) -> CriterionResult:
     result = CriterionResult("criterion-4 monotonicity suites", True, 0)
-    checker = Classifier()
     for phi in corpus:
         levels = [checker.levels(phi, n) for n in range(n_max + 1)]
         for n, (k_j, k_r) in enumerate(levels):

@@ -1,9 +1,11 @@
 """The deep run: ``prenexify selftest --size 7`` and its check counts.
 
-It took 212 s on a 2-CPU machine with Python 3.11.7; the calling
-process peaked at 879 MB and the forked child of criteria 3, 4, 6 and 7
-at 335 MB.  So it is opt-in: set ``PRENEXIFY_DEEP=1`` to run it.  The
-default test run skips it.
+It took 99-126 s (two runs) on a 2-CPU machine with Python 3.11.7; the
+calling process, which runs criteria 1 and 5, peaked at 461-468 MB of
+resident memory, and the two forked workers that take the other criteria
+from a shared queue at 675-676 and 607-618 MB (each counts the pages it
+still shares with the caller).  So it is opt-in: set ``PRENEXIFY_DEEP=1`` to run it.
+The default test run skips it.
 """
 
 import os

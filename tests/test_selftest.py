@@ -1,6 +1,6 @@
 """Criteria 2, 4 and 7 of the selftest: their check counts, the faults
 they must catch, and the data criterion 7 draws; and the split of
-``run_selftest`` between the calling process and a forked child.
+``run_selftest`` between the calling process and two forked workers.
 
 Criterion 4's faults are planted in ``semiclassical._least_levels``, the
 one place the classifier computes a node's least levels (k_J, k_R) at a
@@ -10,21 +10,26 @@ at levels above a formula's least one, where its normal form is the one
 already checked at the least level.  Criterion 7's seeded data is pinned
 by a digest, so a change to how it is drawn shows.
 
-Criteria 3, 4, 6 and 7 run in a forked child wherever ``os.fork``
-exists.  The tests below check that the forked run and the in-process
-run agree, that a fault planted before the call reaches the child, that
-the progress messages the benchmark slices on keep their order, and that
-no child outlives ``run_selftest``, whether it returns or raises.
+The calling process runs criteria 1 and 5; every other task (criterion
+7, criterion 2 at each degree, criteria 3 and 4, criterion 6) is taken
+from a shared queue by two forked workers wherever ``os.fork`` exists.
+The tests below check that the forked run and the in-process run agree,
+that a fault planted before the call reaches the workers, that the
+caller runs no queued task and makes one reachability search per
+formula and degree, that the progress messages the benchmark slices on
+keep their order, and that no worker outlives ``run_selftest``, whether
+it returns or raises, or one worker fails while the other still works.
 """
 
 import hashlib
 import itertools
 import math
 import os
+import time
 
 import pytest
 
-from prenexify import selftest, semiclassical
+from prenexify import forked, oracle, selftest, semiclassical
 from prenexify.formula import Exists, Or
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import ParseError, render
@@ -76,7 +81,7 @@ FAULTS = {
 
 
 def test_criterion_4_passes_and_counts_each_distinct_check_once():
-    result = _check_monotonicity(CORPUS, N_MAX, K_MAX)
+    result = _check_monotonicity(CORPUS, N_MAX, K_MAX, semiclassical.Classifier())
     assert result.passed, result.line()
     checker = semiclassical.Classifier()
     expected = 0
@@ -95,7 +100,7 @@ def test_criterion_4_passes_and_counts_each_distinct_check_once():
 @pytest.mark.parametrize("fault, first", FAULTS.values(), ids=FAULTS)
 def test_criterion_4_catches_a_planted_classifier_fault(monkeypatch, fault, first):
     monkeypatch.setattr(semiclassical, "_least_levels", fault)
-    result = _check_monotonicity(CORPUS, N_MAX, K_MAX)
+    result = _check_monotonicity(CORPUS, N_MAX, K_MAX, semiclassical.Classifier())
     assert not result.passed
     assert result.failures[0] == first
 
@@ -185,7 +190,8 @@ def test_a_fault_planted_before_the_call_reaches_the_child(monkeypatch, fault, f
     monkeypatch.setattr(semiclassical, "_least_levels", fault)
     c4 = run_selftest(size=4)[3]
     assert not c4.passed
-    assert c4.failures[0] == first == _check_monotonicity(CORPUS, N_MAX, K_MAX).failures[0]
+    alone = _check_monotonicity(CORPUS, N_MAX, K_MAX, semiclassical.Classifier())
+    assert c4.failures[0] == first == alone.failures[0]
 
 
 PHASE_ENDS = [
@@ -200,8 +206,8 @@ PHASE_ENDS = [
 ]
 
 
-@forks
-def test_phase_ends_keep_their_order_and_follow_the_child(monkeypatch):
+def _record_forks(monkeypatch) -> list[int]:
+    """The pids of the children ``os.fork`` makes from here on."""
     children = []
     fork = os.fork
 
@@ -212,19 +218,108 @@ def test_phase_ends_keep_their_order_and_follow_the_child(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", recorded_fork)
+    return children
+
+
+@forks
+def test_phase_ends_keep_their_order_and_follow_the_child(monkeypatch):
+    children = _record_forks(monkeypatch)
     messages = []
     reaped = []
 
     def progress(message):
         messages.append(message)
         if message == "rewrite conformance done":
-            with pytest.raises(ChildProcessError):
-                os.waitpid(children[0], os.WNOHANG)
-            reaped.append(True)
+            for child in children:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(child, os.WNOHANG)
+                reaped.append(True)
 
     run_selftest(size=4, progress=progress)
     assert [m for m in messages if not m.startswith(" ")] == PHASE_ENDS
-    assert len(children) == 1 and reaped == [True]
+    assert len(children) == 2 and reaped == [True, True]
+
+
+QUEUED = [
+    "_check_rewrite_conformance",
+    "_check_normal_forms",
+    "_check_levels_suites",
+    "_check_pinned_negatives",
+]
+
+
+@forks
+def test_the_caller_runs_no_queued_task(monkeypatch, tmp_path):
+    children = _record_forks(monkeypatch)
+    log = tmp_path / "tasks"
+
+    def logged(name, check):
+        def run(*args):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{name} {os.getpid()}\n")
+            return check(*args)
+
+        return run
+
+    for name in QUEUED:
+        monkeypatch.setattr(selftest, name, logged(name, getattr(selftest, name)))
+    results = run_selftest(size=4)
+    assert all(result.passed for result in results)
+    runs = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(name for name, _ in runs) == sorted(QUEUED + ["_check_normal_forms"] * N_MAX)
+    assert {int(pid) for _, pid in runs} <= set(children)
+    assert len(children) == 2 and os.getpid() not in children
+
+
+@forks
+def test_the_caller_makes_one_search_per_formula_and_degree(monkeypatch):
+    degrees = []
+    search = oracle.reachable_set
+
+    def counted(phi, n, *args, **kwargs):
+        degrees.append(n)
+        return search(phi, n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "reachable_set", counted)
+    run_selftest(size=4)
+    assert len(degrees) == len(CORPUS) * (N_MAX + 1)
+    assert sorted(set(degrees)) == list(range(N_MAX + 1))
+
+
+def _sleep(seed):
+    time.sleep(120)
+
+
+def _exit_3(budget):
+    os._exit(3)
+
+
+def _raise_value_error(budget):
+    raise ValueError("planted")
+
+
+@forks
+@pytest.mark.parametrize(
+    "failing, raised", [(_raise_value_error, ValueError), (_exit_3, RuntimeError)]
+)
+def test_a_failing_worker_ends_the_other(monkeypatch, failing, raised):
+    # criterion 7, the first task, keeps one worker asleep; the other
+    # takes the rest and fails at criterion 6, the last
+    monkeypatch.setattr(selftest, "_check_rewrite_conformance", _sleep)
+    monkeypatch.setattr(selftest, "_check_pinned_negatives", failing)
+    start = time.monotonic()
+    with pytest.raises(raised):
+        run_selftest(size=4)
+    assert time.monotonic() - start < 60
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [pytest.param(2, marks=forks), 0])
+def test_the_queue_runs_each_task_once_past_256_tasks(workers):
+    # a byte names the tasks b, b + 256, ... once there are more than 256
+    tasks = [lambda index=index: index * index for index in range(600)]
+    assert forked.run_tasks(tasks, workers, lambda: None) == [i * i for i in range(600)]
+    _assert_no_child_left()
 
 
 def _raise_planted(seed):
