@@ -79,7 +79,8 @@ class Formula:
     is_qf: bool
     # _free backs ``free`` and _vars backs ``vars``: set when an atom is
     # built, None in a compound node until the first read fills it, then
-    # kept.  _canon caches alpha_canonical, _shape caches
+    # kept.  _canon caches alpha_canonical: True on a node that is its own
+    # canonical form, so none refers to itself; _shape caches
     # hierarchy.classify_prenex.
 
     @property
@@ -127,11 +128,9 @@ def _sweep() -> None:
     keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
     while table:
         key, node = table.popitem()
-        if count(node) - (node._canon is node) > idle:
+        if count(node) > idle:
             keys.append(key)
             nodes.append(node)
-        elif node._canon is node:
-            node._canon = None  # the self-reference alone would keep it
     table.clear()  # frees the emptied hash table
     table.update(zip(reversed(keys), reversed(nodes)))
     _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
@@ -162,7 +161,7 @@ class Prime(Formula):
         self.size = 1
         self._free = self._vars = tuple(sorted(set(args)))
         self.is_qf = True
-        self._canon = self
+        self._canon = True
         self._shape = None
         return _intern(key, self)
 
@@ -181,7 +180,7 @@ class Falsum(Formula):
         self.size = 1
         self._free = self._vars = ()
         self.is_qf = True
-        self._canon = self
+        self._canon = True
         self._shape = None
         return _intern(key, self)
 
@@ -482,7 +481,7 @@ def alpha_canonical(phi: Formula) -> Formula:
     """
     cached = phi._canon
     if cached is not None:
-        return cached
+        return phi if cached is True else cached
 
     # Nodes are entered in preorder from an explicit stack, so binders are
     # named in preorder; a node is built once its operands' canonical forms
@@ -526,7 +525,8 @@ def alpha_canonical(phi: Formula) -> Formula:
             stack.append(task.body)
 
     canon = values[0]
-    canon._canon = canon
-    phi._canon = canon
+    canon._canon = True
+    if canon is not phi:
+        phi._canon = canon
     return canon
 

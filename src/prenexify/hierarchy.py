@@ -75,7 +75,12 @@ def _classify(phi: Formula):
             current = type(node)
         node = node.body
     if not node.is_qf:
-        return False  # cached sentinel for "not prenex"
+        # no quantifier walked past is prenex either: cache the sentinel
+        # on each, so a later test of one costs no walk
+        while phi is not node:
+            phi._shape = False
+            phi = phi.body
+        return False
     first = Exists if isinstance(phi, Exists) else Forall
     kind = SIGMA if first is Exists else PI
     return PrenexShape(kind, len(blocks), tuple(blocks))

@@ -7,11 +7,12 @@ replays.  The normalizer follows the classifier's derivation one goal
 are built from), so no clause choice is re-searched.  A ``lift`` goal has
 the normal form of the goal at the foot of its lift chain, which is read
 off the node's least levels (``Classifier.lift_root``) without walking
-the chain, and a ``qf`` goal (a foot at level 0) is its own normal form.
-Every other goal is normalized once per degree and kept in the
-classifier's store (``Classifier.normal_forms``): normalize the operands,
-then merge the two prenex results by hoisting their quantifier prefixes
-through the connective.  An entry holds the prenex output, the merge's own
+the chain, and a prenex formula in its class is its own normal form (its
+least levels are its Sigma+ / Pi+ floors), recognised from its cached
+shape (``hierarchy.is_prenex``).  Every other goal is normalized once
+per degree and kept in the classifier's store (``Classifier.normal_forms``):
+normalize the operands, then merge the two prenex results by hoisting
+their quantifier prefixes through the connective.  An entry holds the prenex output, the merge's own
 steps at positions relative to its node, and its operands' entries.  Fresh
 names come from the node alone (the hoisted binders and the node's
 variables), so an entry is the same wherever its goal occurs.  The first
@@ -23,9 +24,9 @@ Both walks keep explicit stacks, so nesting depth is not bounded by the
 recursion limit.
 
 ``prenex_form`` is that one path: a read of the node's least levels
-(``Classifier.levels``), which decides membership, the goal's root
-(``Classifier.lift_root``), a lookup in the store, and the ``(output,
-steps)`` pair of the entry, the same objects on every call for the
+(``Classifier.levels``), which decides membership, its prenex test, the
+goal's root (``Classifier.lift_root``), a lookup in the store, and the
+``(output, steps)`` pair of the entry, the same objects on every call for the
 goal.  ``normalize_J`` / ``normalize_R`` wrap it: they assert that the
 output is in the target class with the input's free variables, and build
 the ``Trace`` and the ``NormalizationResult``.  The selftest calls
@@ -66,7 +67,7 @@ from .formula import (
     free_vars,
     fresh_variable,
 )
-from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus
+from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus, is_prenex
 from .parser import formula_to_dict, render
 from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
 from .semiclassical import J, R, Classifier, _check_levels
@@ -149,28 +150,22 @@ def prenex_form(
     side = J if target == SIGMA else R
     if k < (k_j if side == J else k_r):
         raise NotInClassError(f"{render(phi)} is not in {side}_{k}^{n}")
+    if is_prenex(phi):  # in its class, so its own normal form
+        return phi, ()
     root = checker.lift_root(phi, side, k, n)
-    if root[2] == 0:  # quantifier-free: its own normal form
-        return phi, ()
-    try:
-        form = checker.normal_forms(n)[root]
-    except KeyError:
-        form = _build_entries(root, n, checker)
-    if form is None:
-        return phi, ()
+    form = checker.normal_forms(n).get(root) or _build_entries(root, n, checker)
     if form.steps is None:
         form.steps = _absolute_steps(form)
     return form.output, form.steps
 
 
 class _NormalForm:
-    """The normal form of one goal that takes steps to reach: its prenex
+    """The normal form of one goal whose node is not prenex: its prenex
     ``output``, the ``hoists`` of its own merge as ``(rule, fresh)``
     pairs, and, with their selectors, the entries of its operands that
-    take steps.  Each hoist slides the connective one body position down,
-    so the i-th is the step at ``("b",) * i`` below the goal's node.  A
-    goal whose node is already its own normal form has the entry
-    ``None``.  ``steps``, every step below the node in trace order, is
+    are not prenex either.  Each hoist slides the connective one body
+    position down, so the i-th is the step at ``("b",) * i`` below the
+    goal's node.  ``steps``, every step below the node in trace order, is
     filled in when the entry's own goal is first normalized."""
 
     __slots__ = ("output", "hoists", "children", "steps")
@@ -182,19 +177,19 @@ class _NormalForm:
         self.steps: Optional[tuple[RewriteStep, ...]] = None
 
 
-def _build_entries(root: tuple, n: int, checker: Classifier) -> Optional[_NormalForm]:
+def _build_entries(root: tuple, n: int, checker: Classifier) -> _NormalForm:
     """Build and store the entry of ``root``, a goal at the foot of its
-    lift chain and above level 0, at degree ``n``, operands before their
-    node, with every entry below it not yet stored.  Entries are keyed by
-    such roots; a premise whose root is at level 0 (``qf``) is not stored,
-    and its entry is ``None``.  ``derive`` runs only for goals whose
-    entries are built."""
+    lift chain whose node is not prenex, at degree ``n``, operands before
+    their node, with every entry below it not yet stored.  Entries are
+    keyed by such roots; a premise whose node is prenex is its own normal
+    form and has no entry.  ``derive`` runs only for goals whose entries
+    are built."""
     store = checker.normal_forms(n)
     # a frame: a goal and its operands' roots
     stack = [_frame(root, n, checker)]
     while stack:
         key, operands = stack[-1]
-        pending = [g for g in operands if g[2] != 0 and g not in store]
+        pending = [g for g in operands if not is_prenex(g[0]) and g not in store]
         if pending:
             stack.extend(_frame(g, n, checker) for g in pending)
             continue
@@ -206,20 +201,19 @@ def _build_entries(root: tuple, n: int, checker: Classifier) -> Optional[_Normal
 
 
 def _frame(root: tuple, n: int, checker: Classifier) -> tuple:
-    """A root goal and the roots of its premises.  A root is neither
-    ``lift`` nor ``qf``, so its node's connective or quantifier fixes
-    its clause."""
+    """A root goal and the roots of its premises.  A root is not
+    ``lift``, and its node is not prenex, so not ``qf`` either: its
+    node's connective or quantifier fixes its clause."""
     _, premises = checker.derive(*root, n)
     return root, [checker.lift_root(*p, n) for p in premises]
 
 
-def _build(goal: tuple, forms: list, n: int) -> Optional[_NormalForm]:
-    """The entry of a goal from its operands' entries."""
+def _build(goal: tuple, forms: list, n: int) -> _NormalForm:
+    """The entry of a goal from its operands' entries, ``None`` for a
+    prenex operand."""
     phi, side, k = goal
     if isinstance(phi, _Quant):
-        (body,) = forms
-        if body is None:
-            return None
+        (body,) = forms  # phi is not prenex, so neither is its body
         return _NormalForm(type(phi)(phi.var, body.output), (), (("b", body),))
 
     left, right = forms
@@ -227,15 +221,10 @@ def _build(goal: tuple, forms: list, n: int) -> Optional[_NormalForm]:
         phi.left if left is None else left.output,
         phi.right if right is None else right.output,
     )
+    # phi is not prenex, so an operand is quantified and the loop hoists
     output, hoists = _hoist_prefixes(node, SIGMA if side == J else PI, k, n)
-    children = []
-    if left is not None:
-        children.append(("l", left))
-    if right is not None:
-        children.append(("r", right))
-    if not hoists and not children:
-        return None  # the merge left phi as it was
-    return _NormalForm(output, tuple(hoists), tuple(children))
+    children = tuple((sel, form) for sel, form in zip("lr", forms) if form is not None)
+    return _NormalForm(output, tuple(hoists), children)
 
 
 def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:

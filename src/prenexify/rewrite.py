@@ -79,7 +79,6 @@ from .parser import is_variable, parse, render
 
 __all__ = [
     "RULES",
-    "RULE_ORDER",
     "RewriteStep",
     "Trace",
     "RewriteError",
@@ -161,11 +160,8 @@ RULES: dict[str, _Rule] = {
     ]
 }
 
-RULE_ORDER = tuple(RULES)
-
-
 # (connective, left operand's type, right operand's type) -> the connective
-# rules whose left-hand side has that shape, as (index in RULE_ORDER, rule),
+# rules whose left-hand side has that shape, as (index in RULES, rule),
 # in declaration order
 _CANDIDATES: dict[tuple, tuple[tuple[int, _Rule], ...]] = {
     (conn, left, right): tuple(

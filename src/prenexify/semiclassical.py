@@ -182,10 +182,10 @@ class Classifier:
 
     def normal_forms(self, n: int) -> dict:
         """The normalizer's store for degree ``n``, keyed by the goals
-        ``(phi, side, k)`` it has normalized that are neither ``lift`` nor
-        ``qf``; an entry also keeps its goal's finished trace steps once
-        they are asked for.  It lives as long as the least levels it was
-        derived from: as long as the ``Classifier``."""
+        ``(phi, side, k)`` it has normalized that are not ``lift`` and
+        whose node is not prenex; an entry also keeps its goal's finished
+        trace steps once they are asked for.  It lives as long as the
+        least levels it was derived from: as long as the ``Classifier``."""
         return self._normal_forms[n]
 
     def _pair(self, phi: Formula, n: int) -> tuple:

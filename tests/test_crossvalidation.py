@@ -100,7 +100,9 @@ def test_normalizer_sound_on_wide_universe():
 
 def test_degree_classes_are_the_prenex_classes_on_prenex_formulas():
     # U_n+ = R_n^n and C_n+ = D_n^n, which the rules read as Pi_n+ and
-    # Sigma_n+ u Pi_n+ on their prenex operands
+    # Sigma_n+ u Pi_n+ on their prenex operands; and at every degree a
+    # prenex formula's least levels are its Sigma+ / Pi+ floors, so the
+    # normalizer returns it as its own normal form
     prenex = {
         psi
         for phi in enumerate_formulas(default_signature(5))
@@ -115,5 +117,7 @@ def test_degree_classes_are_the_prenex_classes_on_prenex_formulas():
             j, r = checker.decide(psi, n, n)
             pi, sigma = in_pi_plus(psi, n), in_sigma_plus(psi, n)
             if r != pi or (j or r) != (sigma or pi):
+                mismatches.append((psi, n))
+            if checker.levels(psi, n) != (sigma_plus_floor(psi), pi_plus_floor(psi)):
                 mismatches.append((psi, n))
     assert mismatches == []

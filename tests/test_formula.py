@@ -193,7 +193,7 @@ def test_sweep_keeps_held_nodes_and_frees_the_rest_at_once():
         gc.collect()
         Imp(Prime("Dropped", ("x",)), FALSUM)
         formula._sweep()
-        # no dropped node is left in a cycle (atoms refer to themselves)
+        # no dropped node is left in a cycle (no node refers to itself)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -241,6 +241,15 @@ def test_alpha_canonical_forms_survive_a_sweep():
     del corpus, canons
     formula._sweep()
     assert [render(canon) for canon in canonical_forms()[1]] == texts
+
+
+def test_no_canonical_form_refers_to_itself():
+    # a node that is its own canonical form is marked True, so a sweep
+    # reads its reference count as it is
+    canons = [alpha_canonical(phi) for phi in enumerate_formulas(default_signature(4))]
+    assert all(canon._canon is True for canon in canons)
+    assert all(alpha_canonical(canon) is canon for canon in canons)
+    assert not [node for node in formula._interned.values() if node._canon is node]
 
 
 # Variable sets are filled on first read.  Each check below builds its own

@@ -1,6 +1,6 @@
 from hypothesis import given, settings
 
-from prenexify.formula import Exists, Forall
+from prenexify.formula import And, Exists, Forall, Prime
 from prenexify.hierarchy import (
     PI,
     SIGMA,
@@ -79,3 +79,15 @@ def test_strict_membership_matches_shape(phi):
         assert shape.blocks == tuple(count for _, count in runs)
         assert shape.level == len(runs)
         assert shape.kind == (PI if runs and runs[0][0] is Forall else SIGMA)
+
+
+def test_one_test_of_a_non_prenex_chain_marks_every_quantifier():
+    # later prenex tests of the chain's nodes then cost no walk
+    phi = And(Exists("y", Prime("Mark", ("y",))), Exists("y", Prime("Marked", ("y",))))
+    chain = []
+    for _ in range(5000):
+        phi = Exists("x", phi)
+        chain.append(phi)
+    assert all(q._shape is None for q in chain)
+    assert classify_prenex(phi) is None
+    assert all(q._shape is False for q in chain)

@@ -1,11 +1,11 @@
 """The package defines nothing that nothing uses: every module-level
-function and class, and every method that is not a dunder, is named
-somewhere in the package outside its own definition, or somewhere in the
-benchmark under ``bench/``.  A name counts when it is read as a bare name
-or an attribute; the benchmark's traced ``LAYERS`` strings count too, but
-the package's ``__all__`` lists and re-exports do not.  Matching is by
-name only, so a dead definition that shares its name with a live one
-(``to_json``, ``size``) goes unseen."""
+function, class and assigned name, and every method, that is not a
+dunder is named somewhere in the package outside its own definition, or
+somewhere in the benchmark under ``bench/``.  A name counts when it is
+read as a bare name or an attribute; the benchmark's traced ``LAYERS``
+strings count too, but the package's ``__all__`` lists and re-exports do
+not.  Matching is by name only, so a dead definition that shares its name
+with a live one (``to_json``, ``size``) goes unseen."""
 
 import ast
 from collections import Counter
@@ -30,19 +30,28 @@ def _named(node) -> Counter:
     return names
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module: str, tree):
-    """``(qualified name, node)`` for each module-level function and class
-    and each method of a module-level class that is not a dunder."""
+    """``(qualified name, name, node)`` for each module-level function,
+    class and assigned name and each method of a module-level class that
+    is not a dunder; an assignment's node is the whole statement."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield f"{module}.{name.id}", name.id, node
         if not isinstance(node, _DEFS):
             continue
-        yield f"{module}.{node.name}", node
+        yield f"{module}.{node.name}", node.name, node
         if isinstance(node, ast.ClassDef):
             for child in node.body:
-                if isinstance(child, _DEFS) and not (
-                    child.name.startswith("__") and child.name.endswith("__")
-                ):
-                    yield f"{module}.{node.name}.{child.name}", child
+                if isinstance(child, _DEFS) and not _dunder(child.name):
+                    yield f"{module}.{node.name}.{child.name}", child.name, child
 
 
 def _layer_names(source: str) -> set[str]:
@@ -65,10 +74,10 @@ def unused(sources: dict[str, str], outside: set[str]) -> set[str]:
     everywhere = sum((_named(tree) for tree in trees.values()), Counter())
     found = set()
     for module, tree in trees.items():
-        for qualified, node in _definitions(module, tree):
-            if node.name in outside:
+        for qualified, name, node in _definitions(module, tree):
+            if name in outside:
                 continue
-            if everywhere[node.name] - _named(node)[node.name] <= 0:
+            if everywhere[name] - _named(node)[name] <= 0:
                 found.add(qualified)
     return found
 
@@ -85,10 +94,20 @@ class K:
     def used(self): return self.other
     def other(self): pass
     def unread(self): pass
+LIVE = 1
+DEAD, _UNREAD = LIVE, 2
+TYPED: int = LIVE
+__version__ = "0"
 ''',
         "b": "from a import live\n__all__ = ['dead']\nlive()\nK().used()\n",
     }
-    assert unused(sources, {"traced"}) == {"a.dead", "a.K.unread"}
+    assert unused(sources, {"traced"}) == {
+        "a.dead",
+        "a.K.unread",
+        "a.DEAD",
+        "a._UNREAD",
+        "a.TYPED",
+    }
 
 
 def test_layer_strings_are_split_on_dots():

@@ -15,7 +15,7 @@ from prenexify.formula import (
     rename_bound,
     subformulas,
 )
-from prenexify.hierarchy import in_pi_plus, in_sigma_plus
+from prenexify.hierarchy import in_pi_plus, in_sigma_plus, is_prenex
 from prenexify.normalizer import (
     RESULT_SCHEMA,
     NotInClassError,
@@ -320,7 +320,7 @@ def test_normal_forms_are_per_classifier():
     stored = one.normal_forms(1)
     assert stored.keys() == two.normal_forms(1).keys()
     for goal, form in two.normal_forms(1).items():
-        assert form is None or form is not stored[goal]
+        assert form is not stored[goal]
 
 
 def test_a_lifted_goal_with_a_stored_root_derives_nothing(monkeypatch):
@@ -400,15 +400,15 @@ def test_lifted_goals_reuse_the_stored_entry():
 
 
 def _goals(phi, witness):
-    """The (node, side, level) goals of a witness for ``phi`` that are
-    neither ``lift`` nor ``qf``."""
+    """The (node, side, level) goals of a witness for ``phi`` that are not
+    ``lift`` and whose node is not prenex."""
     goals = set()
     stack = [(phi, witness)]
     while stack:
         psi, w = stack.pop()
         if w.clause == "lift":
             stack.append((psi, w.children[0]))
-        elif w.clause != "qf":
+        elif not is_prenex(psi):
             goals.add((psi, w.side, w.k))
             operands = (psi.body,) if isinstance(psi, _Quant) else (psi.left, psi.right)
             stack.extend(zip(operands, w.children))
@@ -427,7 +427,33 @@ def test_one_entry_per_goal_over_the_size_4_corpus():
                         normalize(phi, k, n, checker)
                         goals[n] |= _goals(phi, w)
     for n in range(3):
-        assert set(checker.normal_forms(n)) == goals[n]
+        store = checker.normal_forms(n)
+        assert set(store) == goals[n]
+        # merges only: no stand-in entry, and no prenex node as a key
+        assert None not in store.values()
+        assert not [goal for goal in store if is_prenex(goal[0])]
+
+
+def test_a_prenex_formula_is_its_own_normal_form(monkeypatch):
+    # its shape decides it: no derivation, and no store entry
+    phi = parse("exists x. forall y. P(x) | Q(y)")
+    derived = []
+    derive = Classifier.derive
+
+    def counted(self, *goal):
+        derived.append(goal)
+        return derive(self, *goal)
+
+    monkeypatch.setattr(Classifier, "derive", counted)
+    checker = Classifier()
+    for n in range(3):
+        assert checker.levels(phi, n) == (2, 3)
+        for k in range(2, 5):
+            assert prenex_form(phi, k, n, "sigma", checker) == (phi, ())
+            if k >= 3:
+                assert prenex_form(phi, k, n, "pi", checker) == (phi, ())
+        assert checker.normal_forms(n) == {}
+    assert derived == []
 
 
 def test_every_hoist_is_checked_by_rewrite_node(monkeypatch):
@@ -460,7 +486,7 @@ def test_every_hoist_is_checked_by_rewrite_node(monkeypatch):
                 if in_r:
                     normalize_R(phi, k, n, checker)
         forms = checker.normal_forms(n).values()
-        hoists += [len(form.hoists) for form in forms if form is not None]
+        hoists += [len(form.hoists) for form in forms]
     assert max(hoists) > 1
     assert len(calls) == sum(hoists)
 

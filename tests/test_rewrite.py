@@ -17,7 +17,6 @@ from prenexify.formula import (
 from prenexify.hierarchy import is_prenex
 from prenexify.parser import parse
 from prenexify.rewrite import (
-    RULE_ORDER,
     RULES,
     RewriteStep,
     RuleMismatchError,
@@ -354,7 +353,8 @@ def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
     i = rng.randrange(len(steps))
     step = steps[i]
     dangling = RewriteStep(step.rule, step.position + ("l",) * (start.size + 1), step.fresh)
-    other_rule = RULE_ORDER[(RULE_ORDER.index(step.rule) + rng.randrange(1, 14)) % 14]
+    order = tuple(RULES)
+    other_rule = order[(order.index(step.rule) + rng.randrange(1, 14)) % 14]
     corrupted = [
         steps[:i] + steps[i + 1:],
         steps[:i] + [dangling] + steps[i + 1:],

@@ -1,5 +1,5 @@
 """The exhaustive comparison of search and classifier sees every wrong
-degree side condition.
+degree side condition, and every wrong premise of the clause table.
 
 ``rewrite._side_condition`` is the one statement of the four degree-n
 side conditions, and the rewrite search, step replay and the normalizer
@@ -11,17 +11,26 @@ clause table, not the rules, so it stays the reference.  Every variant
 that decides some hoist differently must be killed; the equivalent
 variants, which decide every hoist on prenex operands as the original
 does, must survive.
+
+The clause table ``semiclassical._CLAUSES`` is mutated the other way
+round: the search stays the reference, and each mutant changes one
+``(side, level)`` premise of one alternative of one case to another.
+The size-5 corpus reaches few keys of the least levels (a connective and
+its operands' pairs), so a key layer joins it at each degree: every
+connective over two, and every quantifier over ``x`` or ``y`` of one, of
+the first corpus formulas with each pair of least levels.
 """
 
 import pytest
 
-from prenexify import normalizer, oracle, rewrite
+from prenexify import normalizer, oracle, rewrite, semiclassical
+from prenexify.formula import And, Exists, Forall, Imp, Or
 from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.normalizer import normalize_J
 from prenexify.parser import parse
 from prenexify.rewrite import RewriteStep, SideConditionError, applicable_steps, apply_step
 from prenexify.selftest import _floors, default_signature
-from prenexify.semiclassical import INF, Classifier
+from prenexify.semiclassical import D, INF, J, K, N, N1, R, Classifier
 
 CORPUS = list(oracle.enumerate_formulas(default_signature(5)))
 
@@ -119,3 +128,105 @@ def test_the_search_replay_and_normalizer_read_the_one_function(monkeypatch):
         normalize_J(phi, 1, 0)
     # the normalizer hoists through the rewrite engine, not a copy of it
     assert normalizer.valid_hoists is rewrite.valid_hoists
+
+
+_CASES = ("k-1<n", "k-1=n", "k-1>n")
+_LEVELS = ("k", "n", "n+1")
+
+
+def _premise(premise) -> str:
+    side, level = premise
+    return f"{side}_{_LEVELS[level]}"
+
+
+def _clause_mutants():
+    """(name, table) for each table that differs from ``_CLAUSES`` in one
+    premise of one alternative of one case."""
+    table = semiclassical._CLAUSES
+    for (conn, side), cases in table.items():
+        for c, alternatives in enumerate(cases):
+            for a, alternative in enumerate(alternatives):
+                for p, premise in enumerate(alternative[1:], 1):
+                    for other in [(s, lv) for s in (J, R, D) for lv in (K, N, N1)]:
+                        if other == premise:
+                            continue
+                        changed = alternative[:p] + (other,) + alternative[p + 1:]
+                        case = alternatives[:a] + (changed,) + alternatives[a + 1:]
+                        mutant = dict(table)
+                        mutant[conn, side] = cases[:c] + (case,) + cases[c + 1:]
+                        name = (
+                            f"{conn.__name__}/{side} {_CASES[c]} {alternative[0]} "
+                            f"premise {p}: {_premise(premise)} -> {_premise(other)}"
+                        )
+                        yield name, mutant
+
+
+# at k - 1 = n the levels k and n + 1 coincide
+EQUIVALENT_CLAUSE_MUTANTS = {
+    "And/J k-1=n and premise 1: J_k -> J_n+1",
+    "And/J k-1=n and premise 2: J_k -> J_n+1",
+    "And/R k-1=n and premise 1: R_k -> R_n+1",
+    "And/R k-1=n and premise 2: R_k -> R_n+1",
+    "Or/J k-1=n or premise 1: J_k -> J_n+1",
+    "Or/J k-1=n or premise 2: J_k -> J_n+1",
+    "Or/R k-1=n or-left premise 1: R_k -> R_n+1",
+    "Or/R k-1=n or-right premise 2: R_k -> R_n+1",
+    "Imp/J k-1=n imp premise 2: J_k -> J_n+1",
+    "Imp/R k-1=n imp premise 1: J_k -> J_n+1",
+    "Imp/R k-1=n imp premise 2: R_k -> R_n+1",
+    "Exists/J k-1=n exists premise 1: J_k -> J_n+1",
+    "Forall/R k-1=n forall premise 1: R_k -> R_n+1",
+}
+
+
+def _with_key_layer(n: int) -> list:
+    """The size-5 corpus and its key layer at degree ``n``, read with the
+    unmutated table."""
+    checker = Classifier()
+    firsts: dict = {}
+    for phi in CORPUS:
+        firsts.setdefault(checker.levels(phi, n), phi)
+    reps = list(firsts.values())
+    layer = [conn(a, b) for conn in (And, Or, Imp) for a in reps for b in reps]
+    layer += [quant(var, a) for quant in (Exists, Forall) for var in "xy" for a in reps]
+    known = set(CORPUS)
+    return CORPUS + [phi for phi in dict.fromkeys(layer) if phi not in known]
+
+
+def _closure_floors(formulas: list, n: int) -> list:
+    """Each formula's least Sigma+ / Pi+ levels over its degree-``n``
+    closure, ``INF`` for none."""
+    transitions: oracle.Transitions = {}
+    floors = []
+    for phi in formulas:
+        closure = oracle.reachable_set(phi, n, transitions=transitions)
+        assert closure.exhausted
+        floors.append(tuple(INF if f is None else f for f in _floors(closure.members)))
+    return floors
+
+
+def test_every_wrong_clause_premise_is_killed(monkeypatch):
+    degrees = []
+    for n in range(3):
+        formulas = _with_key_layer(n)
+        assert len(formulas) - len(CORPUS) == (380, 380, 313)[n]
+        degrees.append((n, formulas, _closure_floors(formulas, n)))
+
+    def agrees() -> bool:
+        checker = Classifier()
+        return all(
+            checker.levels(phi, n) == floor
+            for n, formulas, floors in degrees
+            for phi, floor in zip(formulas, floors)
+        )
+
+    assert agrees()
+    mutants = dict(_clause_mutants())
+    assert len(mutants) == 384
+    survivors = set()
+    for name, table in mutants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(semiclassical, "_CLAUSES", table)
+            if agrees():
+                survivors.add(name)
+    assert survivors == EQUIVALENT_CLAUSE_MUTANTS
