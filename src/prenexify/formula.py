@@ -80,8 +80,9 @@ class Formula:
     # _free backs ``free`` and _vars backs ``vars``: set when an atom is
     # built, None in a compound node until the first read fills it, then
     # kept.  _canon caches alpha_canonical: True on a node that is its own
-    # canonical form, so none refers to itself; _shape caches
-    # hierarchy.classify_prenex.
+    # canonical form, so none refers to itself; _shape holds the prenex
+    # code (see hierarchy): 0 in a quantifier-free node, set when it is
+    # built, else None until hierarchy's walk fills in a code or False.
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -162,7 +163,7 @@ class Prime(Formula):
         self._free = self._vars = tuple(sorted(set(args)))
         self.is_qf = True
         self._canon = True
-        self._shape = None
+        self._shape = 0
         return _intern(key, self)
 
 
@@ -181,7 +182,7 @@ class Falsum(Formula):
         self._free = self._vars = ()
         self.is_qf = True
         self._canon = True
-        self._shape = None
+        self._shape = 0
         return _intern(key, self)
 
 
@@ -206,7 +207,7 @@ class _Binary(Formula):
         self._free = self._vars = None
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
-        self._shape = None
+        self._shape = 0 if self.is_qf else None
         return _intern(key, self)
 
 

@@ -7,6 +7,16 @@ class of quantifier-free formulas; Sigma_{k+1} prefixes a non-empty
 existential block to a Pi_k formula, and dually for Pi, so a shape's kind
 and level name its strict class.  The cumulative class adds every
 strictly lower Sigma_i and Pi_i.
+
+Each node's ``_shape`` slot holds its *prenex code*, the one number the
+hot readers (``is_prenex``, ``prenex_level`` and the floors) need:
+``2 * level + 1`` for a prenex node whose first block is universal,
+``2 * level`` for any other prenex node (so 0 for a quantifier-free one),
+``False`` for a node that is not prenex and ``None`` until it is known.
+A quantifier's code follows from its body's in O(1), so the walk that
+fills a code stops at the first node below whose code is known and each
+quantifier is walked at most once.  Since ``0 == False``, a reader tests
+``is False``.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Exists, Forall, Formula, _Quant
+from .formula import Forall, Formula, _Quant
 
 __all__ = [
     "SIGMA",
@@ -22,6 +32,7 @@ __all__ = [
     "PrenexShape",
     "classify_prenex",
     "is_prenex",
+    "prenex_level",
     "in_sigma_plus",
     "in_pi_plus",
     "sigma_plus_floor",
@@ -46,24 +57,13 @@ class PrenexShape:
     blocks: tuple[int, ...]
 
 
-_QF_SHAPE = PrenexShape(SIGMA, 0, ())
-
-
 def classify_prenex(phi: Formula) -> Optional[PrenexShape]:
     """Minimal shape of ``phi`` if it is prenex, else ``None``.
 
     Blocks are maximal, so the reported level is the unique minimal one.
+    The shape is built by walking the prefix and is not cached: the
+    prenex code in ``_shape`` is what the other readers use.
     """
-    shape = phi._shape
-    if shape is None:
-        shape = _classify(phi)
-        phi._shape = shape
-    return shape if shape is not False else None
-
-
-def _classify(phi: Formula):
-    if phi.is_qf:
-        return _QF_SHAPE
     blocks: list[int] = []
     current: Optional[type] = None
     node = phi
@@ -75,37 +75,75 @@ def _classify(phi: Formula):
             current = type(node)
         node = node.body
     if not node.is_qf:
-        # no quantifier walked past is prenex either: cache the sentinel
-        # on each, so a later test of one costs no walk
-        while phi is not node:
-            phi._shape = False
-            phi = phi.body
-        return False
-    first = Exists if isinstance(phi, Exists) else Forall
-    kind = SIGMA if first is Exists else PI
+        return None
+    kind = PI if isinstance(phi, Forall) else SIGMA
     return PrenexShape(kind, len(blocks), tuple(blocks))
 
 
+def _code(phi: Formula):
+    """Fill and return the prenex code of ``phi``, whose ``_shape`` is
+    ``None``: walk down the prefix to the first node whose code is known,
+    then set the codes of the quantifiers passed, innermost first."""
+    chain = []
+    node = phi
+    code = node._shape
+    while code is None:
+        if not isinstance(node, _Quant):
+            # a connective over a quantifier: not prenex
+            code = node._shape = False
+            break
+        chain.append(node)
+        node = node.body
+        code = node._shape
+    if code is False:
+        # no quantifier walked past is prenex either
+        for quant in chain:
+            quant._shape = False
+        return False
+    for quant in reversed(chain):
+        is_forall = type(quant) is Forall
+        if code == 0:
+            code = 2 + is_forall
+        elif (code & 1) != is_forall:  # opens a new block
+            code = (code | 1) + 1 + is_forall
+        quant._shape = code
+    return code
+
+
 def is_prenex(phi: Formula) -> bool:
-    return classify_prenex(phi) is not None
+    code = phi._shape
+    if code is None:
+        code = _code(phi)
+    return code is not False
+
+
+def prenex_level(phi: Formula) -> Optional[int]:
+    """The number of quantifier blocks of ``phi``, or ``None`` if it is
+    not prenex."""
+    code = phi._shape
+    if code is None:
+        code = _code(phi)
+    return None if code is False else code >> 1
 
 
 def sigma_plus_floor(phi: Formula) -> Optional[int]:
     """Least k with ``phi`` in Sigma_k+, or ``None`` if not prenex."""
-    shape = classify_prenex(phi)
-    if shape is None:
-        return None
-    return shape.level if shape.kind == SIGMA else shape.level + 1
+    code = phi._shape
+    if code is None:
+        code = _code(phi)
+    # a Pi_k formula with k >= 1 first enters Sigma_{k+1}+
+    return None if code is False else (code + 1) >> 1
 
 
 def pi_plus_floor(phi: Formula) -> Optional[int]:
     """Least k with ``phi`` in Pi_k+, or ``None`` if not prenex."""
-    shape = classify_prenex(phi)
-    if shape is None:
+    code = phi._shape
+    if code is None:
+        code = _code(phi)
+    if code is False:
         return None
-    if shape.level == 0:
-        return 0
-    return shape.level if shape.kind == PI else shape.level + 1
+    # a Sigma_k formula with k >= 1 first enters Pi_{k+1}+
+    return code >> 1 if code & 1 or code == 0 else (code >> 1) + 1
 
 
 def in_sigma_plus(phi: Formula, k: int) -> bool:

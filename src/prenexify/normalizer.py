@@ -8,13 +8,14 @@ are built from), so no clause choice is re-searched.  A ``lift`` goal has
 the normal form of the goal at the foot of its lift chain, which is read
 off the node's least levels (``Classifier.lift_root``) without walking
 the chain, and a prenex formula in its class is its own normal form (its
-least levels are its Sigma+ / Pi+ floors), recognised from its cached
-shape (``hierarchy.is_prenex``).  Every other goal is normalized once
-per degree and kept in the classifier's store (``Classifier.normal_forms``):
-normalize the operands, then merge the two prenex results by hoisting
-their quantifier prefixes through the connective.  An entry holds the prenex output, the merge's own
-steps at positions relative to its node, and its operands' entries.  Fresh
-names come from the node alone (the hoisted binders and the node's
+least levels are its Sigma+ / Pi+ floors), recognised from its prenex
+code, which each node keeps once it is read (``hierarchy.is_prenex``).
+Every other goal is normalized once per degree and kept in the
+classifier's store (``Classifier.normal_forms``): normalize the operands,
+then merge the two prenex results by hoisting their quantifier prefixes
+through the connective.  An entry holds the prenex output, the merge's
+own steps at positions relative to its node, and its operands' entries.
+Fresh names come from the node alone (the hoisted binders and the node's
 variables), so an entry is the same wherever its goal occurs.  The first
 call for a goal turns the entries into absolute steps in one pass (the
 left operand's, the right operand's, then the node's own) and keeps them
@@ -67,7 +68,7 @@ from .formula import (
     free_vars,
     fresh_variable,
 )
-from .hierarchy import PI, SIGMA, classify_prenex, in_pi_plus, in_sigma_plus, is_prenex
+from .hierarchy import PI, SIGMA, in_pi_plus, in_sigma_plus, is_prenex, prenex_level
 from .parser import formula_to_dict, render
 from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
 from .semiclassical import J, R, Classifier, _check_levels
@@ -312,9 +313,9 @@ def _hoist_prefixes(
 
 
 def _level(phi: Formula) -> int:
-    shape = classify_prenex(phi)
-    assert shape is not None, "merge operand must stay prenex"
-    return shape.level
+    level = prenex_level(phi)
+    assert level is not None, "merge operand must stay prenex"
+    return level
 
 
 def _or_rank(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:

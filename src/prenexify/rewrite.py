@@ -74,7 +74,7 @@ from .formula import (
     replace_at,
     subformula_at,
 )
-from .hierarchy import classify_prenex, is_prenex
+from .hierarchy import is_prenex, prenex_level
 from .parser import is_variable, parse, render
 
 __all__ = [
@@ -197,11 +197,9 @@ def _strategy_ok(redex: Formula) -> bool:
     # All proper subformulas of the redex are prenex iff its immediate
     # children are (subformulas of prenex formulas are prenex).
     if isinstance(redex, _Binary):
-        # the shapes read directly: every step and hoist passes here
-        return (
-            classify_prenex(redex.left) is not None
-            and classify_prenex(redex.right) is not None
-        )
+        # each reads the operand's prenex code, one slot once it is known:
+        # every step and hoist passes here
+        return is_prenex(redex.left) and is_prenex(redex.right)
     if isinstance(redex, _Quant):
         return is_prenex(redex.body)
     return True
@@ -229,9 +227,9 @@ def _side_condition(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> Optio
     universal formula is in Pi_0+; a universal formula's Pi+ floor is its
     level.  ``delta`` in C_n+ is ``delta`` in Sigma_n+ or in Pi_n+, the
     lesser of its two floors being its level."""
-    if rule.needs_xi_u and classify_prenex(quant).level > n:
+    if rule.needs_xi_u and prenex_level(quant) > n:
         return f"quantified operand body is not in U_{n}+"
-    if rule.needs_delta_c and classify_prenex(delta).level > n:
+    if rule.needs_delta_c and prenex_level(delta) > n:
         return f"other operand is not in C_{n}+"
     return None
 
@@ -424,6 +422,9 @@ def format_position(pos: Position) -> str:
     return "/" + "/".join(pos)
 
 
+_SELECTORS = frozenset((LEFT, RIGHT, BODY))
+
+
 def parse_position(text: str) -> Position:
     if not text.startswith("/"):
         raise ValueError(f"position must start with '/': {text!r}")
@@ -431,9 +432,9 @@ def parse_position(text: str) -> Position:
     if not body:
         return ()
     parts = tuple(body.split("/"))
-    for part in parts:
-        if part not in ("l", "r", "b"):
-            raise ValueError(f"bad position selector {part!r} in {text!r}")
+    if not _SELECTORS.issuperset(parts):
+        bad = next(part for part in parts if part not in _SELECTORS)
+        raise ValueError(f"bad position selector {bad!r} in {text!r}")
     return parts
 
 

@@ -305,7 +305,8 @@ class Classifier:
         """(k_J, k_R) of ``phi`` at degree ``n``, ``INF`` for "in no
         level": ``phi`` is in J_k^n exactly when ``k >= k_J``, and in
         R_k^n when ``k >= k_R``."""
-        _check_levels(0, n)
+        if n < 0:  # _check_levels' test, inline: the selftest reads here
+            raise ValueError("degree n must be a natural number")
         return self._pair(phi, n)
 
     def min_levels(

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 from hypothesis import given, settings
 
 from prenexify.formula import And, Exists, Forall, Prime
@@ -8,9 +11,14 @@ from prenexify.hierarchy import (
     in_pi_plus,
     in_sigma_plus,
     is_prenex,
+    pi_plus_floor,
+    prenex_level,
+    sigma_plus_floor,
 )
+from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
-from test_formula import formulas
+from prenexify.selftest import default_signature
+from test_formula import _postorder, _tagged, formulas
 
 
 def test_classify_examples():
@@ -61,11 +69,10 @@ def test_cumulative_classes_grow(phi):
             assert in_pi_plus(phi, k + 1)
 
 
-@settings(max_examples=300)
-@given(formulas())
-def test_strict_membership_matches_shape(phi):
-    # the blocks are the maximal runs of one quantifier kind in the prefix,
-    # and the formula is prenex when the prefix ends on its matrix
+def _runs(phi):
+    """The maximal runs ``[kind, count]`` of one quantifier kind in the
+    prefix of ``phi``, and the node below the prefix: the formula is
+    prenex when that node is quantifier-free."""
     runs, node = [], phi
     while isinstance(node, (Exists, Forall)):
         if runs and type(node) is runs[-1][0]:
@@ -73,6 +80,48 @@ def test_strict_membership_matches_shape(phi):
         else:
             runs.append([type(node), 1])
         node = node.body
+    return runs, node
+
+
+def _check_readers(phi):
+    """``prenex_level``, ``is_prenex`` and both floors of ``phi`` agree
+    with a walk of its prefix."""
+    runs, node = _runs(phi)
+    if not node.is_qf:
+        assert not is_prenex(phi)
+        assert prenex_level(phi) is sigma_plus_floor(phi) is pi_plus_floor(phi) is None
+        return
+    level = len(runs)
+    first = runs[0][0] if runs else None
+    assert is_prenex(phi)
+    assert prenex_level(phi) == level
+    assert sigma_plus_floor(phi) == (level + 1 if first is Forall else level)
+    assert pi_plus_floor(phi) == (level + 1 if first is Exists else level)
+
+
+def test_the_readers_match_a_prefix_walk_on_the_size_5_corpus():
+    # fresh nodes, so the roots' reads fill the codes their suffixes read
+    corpus = _tagged(list(enumerate_formulas(default_signature(5))), "Code")
+    for phi in corpus:
+        _check_readers(phi)
+    for phi in _postorder(corpus):
+        _check_readers(phi)
+
+
+@settings(max_examples=300)
+@given(formulas(max_leaves=8))
+def test_the_readers_match_a_prefix_walk_on_every_suffix(phi):
+    suffixes = [phi]
+    while isinstance(suffixes[-1], (Exists, Forall)):
+        suffixes.append(suffixes[-1].body)
+    for suffix in suffixes:
+        _check_readers(suffix)
+
+
+@settings(max_examples=300)
+@given(formulas())
+def test_strict_membership_matches_shape(phi):
+    runs, node = _runs(phi)
     shape = classify_prenex(phi)
     assert is_prenex(phi) == (shape is not None) == node.is_qf
     if shape is not None:
@@ -89,5 +138,38 @@ def test_one_test_of_a_non_prenex_chain_marks_every_quantifier():
         phi = Exists("x", phi)
         chain.append(phi)
     assert all(q._shape is None for q in chain)
-    assert classify_prenex(phi) is None
+    assert not is_prenex(phi)
     assert all(q._shape is False for q in chain)
+    assert classify_prenex(phi) is None
+
+
+def test_one_test_of_a_prenex_chain_codes_every_quantifier():
+    # blocks of three quantifiers each, so the levels climb every third
+    phi = And(Prime("Coded", ("x",)), Prime("Coded", ("y",)))
+    chain = []
+    for i in range(5000):
+        phi = (Exists if (i // 3) % 2 else Forall)("x", phi)
+        chain.append(phi)
+    assert all(q._shape is None for q in chain)
+    assert is_prenex(phi)
+    assert [q._shape >> 1 for q in chain] == [i // 3 + 1 for i in range(5000)]
+    assert [q._shape & 1 for q in chain] == [type(q) is Forall for q in chain]
+
+
+def test_a_deep_alternating_chain_is_read_in_linear_time_and_space():
+    # a shape kept per suffix would hold a blocks tuple per quantifier:
+    # quadratic in the depth
+    phi = Prime("Deep", ("x",))
+    for i in range(20000):
+        phi = (Exists if i % 2 else Forall)("x", phi)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        level = prenex_level(phi)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level == 20000
+    assert elapsed < 1.0
+    assert peak < 10 * 2**20

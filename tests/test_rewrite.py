@@ -26,6 +26,7 @@ from prenexify.rewrite import (
     TraceStepError,
     applicable_steps,
     apply_step,
+    format_position,
     measure,
     parse_position,
     trace_from_json,
@@ -214,6 +215,24 @@ def test_parse_position():
         parse_position("l/b")
     with pytest.raises(ValueError):
         parse_position("/l/x")
+
+
+def test_a_bad_position_names_its_first_bad_part():
+    for text, message in [
+        ("/l/x/r", "bad position selector 'x' in '/l/x/r'"),
+        ("/l//r", "bad position selector '' in '/l//r'"),
+        ("l/r", "position must start with '/': 'l/r'"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            parse_position(text)
+        assert str(caught.value) == message
+
+
+def test_a_depth_40_position_round_trips():
+    pos = tuple("lrb"[i % 3] for i in range(40))
+    text = format_position(pos)
+    assert text.count("/") == 40
+    assert parse_position(text) == pos
 
 
 @settings(max_examples=250, deadline=None)
