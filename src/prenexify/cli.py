@@ -264,10 +264,10 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _classify_record(phi: Formula, degrees, k_max: int, levels: tuple) -> dict:
-    """The record of ``phi``, whose ``min_levels(phi, n, k_max)`` is
-    ``levels[i]`` for the ``i``-th of the ``degrees``."""
-    shape = classify_prenex(phi)
+def _classify_record(phi: Formula, degrees, k_max: int, key: tuple) -> dict:
+    """The record of ``phi``, whose ``key`` is its ``classify_prenex`` shape and
+    its ``min_levels(phi, n, k_max)`` for each of the ``degrees``, in order."""
+    shape, levels = key
     sigma, pi = sigma_plus_floor(phi), pi_plus_floor(phi)
     record = {
         "schema": CLASSIFY_SCHEMA,
@@ -312,7 +312,7 @@ def cmd_classify(args) -> int:
         prefix = '{"formula": ' + json.dumps(render(phi)) + ", "
         body = bodies.get(key)
         if body is None:
-            record = _classify_record(phi, args.n, args.k_max, levels)
+            record = _classify_record(phi, args.n, args.k_max, key)
             line = json.dumps(record, sort_keys=True)
             assert line.startswith(prefix), line
             body = bodies[key] = line[len(prefix):]

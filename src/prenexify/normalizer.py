@@ -33,17 +33,16 @@ output is in the target class with the input's free variables, and build
 the ``Trace`` and the ``NormalizationResult``.  The selftest calls
 ``prenex_form`` directly and makes its own checks.
 
-One hoist loop (``_hoist_prefixes``) merges every connective.  It
-tracks a *contract* (target kind, level budget): hoisting a quantifier
-whose output kind matches the target keeps the contract, while an
-opposite-kind quantifier starts a new alternation block and decrements
-the budget.  The loop only orders the hoists: one table of preferences
-per connective and target (``_PREFERENCE``) transcribes the constructive
-merging arguments for conjunction, disjunction and implication so that
-the hoist stays inside the contract, and a disjunction of two quantified
-operands first lets their ranks pick the operand (``_or_rank``).  At each
-pass the rewrite engine returns the first rule of that order that is
-valid at the connective under the degree-n side conditions
+One hoist loop (``_hoist_prefixes``) merges every connective.  It tracks
+the quantifier kind of the current block, from the goal's side (exists
+for J, forall for R), and a level budget, the goal's level: a quantifier
+of the other kind opens a new block and spends one level.  The loop only
+orders the hoists, in an order read off the rule table (``_ORDER``): per
+connective, the rules whose output continues the current block before
+those that open a new one, the left operand's before the right's, after
+a disjunction's operand ranks pick the operand (``_or_rank``).  At each
+pass the rewrite engine returns the first rule of that order valid at
+the connective under the degree-n side conditions, with the redex split
 (``valid_hoists``), and checks no rule after it.  Every hoist is checked
 by the rewrite engine at its redex when its entry is built
 (``rewrite_node``, with every rule, strategy and side-condition check),
@@ -223,7 +222,7 @@ def _build(goal: tuple, forms: list, n: int) -> _NormalForm:
         phi.right if right is None else right.output,
     )
     # phi is not prenex, so an operand is quantified and the loop hoists
-    output, hoists = _hoist_prefixes(node, SIGMA if side == J else PI, k, n)
+    output, hoists = _hoist_prefixes(node, _KIND[side], k, n)
     children = tuple((sel, form) for sel, form in zip("lr", forms) if form is not None)
     return _NormalForm(output, tuple(hoists), children)
 
@@ -246,52 +245,44 @@ def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
     return tuple(steps)
 
 
-_KIND = {SIGMA: Exists, PI: Forall}
+_KIND = {J: Exists, R: Forall}
 
-# (connective, target) -> the connective's rules in order of preference:
-# each pass of a merge hoists the first one that is valid at the redex.
-# Conjunction and disjunction take a target-kind quantifier first, then an
-# opposite-kind one, the left operand's first each time; implication
-# prefers the rules that emit the target kind.
-_PREFERENCE = {
-    (And, SIGMA): ("ExistsAnd", "AndExists", "ForallAnd", "AndForall"),
-    (And, PI): ("ForallAnd", "AndForall", "ExistsAnd", "AndExists"),
-    (Or, SIGMA): ("ExistsOr", "OrExists", "ForallOrN", "OrForallN"),
-    (Or, PI): ("ForallOrN", "OrForallN", "ExistsOr", "OrExists"),
-    (Imp, SIGMA): ("ForallImpN", "ImpExistsN", "ExistsImp", "ImpForall"),
-    (Imp, PI): ("ExistsImp", "ImpForall", "ForallImpN", "ImpExistsN"),
-}
-# (connective, target, side) -> the rules of that order that hoist from
-# the operand ``side`` ("l" or "r"), or all of them for ``None``
-_BY_SIDE = {
-    (conn, target, side): tuple(
-        RULES[name] for name in names if side in (None, RULES[name].qside)
+# (connective, block kind, side) -> the connective's rules in the order a
+# merge tries them: those whose output continues a block of quantifier
+# kind ``kind`` before those that open a new one, the left operand's first
+# each time; ``side`` ("l" or "r") keeps the ones hoisting from it, ``None`` all
+_ORDER = {
+    (conn, kind, side): tuple(
+        sorted(
+            (r for r in RULES.values() if r.conn is conn and side in (None, r.qside)),
+            key=lambda r: (r.out is not kind, r.qside == "r"),
+        )
     )
-    for (conn, target), names in _PREFERENCE.items()
+    for conn in (And, Or, Imp)
+    for kind in (Exists, Forall)
     for side in (None, "l", "r")
 }
 
 
 def _hoist_prefixes(
-    node: Formula, target: str, budget: int, n: int
+    node: Formula, kind: type, budget: int, n: int
 ) -> tuple[Formula, list[tuple[str, Optional[str]]]]:
     """Hoist the quantifier prefixes of the operands of the connective
-    ``node`` above it under the contract ``(target, budget)``; both
-    operands stay prenex.  Each pass hoists the preferred valid rule at
-    the connective, its redex (``_BY_SIDE``, after the ranks of a
-    disjunction), which moves one operand's head quantifier above it and
-    slides the connective down one body position.  Returns the merged
-    formula, with the prefix wrapped around the connective once, at the
-    end, and the hoists' ``(rule, fresh)`` pairs."""
+    ``node`` above it, after a block of kind ``kind`` and within ``budget``
+    new blocks; both operands stay prenex.  Each pass hoists the first
+    valid rule of ``_ORDER`` at the connective, its redex, which moves one
+    operand's head quantifier above it and slides the connective down one
+    body position.  Returns the merged formula, with the prefix wrapped
+    around the connective once, at the end, and the hoists' ``(rule,
+    fresh)`` pairs."""
     prefix: list[_Quant] = []
     hoists: list[tuple[str, Optional[str]]] = []
     while not (node.left.is_qf and node.right.is_qf):
-        left, right = node.left, node.right
-        side = _or_rank(left, right, target, n) if type(node) is Or else None
-        rule = valid_hoists(node, n, _BY_SIDE[type(node), target, side])
-        if rule is None:
+        side = _or_rank(node.left, node.right, kind, n) if type(node) is Or else None
+        found = valid_hoists(node, n, _ORDER[type(node), kind, side])
+        if found is None:
             raise AssertionError("no valid hoist; merge preconditions broken")
-        quant, delta = (left, right) if rule.qside == "l" else (right, left)
+        rule, quant, delta = found
         fresh = None
         if quant.var in delta.free:
             # exactly the variables of the prefix over the node: a name
@@ -301,37 +292,33 @@ def _hoist_prefixes(
         hoists.append((rule.name, fresh))
         prefix.append(hoisted)
         node = hoisted.body
-        # Emitting a target-kind quantifier keeps the contract; an
-        # opposite-kind one opens a new block and spends one level.
-        if type(hoisted) is not _KIND[target]:
-            assert budget >= 1, "merge contract exhausted"
-            target = PI if target == SIGMA else SIGMA
+        # A quantifier of the current kind continues its block; one of the
+        # other kind opens a new block and spends one level.
+        if rule.out is not kind:
+            assert budget >= 1, "merge level budget exhausted"
+            kind = rule.out
             budget -= 1
     for quant in reversed(prefix):
         node = type(quant)(quant.var, node)
     return node, hoists
 
 
-def _level(phi: Formula) -> int:
-    level = prenex_level(phi)
-    assert level is not None, "merge operand must stay prenex"
-    return level
-
-
-def _or_rank(left: Formula, right: Formula, target: str, n: int) -> Optional[str]:
+def _or_rank(left: Formula, right: Formula, kind: type, n: int) -> Optional[str]:
     """The operand of a disjunction that the ranks of its two quantified
     operands make hoist from next, "l" or "r", or None when they leave
-    the choice to the preference order, as a quantifier-free operand
-    always does."""
+    the choice to the rule order, as a quantifier-free operand always
+    does."""
     if left.is_qf or right.is_qf:
         return None
-    if target == SIGMA and type(left) is Exists and _level(left) > n:
+    ll, rl = prenex_level(left), prenex_level(right)
+    assert ll is not None and rl is not None, "merge operands must stay prenex"
+    if kind is Exists:
         # an operand above the degree must shed its existential block
         # before any universal hoist can see it as delta
-        return "l"
-    if target == SIGMA and type(right) is Exists and _level(right) > n:
-        return "r"
-    ll, rl = _level(left), _level(right)
+        if type(left) is Exists and ll > n:
+            return "l"
+        if type(right) is Exists and rl > n:
+            return "r"
     if ll != rl:
         # bring the higher-ranked side down to the lower one
         return "l" if ll > rl else "r"

@@ -234,12 +234,6 @@ def _side_condition(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> Optio
     return None
 
 
-def _position_key(pos: Position) -> tuple[int, ...]:
-    # Leftmost-innermost: siblings compare left-to-right, and a position
-    # sorts before every proper prefix of itself.
-    return tuple(0 if sel in ("l", "b") else 1 for sel in pos) + (2,)
-
-
 def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     """All valid non-renaming steps on ``phi`` at degree ``n``.
 
@@ -247,10 +241,10 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     leftmost-innermost.  When the quantified variable occurs free in
     delta, the step carries a deterministic globally fresh rename.
     """
-    found: list[tuple[int, tuple[int, ...], RewriteStep]] = []
+    found: list[tuple[int, RewriteStep]] = []
     avoid = None
     # a redex has a quantified child, so no quantifier-free node is one or
-    # holds one; the steps are sorted below, so the walk's order is free
+    # holds one
     stack: list[tuple[Position, Formula]] = [((), phi)]
     while stack:
         pos, node = stack.pop()
@@ -259,13 +253,14 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
         if isinstance(node, _Quant):
             stack.append((pos + (BODY,), node.body))
             continue
-        stack.append((pos + (LEFT,), node.left))
-        stack.append((pos + (RIGHT,), node.right))
-        candidates = _CANDIDATES[type(node), type(node.left), type(node.right)]
+        left, right = node.left, node.right
+        stack.append((pos + (LEFT,), left))
+        stack.append((pos + (RIGHT,), right))
+        candidates = _CANDIDATES[type(node), type(left), type(right)]
         if not candidates or not _strategy_ok(node):
             continue
-        for index, rule in candidates:
-            quant, delta = _match(rule, node)
+        for index, rule in candidates:  # each matches the redex
+            quant, delta = (left, right) if rule.qside == "l" else (right, left)
             if _side_condition(rule, quant, delta, n) is not None:
                 continue
             fresh = None
@@ -273,19 +268,21 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
                 if avoid is None:
                     avoid = all_vars(phi)
                 fresh = fresh_variable(avoid)
-            step = RewriteStep(rule.name, pos, fresh)
-            found.append((index, _position_key(pos), step))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [step for _, _, step in found]
+            found.append((index, RewriteStep(rule.name, pos, fresh)))
+    # a redex's operands are prenex and hold no redex, so the reverse of
+    # the node-right-left walk is leftmost order: the stable sort keeps it
+    return [step for _, step in sorted(reversed(found), key=lambda item: item[0])]
 
 
-def valid_hoists(node: Formula, n: int, order: tuple[_Rule, ...]) -> Optional[_Rule]:
+def valid_hoists(node: Formula, n: int, order: tuple[_Rule, ...]) -> Optional[tuple]:
     """The first rule of ``order`` that may hoist a quantified operand
-    above the connective ``node`` at degree ``n``: its left-hand side
-    matches ``node``, whose operands are prenex, and its side condition
-    allows the hoist; ``None`` when no rule of ``order`` is valid.  The
-    rules after it are not checked.  A bound variable that is free in the
-    other operand refuses none of them: a fresh rename discharges it."""
+    above the connective ``node`` at degree ``n``, as ``(rule, quant,
+    delta)`` with the redex split into that operand and the other one:
+    its left-hand side matches ``node``, whose operands are prenex, and
+    its side condition allows the hoist; ``None`` when no rule of
+    ``order`` is valid.  The rules after it are not checked.  A bound
+    variable that is free in the other operand refuses none of them: a
+    fresh rename discharges it."""
     if not _strategy_ok(node):
         return None
     left, right = node.left, node.right
@@ -295,7 +292,7 @@ def valid_hoists(node: Formula, n: int, order: tuple[_Rule, ...]) -> Optional[_R
         else:
             quant, delta = right, left
         if type(quant) is rule.qkind and _side_condition(rule, quant, delta, n) is None:
-            return rule
+            return rule, quant, delta
     return None
 
 
@@ -341,8 +338,8 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
             f"{step.rule}: bound variable {quant.var} occurs free in the "
             "other operand (no or unusable fresh rename)"
         )
-    # the operand as matched: ``_strategy_ok`` has already cached its
-    # shape, and renaming does not change it
+    # the operand as matched: ``_strategy_ok`` has already filled its
+    # prenex code, and renaming does not change it
     reason = _side_condition(rule, m[0], delta, n)
     if reason is not None:
         raise SideConditionError(f"{step.rule}: {reason}")

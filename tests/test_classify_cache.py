@@ -2,7 +2,8 @@
 it after each formula's own text.  Every line must still be the record
 ``_classify_record`` builds for that formula, the builder must run once
 per distinct body, and each formula's least levels must be read once per
-degree, whatever the degrees, levels and signature."""
+degree and its prenex shape once, whatever the degrees, levels and
+signature."""
 
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from prenexify import cli
 from prenexify.formula import FALSUM, And, Exists, Forall, Imp, Or, Prime
+from prenexify.hierarchy import classify_prenex
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse_corpus, render
 from prenexify.selftest import default_signature
@@ -68,6 +70,7 @@ def test_each_line_is_its_record_and_each_body_is_built_once(
     min_levels = Classifier.min_levels
     calls = []
     reads = []
+    walks = []
 
     def counted(*a):
         calls.append(a[0])
@@ -77,8 +80,13 @@ def test_each_line_is_its_record_and_each_body_is_built_once(
         reads.append(a[1])
         return min_levels(*a)
 
+    def counted_walks(phi):
+        walks.append(phi)
+        return classify_prenex(phi)
+
     monkeypatch.setattr(cli, "_classify_record", counted)
     monkeypatch.setattr(Classifier, "min_levels", counted_reads)
+    monkeypatch.setattr(cli, "classify_prenex", counted_walks)
     assert cli.main(argv) == 0
     monkeypatch.undo()
     lines = capsys.readouterr().out.splitlines()
@@ -86,11 +94,13 @@ def test_each_line_is_its_record_and_each_body_is_built_once(
     _, formulas, errors = parse_corpus(corpus.read_text().split("\n"))
     assert not errors and len(lines) == len(formulas) == 884 + 300
     assert len(reads) == len(formulas) * len(args.n)
+    assert len(walks) == len(formulas)
     checker = Classifier()
     bodies = set()
     for line, (_, phi) in zip(lines, formulas):
         levels = tuple(checker.min_levels(phi, n, args.k_max) for n in args.n)
-        assert line == json.dumps(build(phi, args.n, args.k_max, levels), sort_keys=True)
+        record = build(phi, args.n, args.k_max, (classify_prenex(phi), levels))
+        assert line == json.dumps(record, sort_keys=True)
         prefix = json.dumps({"formula": render(phi)})[:-1]
         bodies.add(line[len(prefix):])
     assert len(calls) == len(bodies) < len(lines) // 10

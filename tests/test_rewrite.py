@@ -89,6 +89,23 @@ def test_step_order_rule_then_position():
     ]
 
 
+def test_step_order_is_leftmost_across_depths():
+    # one rule at two depths: the deeper redex, under a quantifier body,
+    # sorts by its position alone, on the left side and on the right
+    phi = parse("(exists u. ((exists x. P(x)) & Q(y))) & ((exists z. P(z)) & Q(x))")
+    steps = applicable_steps(phi, 0)
+    assert [(s.rule, s.position) for s in steps] == [
+        ("ExistsAnd", ("l", "b")),
+        ("ExistsAnd", ("r",)),
+    ]
+    phi = parse("((exists z. P(z)) & Q(x)) & (exists u. ((exists x. P(x)) & Q(y)))")
+    steps = applicable_steps(phi, 0)
+    assert [(s.rule, s.position) for s in steps] == [
+        ("ExistsAnd", ("l",)),
+        ("ExistsAnd", ("r", "b")),
+    ]
+
+
 def test_strategy_restriction_blocks_nonprenex_children():
     # the left operand (exists x. P(x)) & Q(y) is not prenex, so the root
     # conjunction is not yet a legal redex; only the inner one is
