@@ -22,13 +22,7 @@ from typing import Optional
 
 from . import oracle
 from .formula import Formula
-from .hierarchy import (
-    classify_prenex,
-    in_pi_plus,
-    in_sigma_plus,
-    pi_plus_floor,
-    sigma_plus_floor,
-)
+from .hierarchy import classify_prenex, in_pi_plus, in_sigma_plus, prenex_floors
 from .normalizer import NotInClassError, normalize_J, normalize_R
 from .parser import (
     ParseError,
@@ -268,15 +262,15 @@ def _classify_record(phi: Formula, degrees, k_max: int, key: tuple) -> dict:
     """The record of ``phi``, whose ``key`` is its ``classify_prenex`` shape and
     its ``min_levels(phi, n, k_max)`` for each of the ``degrees``, in order."""
     shape, levels = key
-    sigma, pi = sigma_plus_floor(phi), pi_plus_floor(phi)
+    sigma, pi = prenex_floors(phi)
     record = {
         "schema": CLASSIFY_SCHEMA,
         "formula": render(phi),
         "prenex": None
         if shape is None
         else {"kind": shape.kind, "level": shape.level, "blocks": list(shape.blocks)},
-        "sigma_plus": [] if sigma is None else list(range(sigma, k_max + 1)),
-        "pi_plus": [] if pi is None else list(range(pi, k_max + 1)),
+        "sigma_plus": [k for k in range(k_max + 1) if k >= sigma],
+        "pi_plus": [k for k in range(k_max + 1) if k >= pi],
         "grid": [],
         "min_levels": {},
     }

@@ -4,7 +4,7 @@ Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
 formulas that nothing outside the table refers to.  Building a node costs
-its intern key, its size and whether it is quantifier-free; its sorted
+its intern key and whether it is quantifier-free; its sorted
 tuples of free variables (``free``) and of all variables (``vars``) are
 each filled on first read, for the node and every node below it that
 lacks that tuple, and then kept.  Negation is not a
@@ -73,9 +73,8 @@ class Formula:
     construction goes through the subclass constructors, which intern.
     """
 
-    __slots__ = ("size", "_free", "_vars", "is_qf", "_canon", "_shape")
+    __slots__ = ("_free", "_vars", "is_qf", "_canon", "_shape")
 
-    size: int
     is_qf: bool
     # _free backs ``free`` and _vars backs ``vars``: set when an atom is
     # built, None in a compound node until the first read fills it, then
@@ -159,7 +158,6 @@ class Prime(Formula):
         self = object.__new__(cls)
         self.name = name
         self.args = args
-        self.size = 1
         self._free = self._vars = tuple(sorted(set(args)))
         self.is_qf = True
         self._canon = True
@@ -178,7 +176,6 @@ class Falsum(Formula):
         if cached is not None:
             return cached
         self = object.__new__(cls)
-        self.size = 1
         self._free = self._vars = ()
         self.is_qf = True
         self._canon = True
@@ -203,7 +200,6 @@ class _Binary(Formula):
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        self.size = 1 + left.size + right.size
         self._free = self._vars = None
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
@@ -239,7 +235,6 @@ class _Quant(Formula):
         self = object.__new__(cls)
         self.var = var
         self.body = body
-        self.size = 1 + body.size
         self._free = self._vars = None
         self.is_qf = False
         self._canon = None

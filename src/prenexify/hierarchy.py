@@ -6,10 +6,13 @@ quantifier blocks over a quantifier-free matrix.  Sigma_0 = Pi_0 is the
 class of quantifier-free formulas; Sigma_{k+1} prefixes a non-empty
 existential block to a Pi_k formula, and dually for Pi, so a shape's kind
 and level name its strict class.  The cumulative class adds every
-strictly lower Sigma_i and Pi_i.
+strictly lower Sigma_i and Pi_i.  A formula's floors are one pair
+(``prenex_floors``): the least k with it in Sigma_k+ and the least with
+it in Pi_k+, ``inf`` for "in none", the encoding of the classifier's
+least levels.
 
 Each node's ``_shape`` slot holds its *prenex code*, the one number the
-hot readers (``is_prenex``, ``prenex_level`` and the floors) need:
+hot readers (``is_prenex``, ``prenex_level`` and ``prenex_floors``) need:
 ``2 * level + 1`` for a prenex node whose first block is universal,
 ``2 * level`` for any other prenex node (so 0 for a quantifier-free one),
 ``False`` for a node that is not prenex and ``None`` until it is known.
@@ -22,6 +25,7 @@ quantifier is walked at most once.  Since ``0 == False``, a reader tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from .formula import Forall, Formula, _Quant
@@ -35,8 +39,7 @@ __all__ = [
     "prenex_level",
     "in_sigma_plus",
     "in_pi_plus",
-    "sigma_plus_floor",
-    "pi_plus_floor",
+    "prenex_floors",
 ]
 
 SIGMA = "sigma"
@@ -126,32 +129,25 @@ def prenex_level(phi: Formula) -> Optional[int]:
     return None if code is False else code >> 1
 
 
-def sigma_plus_floor(phi: Formula) -> Optional[int]:
-    """Least k with ``phi`` in Sigma_k+, or ``None`` if not prenex."""
-    code = phi._shape
-    if code is None:
-        code = _code(phi)
-    # a Pi_k formula with k >= 1 first enters Sigma_{k+1}+
-    return None if code is False else (code + 1) >> 1
-
-
-def pi_plus_floor(phi: Formula) -> Optional[int]:
-    """Least k with ``phi`` in Pi_k+, or ``None`` if not prenex."""
+def prenex_floors(phi: Formula) -> tuple:
+    """``(sigma, pi)``: the least k with ``phi`` in Sigma_k+ and the least
+    with ``phi`` in Pi_k+, both ``inf`` if ``phi`` is not prenex."""
     code = phi._shape
     if code is None:
         code = _code(phi)
     if code is False:
-        return None
-    # a Sigma_k formula with k >= 1 first enters Pi_{k+1}+
-    return code >> 1 if code & 1 or code == 0 else (code >> 1) + 1
+        return inf, inf
+    level = code >> 1
+    if code & 1:  # a Pi_k formula with k >= 1 first enters Sigma_{k+1}+
+        return level + 1, level
+    # and a Sigma_k one Pi_{k+1}+, but Sigma_0 = Pi_0
+    return level, (level + 1 if code else level)
 
 
 def in_sigma_plus(phi: Formula, k: int) -> bool:
     """Membership in Sigma_k+ = Sigma_k plus all Sigma_i, Pi_i with i < k."""
-    floor = sigma_plus_floor(phi)
-    return floor is not None and floor <= k
+    return k >= prenex_floors(phi)[0]
 
 
 def in_pi_plus(phi: Formula, k: int) -> bool:
-    floor = pi_plus_floor(phi)
-    return floor is not None and floor <= k
+    return k >= prenex_floors(phi)[1]

@@ -5,8 +5,11 @@ over alpha-canonical states; renaming rules are folded into rule
 application, and the measure-decrease of the remaining rules makes the
 quotient graph finite, so searches on desk-scale formulas exhaust.
 
-Witness traces are reconstructed concretely from the original start
-formula so that they replay through the rewrite engine verbatim.
+A closure reports its least floors: the least Sigma+ and the least Pi+
+level among its members, ``inf`` for none, the pair the characterization
+compares with the classifier's least levels.  Witness traces are
+reconstructed concretely from the original start formula so that they
+replay through the rewrite engine verbatim.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .formula import (
     Prime,
     alpha_canonical,
 )
+from .hierarchy import prenex_floors
 from .rewrite import RewriteStep, Trace, applicable_steps, apply_step
 
 __all__ = [
@@ -53,6 +57,12 @@ class ReachableSet:
     members: list[Formula]  # alpha-canonical, in BFS discovery order
     edges: dict[int, list[tuple[RewriteStep, int]]]  # member index -> successors
     exhausted: bool
+
+    @property
+    def floors(self) -> tuple:
+        """``(sigma, pi)``: the least ``hierarchy.prenex_floors`` of each
+        side over the members, ``inf`` where no member is prenex."""
+        return tuple(map(min, zip(*map(prenex_floors, self.members))))
 
 
 def _closure(

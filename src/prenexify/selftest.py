@@ -4,7 +4,9 @@ Seven checks, each over the exhaustively enumerated corpus (or seeded
 random data for the rewrite-conformance check):
 
 1. characterization: J/R membership agrees with exhaustive reachability
-   into Sigma_k+/Pi_k+ for every corpus formula, degree and level;
+   into Sigma_k+/Pi_k+ for every corpus formula, degree and level: the
+   classifier's least levels equal the closure's floors (``levels ==
+   closure.floors``), and each level is read off the two pairs;
 2. normalizer soundness on every positive classification;
 3. stabilization of J_k^n / R_k^n for n >= k;
 4. monotonicity suites: cumulativity in k and monotonicity in n at every
@@ -76,7 +78,7 @@ from .formula import (
     free_vars,
     subformulas,
 )
-from .hierarchy import PI, SIGMA, in_sigma_plus, pi_plus_floor, sigma_plus_floor
+from .hierarchy import PI, SIGMA, in_sigma_plus, prenex_floors
 from .normalizer import prenex_form
 from .oracle import Signature, enumerate_formulas
 from .parser import parse, render
@@ -122,20 +124,6 @@ class CriterionResult:
 
 def default_signature(size: int) -> Signature:
     return Signature.make({"P": 1, "Q": 1}, ("x", "y"), size)
-
-
-def _floors(members) -> tuple[Optional[int], Optional[int]]:
-    """Least Sigma+/Pi+ levels realized among the prenex members."""
-    best_s: Optional[int] = None
-    best_p: Optional[int] = None
-    for m in members:
-        s = sigma_plus_floor(m)
-        if s is not None and (best_s is None or s < best_s):
-            best_s = s
-        p = pi_plus_floor(m)
-        if p is not None and (best_p is None or p < best_p):
-            best_p = p
-    return best_s, best_p
 
 
 def run_selftest(
@@ -220,23 +208,18 @@ def _check_degree(
         if not rs.exhausted:
             c1.fail(f"budget hit for {render(phi)} at n={n}")
             continue
-        floor_s, floor_p = _floors(rs.members)
-        k_j, k_r = checker.levels(phi, n)
+        # every class is cumulative in k, so equal pairs agree at every k
+        c1.checks += 2 * (k_max + 1)
+        levels, floors = checker.levels(phi, n), rs.floors
+        if levels == floors:
+            continue
         for k in range(k_max + 1):
-            j, r = k >= k_j, k >= k_r
-            reach_j = floor_s is not None and floor_s <= k
-            reach_r = floor_p is not None and floor_p <= k
-            c1.checks += 2
-            if j != reach_j:
-                c1.fail(
-                    f"J mismatch {render(phi)} k={k} n={n}: "
-                    f"classifier={j} oracle={reach_j}"
-                )
-            if r != reach_r:
-                c1.fail(
-                    f"R mismatch {render(phi)} k={k} n={n}: "
-                    f"classifier={r} oracle={reach_r}"
-                )
+            for side, level, floor in zip("JR", levels, floors):
+                if (k >= level) != (k >= floor):
+                    c1.fail(
+                        f"{side} mismatch {render(phi)} k={k} n={n}: "
+                        f"classifier={k >= level} oracle={k >= floor}"
+                    )
     _check_backward_closure(c5, transitions, n_max, k_max, checker)
 
 
@@ -293,7 +276,7 @@ def _check_normal_form(
             steps,
             output,
             replayed,
-            (sigma_plus_floor(output), pi_plus_floor(output)),
+            prenex_floors(output),
             free_vars(output) == free,
         )
     _, _, replayed, floors, same_free = seen
@@ -303,7 +286,7 @@ def _check_normal_form(
     floor = floors[0 if target == SIGMA else 1]
     if replayed is not output:
         result.fail(f"replay diverges for {render(phi)} k={k} n={n}")
-    elif floor is None or floor > k:
+    elif floor > k:
         result.fail(
             f"output {render(output)} not in target class "
             f"({target} {k}) for {render(phi)} n={n}"
@@ -396,13 +379,13 @@ def _check_prenex_inclusions(
     result: CriterionResult, phi: Formula, levels_0: tuple, k_max: int
 ) -> None:
     """Sigma_k+ is within J_k^0 and Pi_k+ within R_k^0."""
-    floor_s, floor_p = sigma_plus_floor(phi), pi_plus_floor(phi)
+    floor_s, floor_p = prenex_floors(phi)
     k_j, k_r = levels_0
     for k in range(k_max + 1):
         result.checks += 1
-        if floor_s is not None and floor_s <= k < k_j:
+        if floor_s <= k < k_j:
             result.fail(f"Sigma_{k}+ not within J_{k}^0: {render(phi)}")
-        if floor_p is not None and floor_p <= k < k_r:
+        if floor_p <= k < k_r:
             result.fail(f"Pi_{k}+ not within R_{k}^0: {render(phi)}")
 
 

@@ -31,7 +31,9 @@ CLASSIFY_SHA256 = "9dc815524f31c0e6fd2dcd8824b032db999290f915abfde16ec50d0b0eb98
 TRACES_SHA256 = "9dd60b1fad6fe2ad527a3d264c1491c8c9f90967d1a7cbfbbd769b6f09579c94"
 # the text traces of every positive normalization of the size-5 corpus
 # with k <= 4, n <= 2: unlike the size-4 corpus, it has disjunctions of two
-# quantified operands of unequal ranks and above the degree
+# quantified operands with an existential one above the degree; it has none
+# whose hoist side the unequal ranks alone decide (see
+# test_normalizer.py::test_or_hoists_from_the_higher_ranked_operand_first)
 SIZE5_TRACES_SHA256 = "3bdffc0717bea08f412b5c596501d38efdb534eba925bd66e494c3857f54c480"
 # the repr of every positive witness with k <= 4, n <= 2, J before R
 WITNESSES_SHA256 = "33d2eedf6e616d0b12b36a164f527e3ceeeec359099f448220f69e350934db16"

@@ -17,13 +17,7 @@ from prenexify.formula import (
     free_vars,
     subformulas,
 )
-from prenexify.hierarchy import (
-    in_pi_plus,
-    in_sigma_plus,
-    is_prenex,
-    pi_plus_floor,
-    sigma_plus_floor,
-)
+from prenexify.hierarchy import in_pi_plus, in_sigma_plus, is_prenex, prenex_floors
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas, reachable_set
 from prenexify.rewrite import verify_trace
@@ -64,14 +58,9 @@ def test_classifier_matches_reachability_on_wide_universe():
         for n in range(3):
             rs = reachable_set(phi, n, 100_000)
             assert rs.exhausted
-            floors_s = [sigma_plus_floor(m) for m in rs.members]
-            floors_p = [pi_plus_floor(m) for m in rs.members]
-            best_s = min((f for f in floors_s if f is not None), default=None)
-            best_p = min((f for f in floors_p if f is not None), default=None)
+            best_s, best_p = rs.floors
             for k in range(5):
-                j, r = checker.decide(phi, k, n)
-                assert j == (best_s is not None and best_s <= k)
-                assert r == (best_p is not None and best_p <= k)
+                assert checker.decide(phi, k, n) == (k >= best_s, k >= best_p)
 
 
 def test_normalizer_sound_on_wide_universe():
@@ -118,6 +107,6 @@ def test_degree_classes_are_the_prenex_classes_on_prenex_formulas():
             pi, sigma = in_pi_plus(psi, n), in_sigma_plus(psi, n)
             if r != pi or (j or r) != (sigma or pi):
                 mismatches.append((psi, n))
-            if checker.levels(psi, n) != (sigma_plus_floor(psi), pi_plus_floor(psi)):
+            if checker.levels(psi, n) != prenex_floors(psi):
                 mismatches.append((psi, n))
     assert mismatches == []

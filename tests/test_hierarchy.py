@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from math import inf
 
 from hypothesis import given, settings
 
@@ -11,9 +12,8 @@ from prenexify.hierarchy import (
     in_pi_plus,
     in_sigma_plus,
     is_prenex,
-    pi_plus_floor,
+    prenex_floors,
     prenex_level,
-    sigma_plus_floor,
 )
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
@@ -84,19 +84,22 @@ def _runs(phi):
 
 
 def _check_readers(phi):
-    """``prenex_level``, ``is_prenex`` and both floors of ``phi`` agree
+    """``prenex_level``, ``is_prenex`` and the floors of ``phi`` agree
     with a walk of its prefix."""
     runs, node = _runs(phi)
     if not node.is_qf:
         assert not is_prenex(phi)
-        assert prenex_level(phi) is sigma_plus_floor(phi) is pi_plus_floor(phi) is None
+        assert prenex_level(phi) is None
+        assert prenex_floors(phi) == (inf, inf)
         return
     level = len(runs)
     first = runs[0][0] if runs else None
     assert is_prenex(phi)
     assert prenex_level(phi) == level
-    assert sigma_plus_floor(phi) == (level + 1 if first is Forall else level)
-    assert pi_plus_floor(phi) == (level + 1 if first is Exists else level)
+    assert prenex_floors(phi) == (
+        level + 1 if first is Forall else level,
+        level + 1 if first is Exists else level,
+    )
 
 
 def test_the_readers_match_a_prefix_walk_on_the_size_5_corpus():

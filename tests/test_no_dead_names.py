@@ -5,7 +5,7 @@ somewhere in the benchmark under ``bench/``.  A name counts when it is
 read as a bare name or an attribute; the benchmark's traced ``LAYERS``
 strings count too, but the package's ``__all__`` lists and re-exports do
 not.  Matching is by name only, so a dead definition that shares its name
-with a live one (``to_json``, ``size``) goes unseen."""
+with a live one (``to_json``) goes unseen."""
 
 import ast
 from collections import Counter

@@ -15,7 +15,7 @@ from prenexify.formula import (
     rename_bound,
     subformulas,
 )
-from prenexify.hierarchy import in_pi_plus, in_sigma_plus, is_prenex
+from prenexify.hierarchy import in_pi_plus, in_sigma_plus, is_prenex, prenex_floors
 from prenexify.normalizer import (
     RESULT_SCHEMA,
     NotInClassError,
@@ -110,6 +110,16 @@ def test_or_asymmetric_low_side_right():
     assert in_pi_plus(result.output, 2)
 
 
+def test_or_hoists_from_the_higher_ranked_operand_first():
+    # Sigma_1 | Sigma_2 at degree 2: no existential operand is above the
+    # degree, so the unequal ranks pick the side, and the right operand's
+    # block comes down first although the rule order tries the left's first
+    result = normalize_J(parse("(exists x. false) | exists y. forall z. false"), 2, 2)
+    steps = [(step.rule, step.position) for step in result.trace.steps]
+    assert steps == [("OrExists", ()), ("ExistsOr", ("b",)), ("OrForallN", ("b", "b"))]
+    assert verify_trace(result.trace) is result.output
+
+
 def test_not_in_class_errors():
     with pytest.raises(NotInClassError):
         normalize_J(parse("(forall x. P(x)) -> false"), 2, 0)
@@ -190,8 +200,6 @@ def test_lift_through_levels_reuses_lower_normalization():
 def test_converse_consistency_regression():
     # the class realized by the output bounds the input's class: reaching
     # a Sigma_m+ formula at degree n puts the start formula in J_m^n
-    from prenexify.hierarchy import sigma_plus_floor
-
     checker = Classifier()
     cases = [
         ("(exists x. P(x)) | (forall y. Q(y))", 2, 0),
@@ -202,8 +210,8 @@ def test_converse_consistency_regression():
     for text, k, n in cases:
         phi = parse(text)
         result = normalize_J(phi, k, n)
-        floor = sigma_plus_floor(result.output)
-        assert floor is not None and floor <= k
+        floor = prenex_floors(result.output)[0]
+        assert floor <= k
         assert checker.decide(phi, floor, n)[0]
 
 
@@ -299,7 +307,7 @@ def test_json_and_subformulas_on_a_5000_deep_chain():
         ast = ast["body"]
     assert ast["op"] == "and" and ast["right"]["body"]["name"] == "Q"
     nodes = list(subformulas(phi))
-    assert len(nodes) == phi.size == 5005
+    assert len(nodes) == 5005
     conj = nodes[5000]
     left, right = conj.left, conj.right
     assert nodes[5000:] == [conj, left, left.body, right, right.body]

@@ -1,5 +1,6 @@
 import ast
 from collections import Counter
+from math import inf
 from pathlib import Path
 
 import prenexify
@@ -9,6 +10,7 @@ from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.oracle import Signature, can_reach, enumerate_formulas, reachable_set
 from prenexify.parser import parse, render
 from prenexify.rewrite import apply_step, verify_trace
+from test_formula import node_count
 
 SIG = Signature.make({"P": 1, "Q": 1}, ("x", "y"), 4)
 
@@ -31,6 +33,18 @@ def test_reachable_set_blocked_at_degree_zero():
     rs = reachable_set(parse("(forall x. P(x)) -> false"), 0)
     assert rs.exhausted
     assert len(rs.members) == 1
+
+
+def test_a_closure_reports_its_least_floors():
+    negated = parse("(forall x. P(x)) -> false")
+    assert reachable_set(negated, 0).floors == (inf, inf)  # no prenex member
+    assert reachable_set(negated, 1).floors == (1, 2)
+    assert reachable_set(parse("P(x)"), 0).floors == (0, 0)
+    # each side's least floor may come from another member: a Sigma_2 form
+    # at degree 0, and a Pi_2 form beside it from degree 1 on
+    phi = parse("(exists x. P(x)) | (forall y. Q(y))")
+    assert reachable_set(phi, 0).floors == (2, 3)
+    assert reachable_set(phi, 1).floors == (2, 2)
 
 
 def test_degree_monotone_members():
@@ -194,7 +208,7 @@ def test_enumeration_contains_basics():
 
 def test_enumeration_golden_counts():
     # pinned after first computation; cross-checked against raw generation
-    counts = Counter(phi.size for phi in enumerate_formulas(SIG))
+    counts = Counter(map(node_count, enumerate_formulas(SIG)))
     assert dict(counts) == {1: 5, 2: 14, 3: 111, 4: 754}
 
 

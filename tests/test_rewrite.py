@@ -35,7 +35,7 @@ from prenexify.rewrite import (
     trace_to_text,
     verify_trace,
 )
-from test_formula import formulas, positions
+from test_formula import formulas, node_count, positions
 
 
 def test_rule_table_has_fourteen_rules():
@@ -318,7 +318,7 @@ def test_walkers_on_5000_deep_chains():
     # built with the constructors, so that only the walkers are tested
     redex = parse("(exists y. P(y)) & Q(x)")
     chain = _exists_chain(5000, redex)
-    assert sum(1 for _ in positions(chain)) == 5000 + redex.size
+    assert sum(1 for _ in positions(chain)) == 5000 + node_count(redex)
     assert measure(chain) == 1
     (step,) = applicable_steps(chain, 0)
     assert step == RewriteStep("ExistsAnd", ("b",) * 5000)
@@ -329,7 +329,7 @@ def test_walkers_on_5000_deep_chains():
 
     chain = _negation_chain(5000, Exists("x", Prime("P", ("x",))))
     walk = list(positions(chain))
-    assert len(walk) == chain.size == 10002
+    assert len(walk) == node_count(chain) == 10002
     assert walk[5000:5003] == [("l",) * 5000, ("l",) * 5000 + ("b",), ("l",) * 4999 + ("r",)]
     assert walk[-1] == ("r",)
     assert measure(chain) == 5000
@@ -388,7 +388,7 @@ def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
 
     i = rng.randrange(len(steps))
     step = steps[i]
-    dangling = RewriteStep(step.rule, step.position + ("l",) * (start.size + 1), step.fresh)
+    dangling = RewriteStep(step.rule, step.position + ("l",) * (node_count(start) + 1), step.fresh)
     order = tuple(RULES)
     other_rule = order[(order.index(step.rule) + rng.randrange(1, 14)) % 14]
     corrupted = [

@@ -1,8 +1,8 @@
-"""Criteria 2, 4 and 7 of the selftest: their check counts, the faults
+"""Criteria 1, 2, 4 and 7 of the selftest: their check counts, the faults
 they must catch, and the data criterion 7 draws; and the split of
 ``run_selftest`` between the calling process and two forked workers.
 
-Criterion 4's faults are planted in ``semiclassical._least_levels``, the
+Criteria 1 and 4's faults are planted in ``semiclassical._least_levels``, the
 one place the classifier computes a node's least levels (k_J, k_R) at a
 degree, so every membership the criterion reads sees them.  Criterion
 2's faults are planted in ``prenex_form`` as the selftest calls it, only
@@ -78,6 +78,27 @@ FAULTS = {
         "cumulativity fails exists v0. false k=2 n=0",
     ),
 }
+
+
+def _exists_in_no_class_at_0(phi, n, pairs):
+    k_j, k_r = _least_levels(phi, n, pairs)
+    return (math.inf, math.inf) if type(phi) is Exists and n == 0 else (k_j, k_r)
+
+
+def test_criterion_1_reports_each_level_and_side_of_a_planted_fault(monkeypatch):
+    # exists v0. false reaches Sigma_1+ and Pi_2+: each level at which a
+    # side's verdicts differ fails once, levels ascending, J before R
+    monkeypatch.setattr(semiclassical, "_least_levels", _exists_in_no_class_at_0)
+    c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
+    c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
+    budget = oracle.DEFAULT_NODE_BUDGET
+    for n in range(N_MAX + 1):
+        selftest._check_degree(c1, c5, CORPUS, n, N_MAX, K_MAX, budget, None)
+    assert c1.checks == 2 * len(CORPUS) * (N_MAX + 1) * (K_MAX + 1) == 26520
+    assert c1.failures[:4] == [
+        f"{side} mismatch exists v0. false k={k} n=0: classifier=False oracle=True"
+        for side, k in (("J", 1), ("J", 2), ("R", 2), ("J", 3))
+    ]
 
 
 def test_criterion_4_passes_and_counts_each_distinct_check_once():

@@ -27,7 +27,7 @@ from prenexify.parser import parse
 from prenexify.selftest import default_signature
 from prenexify.semiclassical import Classifier, Witness, _least_levels
 from test_classify_cache import random_formula
-from test_formula import formulas
+from test_formula import formulas, node_count
 
 
 def naive_classes(phi, k_max, n):
@@ -325,7 +325,7 @@ def test_positive_witnesses_always_replay(phi):
 @given(formulas(max_leaves=4))
 def test_min_levels_are_exact(phi):
     for n in range(3):
-        bound = n + phi.size + 2
+        bound = n + node_count(phi) + 2
         J, R = naive_classes(phi, bound, n)
         least = tuple(
             next((k for k in range(bound + 1) if phi in side[k]), None)

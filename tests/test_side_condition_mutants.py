@@ -29,8 +29,8 @@ from prenexify.hierarchy import in_pi_plus, in_sigma_plus
 from prenexify.normalizer import normalize_J
 from prenexify.parser import parse
 from prenexify.rewrite import RewriteStep, SideConditionError, applicable_steps, apply_step
-from prenexify.selftest import _floors, default_signature
-from prenexify.semiclassical import D, INF, J, K, N, N1, R, Classifier
+from prenexify.selftest import default_signature
+from prenexify.semiclassical import D, J, K, N, N1, R, Classifier
 
 CORPUS = list(oracle.enumerate_formulas(default_signature(5)))
 
@@ -99,8 +99,7 @@ def _first_disagreement(side_condition, monkeypatch):
             for phi in CORPUS:
                 closure = oracle.reachable_set(phi, n, transitions=transitions)
                 assert closure.exhausted
-                floors = tuple(INF if f is None else f for f in _floors(closure.members))
-                if floors != checker.levels(phi, n):
+                if closure.floors != checker.levels(phi, n):
                     return phi, n
         return None
     finally:
@@ -195,13 +194,13 @@ def _with_key_layer(n: int) -> list:
 
 def _closure_floors(formulas: list, n: int) -> list:
     """Each formula's least Sigma+ / Pi+ levels over its degree-``n``
-    closure, ``INF`` for none."""
+    closure, ``inf`` for none."""
     transitions: oracle.Transitions = {}
     floors = []
     for phi in formulas:
         closure = oracle.reachable_set(phi, n, transitions=transitions)
         assert closure.exhausted
-        floors.append(tuple(INF if f is None else f for f in _floors(closure.members)))
+        floors.append(closure.floors)
     return floors
 
 
