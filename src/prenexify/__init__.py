@@ -18,7 +18,6 @@ from .formula import (
     Or,
     Prime,
     alpha_canonical,
-    free_vars,
     fresh_variable,
     replace_at,
     subformula_at,
@@ -26,8 +25,6 @@ from .formula import (
 from .hierarchy import (
     PrenexShape,
     classify_prenex,
-    in_pi_plus,
-    in_sigma_plus,
     is_prenex,
 )
 from .normalizer import NormalizationResult, NotInClassError, normalize_J, normalize_R

@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import oracle
 from .formula import Formula
-from .hierarchy import classify_prenex, in_pi_plus, in_sigma_plus, prenex_floors
+from .hierarchy import classify_prenex, prenex_floors
 from .normalizer import NotInClassError, normalize_J, normalize_R
 from .parser import (
     ParseError,
@@ -362,8 +362,8 @@ def cmd_search(args) -> int:
     k, n = args.k, args.n
     checker = Classifier()
     predicate = {
-        "sigma": lambda m: in_sigma_plus(m, k),
-        "pi": lambda m: in_pi_plus(m, k),
+        "sigma": lambda m: k >= prenex_floors(m)[0],
+        "pi": lambda m: k >= prenex_floors(m)[1],
         "j": lambda m: k >= checker.levels(m, n)[0],
         "r": lambda m: k >= checker.levels(m, n)[1],
     }[args.target]

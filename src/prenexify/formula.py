@@ -33,8 +33,6 @@ __all__ = [
     "LEFT",
     "RIGHT",
     "BODY",
-    "free_vars",
-    "all_vars",
     "subformula_at",
     "replace_at",
     "subformulas",
@@ -325,19 +323,6 @@ def _fill_vars(phi: Formula) -> tuple[str, ...]:
                 node._vars = _merge((node.var,), names)
         stack.pop()
     return phi._vars
-
-
-def free_vars(phi: Formula) -> tuple[str, ...]:
-    """Free variables of ``phi``, as a sorted tuple; the first read fills
-    them for ``phi`` and every subformula that lacks them."""
-    return phi.free
-
-
-def all_vars(phi: Formula) -> tuple[str, ...]:
-    """Every variable name occurring in ``phi``, free or bound, sorted; the
-    first read fills them for ``phi`` and every subformula that lacks
-    them."""
-    return phi.vars
 
 
 def _child(node: Formula, sel: str):

@@ -1,5 +1,5 @@
-"""Classical prenex classes: a prenex formula's shape and the cumulative
-classes Sigma_k+ / Pi_k+.
+"""Classical prenex classes: a prenex formula's shape and its floors in
+the cumulative classes Sigma_k+ / Pi_k+.
 
 A formula is in prenex normal form when it is an alternation of non-empty
 quantifier blocks over a quantifier-free matrix.  Sigma_0 = Pi_0 is the
@@ -9,7 +9,9 @@ and level name its strict class.  The cumulative class adds every
 strictly lower Sigma_i and Pi_i.  A formula's floors are one pair
 (``prenex_floors``): the least k with it in Sigma_k+ and the least with
 it in Pi_k+, ``inf`` for "in none", the encoding of the classifier's
-least levels.
+least levels.  Membership is read off them: ``phi`` is in Sigma_k+
+exactly when ``k >= prenex_floors(phi)[0]``, and in Pi_k+ when
+``k >= prenex_floors(phi)[1]``.
 
 Each node's ``_shape`` slot holds its *prenex code*, the one number the
 hot readers (``is_prenex``, ``prenex_level`` and ``prenex_floors``) need:
@@ -37,8 +39,6 @@ __all__ = [
     "classify_prenex",
     "is_prenex",
     "prenex_level",
-    "in_sigma_plus",
-    "in_pi_plus",
     "prenex_floors",
 ]
 
@@ -142,12 +142,3 @@ def prenex_floors(phi: Formula) -> tuple:
         return level + 1, level
     # and a Sigma_k one Pi_{k+1}+, but Sigma_0 = Pi_0
     return level, (level + 1 if code else level)
-
-
-def in_sigma_plus(phi: Formula, k: int) -> bool:
-    """Membership in Sigma_k+ = Sigma_k plus all Sigma_i, Pi_i with i < k."""
-    return k >= prenex_floors(phi)[0]
-
-
-def in_pi_plus(phi: Formula, k: int) -> bool:
-    return k >= prenex_floors(phi)[1]

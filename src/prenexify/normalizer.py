@@ -64,10 +64,9 @@ from .formula import (
     Imp,
     Or,
     _Quant,
-    free_vars,
     fresh_variable,
 )
-from .hierarchy import PI, SIGMA, in_pi_plus, in_sigma_plus, is_prenex, prenex_level
+from .hierarchy import PI, SIGMA, is_prenex, prenex_floors, prenex_level
 from .parser import formula_to_dict, render
 from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
 from .semiclassical import J, R, Classifier, _check_levels
@@ -131,9 +130,9 @@ def _result(
 ) -> NormalizationResult:
     # no process-global store: without a checker, nothing outlives the call
     output, steps = prenex_form(phi, k, n, target, checker or Classifier())
-    member = in_sigma_plus if target == SIGMA else in_pi_plus
-    assert member(output, k), "normalizer output left the target class"
-    assert free_vars(output) == free_vars(phi), "free variables not preserved"
+    floor = prenex_floors(output)[0 if target == SIGMA else 1]
+    assert k >= floor, "normalizer output left the target class"
+    assert output.free == phi.free, "free variables not preserved"
     return NormalizationResult(phi, k, n, target, output, Trace(phi, steps, n))
 
 

@@ -68,7 +68,6 @@ from .formula import (
     _Quant,
     _rebuild,
     _with_child,
-    all_vars,
     fresh_variable,
     rename_bound,
     replace_at,
@@ -200,9 +199,8 @@ def _strategy_ok(redex: Formula) -> bool:
         # each reads the operand's prenex code, one slot once it is known:
         # every step and hoist passes here
         return is_prenex(redex.left) and is_prenex(redex.right)
-    if isinstance(redex, _Quant):
-        return is_prenex(redex.body)
-    return True
+    # else a quantifier: the callers pass a connective or a redex ``_match`` accepted
+    return is_prenex(redex.body)
 
 
 def _match(rule: _Rule, node: Formula) -> Optional[tuple[_Quant, Formula]]:
@@ -266,7 +264,7 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
             fresh = None
             if quant.var in delta.free:
                 if avoid is None:
-                    avoid = all_vars(phi)
+                    avoid = phi.vars
                 fresh = fresh_variable(avoid)
             found.append((index, RewriteStep(rule.name, pos, fresh)))
     # a redex's operands are prenex and hold no redex, so the reverse of

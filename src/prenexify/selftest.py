@@ -75,10 +75,9 @@ from .formula import (
     Imp,
     Or,
     Prime,
-    free_vars,
     subformulas,
 )
-from .hierarchy import PI, SIGMA, in_sigma_plus, prenex_floors
+from .hierarchy import PI, SIGMA, prenex_floors
 from .normalizer import prenex_form
 from .oracle import Signature, enumerate_formulas
 from .parser import parse, render
@@ -230,7 +229,7 @@ def _check_normal_forms(corpus: list[Formula], n: int, k_max: int) -> CriterionR
     checker = Classifier()
     for phi in corpus:
         k_j, k_r = checker.levels(phi, n)
-        free = free_vars(phi)
+        free = phi.free
         replays: dict = {}  # phi's normal forms at degree n, see below
         for k in range(k_max + 1):
             if k >= k_j:
@@ -277,7 +276,7 @@ def _check_normal_form(
             output,
             replayed,
             prenex_floors(output),
-            free_vars(output) == free,
+            output.free == free,
         )
     _, _, replayed, floors, same_free = seen
     if isinstance(replayed, Exception):
@@ -500,7 +499,7 @@ def _check_pinned_negatives(budget: int) -> CriterionResult:
 
     # semantically reducible at degree 1, yet syntactically out of reach
     gap = parse("((forall x. P(x)) | (exists y. Q(y))) -> R(x)")
-    search = oracle.can_reach(gap, 1, lambda m: in_sigma_plus(m, 2), budget)
+    search = oracle.can_reach(gap, 1, lambda m: 2 >= prenex_floors(m)[0], budget)
     result.checks += 1
     if search.status != "no":
         result.fail(
@@ -570,7 +569,7 @@ def _check_rewrite_conformance(seed: int) -> CriterionResult:
         psi = apply_step(phi, step, n)
         applied += 1
         result.checks += 3
-        if free_vars(psi) != free_vars(phi):
+        if psi.free != phi.free:
             result.fail(f"free variables changed: {render(phi)} via {step.rule}")
         if measure(psi) != measure(phi) - 1:
             result.fail(f"measure not decreased by 1: {render(phi)} via {step.rule}")

@@ -50,7 +50,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import And, Exists, Forall, Formula, Imp, Or, _Binary, _Quant
+from .formula import And, Exists, Forall, Formula, Imp, Or, _Binary
 
 __all__ = ["Witness", "Classifier"]
 
@@ -99,14 +99,6 @@ _CLAUSES = {
     (Forall, R): _every_case(("forall", (R, K))),
 }
 _NO_CLAUSES = _every_case()
-
-
-def _operands(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, _Binary):
-        return (phi.left, phi.right)
-    if isinstance(phi, _Quant):
-        return (phi.body,)
-    return ()
 
 
 def _clause(phi: Formula, side: str, k: int, n: int, pairs: list) -> Optional[tuple]:
@@ -188,17 +180,22 @@ class Classifier:
         least levels it was derived from: as long as the ``Classifier``."""
         return self._normal_forms[n]
 
-    def _pair(self, phi: Formula, n: int) -> tuple:
-        """(k_J, k_R) of ``phi`` at degree ``n``, computed bottom-up.
+    def levels(self, phi: Formula, n: int) -> tuple:
+        """(k_J, k_R) of ``phi`` at degree ``n``, ``INF`` for "in no
+        level": ``phi`` is in J_k^n exactly when ``k >= k_J``, and in
+        R_k^n when ``k >= k_R``.
 
-        The walk peeks at the top of an explicit stack: it reads each
-        operand's pair (``_QF``, or the cached one) and pushes the operands
-        still missing; once none is, it pops the node and looks its pair up
-        by its connective and its operands' pairs.  A node is visited at
-        most twice per push.  A node pending under two parents may be pushed
-        twice, and its second visit finds its operands cached, so the walk
-        costs one visit per edge of the DAG, not one per path of the tree.
+        The pairs are computed bottom-up.  The walk peeks at the top of an
+        explicit stack: it reads each operand's pair (``_QF``, or the
+        cached one) and pushes the operands still missing; once none is,
+        it pops the node and looks its pair up by its connective and its
+        operands' pairs.  A node is visited at most twice per push.  A
+        node pending under two parents may be pushed twice, and its second
+        visit finds its operands cached, so the walk costs one visit per
+        edge of the DAG, not one per path of the tree.
         """
+        if n < 0:  # _check_levels' test, inline: the selftest reads here
+            raise ValueError("degree n must be a natural number")
         if phi.is_qf:
             return _QF
         cache = self._levels[n]
@@ -237,7 +234,7 @@ class Classifier:
     def decide(self, phi: Formula, k: int, n: int) -> tuple[bool, bool]:
         """(in_J, in_R) for ``phi`` at level ``k``, degree ``n``."""
         _check_levels(k, n)
-        k_j, k_r = self._pair(phi, n)
+        k_j, k_r = self.levels(phi, n)
         return k >= k_j, k >= k_r
 
     # -- witnesses ---------------------------------------------------------
@@ -253,7 +250,7 @@ class Classifier:
             return "lift", [(psi, J if k > k_j else R, k - 1)]
         if k == 0:
             return "qf", []
-        operands = _operands(psi)
+        operands = (psi.left, psi.right) if isinstance(psi, _Binary) else (psi.body,)
         pairs = [levels.get(c, _QF) for c in operands]
         alternative = _clause(psi, side, k, n, pairs)
         at = (k, n, n + 1)
@@ -279,7 +276,7 @@ class Classifier:
     def witness(self, phi: Formula, k: int, n: int, side: str) -> Optional[Witness]:
         """Derivation tree for a positive verdict, or ``None``."""
         _check_levels(k, n)
-        if k < self._pair(phi, n)[0 if side == J else 1]:
+        if k < self.levels(phi, n)[0 if side == J else 1]:
             return None
         # Plan the goals top-down in preorder, then build them in reverse:
         # each node finds its children's witnesses on top of ``values``.
@@ -301,14 +298,6 @@ class Classifier:
                 values[-1] = Witness(s, level, n, clause, (values[-1], right))
         return values[0]
 
-    def levels(self, phi: Formula, n: int) -> tuple:
-        """(k_J, k_R) of ``phi`` at degree ``n``, ``INF`` for "in no
-        level": ``phi`` is in J_k^n exactly when ``k >= k_J``, and in
-        R_k^n when ``k >= k_R``."""
-        if n < 0:  # _check_levels' test, inline: the selftest reads here
-            raise ValueError("degree n must be a natural number")
-        return self._pair(phi, n)
-
     def min_levels(
         self, phi: Formula, n: int, k_max: Optional[int] = None
     ) -> tuple[Optional[int], Optional[int]]:
@@ -317,7 +306,6 @@ class Classifier:
         The levels are exact; ``None`` means "in no level", or above
         ``k_max`` when one is given.
         """
-        _check_levels(0, n)
         bound = INF if k_max is None else k_max + 1
-        k_j, k_r = self._pair(phi, n)
+        k_j, k_r = self.levels(phi, n)
         return (k_j if k_j < bound else None, k_r if k_r < bound else None)

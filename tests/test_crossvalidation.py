@@ -14,10 +14,9 @@ from prenexify.formula import (
     Imp,
     Or,
     Prime,
-    free_vars,
     subformulas,
 )
-from prenexify.hierarchy import in_pi_plus, in_sigma_plus, is_prenex, prenex_floors
+from prenexify.hierarchy import is_prenex, prenex_floors
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas, reachable_set
 from prenexify.rewrite import verify_trace
@@ -75,14 +74,14 @@ def test_normalizer_sound_on_wide_universe():
                 if j:
                     res = normalize_J(phi, k, n, checker)
                     assert verify_trace(res.trace) is res.output
-                    assert in_sigma_plus(res.output, k)
-                    assert free_vars(res.output) == free_vars(phi)
+                    assert k >= prenex_floors(res.output)[0]
+                    assert res.output.free == phi.free
                     done += 1
                 if r:
                     res = normalize_R(phi, k, n, checker)
                     assert verify_trace(res.trace) is res.output
-                    assert in_pi_plus(res.output, k)
-                    assert free_vars(res.output) == free_vars(phi)
+                    assert k >= prenex_floors(res.output)[1]
+                    assert res.output.free == phi.free
                     done += 1
     assert done > 1000
 
@@ -104,7 +103,7 @@ def test_degree_classes_are_the_prenex_classes_on_prenex_formulas():
     for psi in prenex:
         for n in range(6):
             j, r = checker.decide(psi, n, n)
-            pi, sigma = in_pi_plus(psi, n), in_sigma_plus(psi, n)
+            sigma, pi = (n >= floor for floor in prenex_floors(psi))
             if r != pi or (j or r) != (sigma or pi):
                 mismatches.append((psi, n))
             if checker.levels(psi, n) != prenex_floors(psi):

@@ -19,8 +19,6 @@ from prenexify.formula import (
     Prime,
     PositionError,
     alpha_canonical,
-    all_vars,
-    free_vars,
     fresh_variable,
     rename_bound,
     replace_at,
@@ -79,10 +77,10 @@ def test_interning_makes_equality_identity():
 
 
 def test_free_vars():
-    assert free_vars(And(Px, Qy)) == ("x", "y")
-    assert free_vars(Exists("x", Px)) == ()
+    assert And(Px, Qy).free == ("x", "y")
+    assert Exists("x", Px).free == ()
     # the disjunct's x is free even though the left one is bound
-    assert free_vars(Or(Exists("x", Prime("P", ("x", "y"))), Qx)) == ("x", "y")
+    assert Or(Exists("x", Prime("P", ("x", "y"))), Qx).free == ("x", "y")
 
 
 def test_is_quantifier_free():
@@ -168,7 +166,7 @@ def test_alpha_equivalence_matches_de_bruijn_oracle(phi, psi):
 def test_alpha_canonical_is_idempotent_and_preserves_structure(phi):
     canon = alpha_canonical(phi)
     assert alpha_canonical(canon) is canon
-    assert free_vars(canon) == free_vars(phi)
+    assert canon.free == phi.free
     assert node_count(canon) == node_count(phi)
     assert debruijn(canon) == debruijn(phi)
     for p in positions(phi):
@@ -185,7 +183,7 @@ def test_replace_roundtrip(phi):
 @settings(max_examples=200)
 @given(formulas())
 def test_fresh_variable_not_in_formula(phi):
-    assert fresh_variable(all_vars(phi)) not in all_vars(phi)
+    assert fresh_variable(phi.vars) not in phi.vars
 
 
 # The sweep tests call formula._sweep() themselves, so that what they check
@@ -344,8 +342,6 @@ def _check_lazy_sets(build, label):
             for node in order:
                 read = node.free if index == 0 else node.vars
                 assert read == reference[node][index], (label, sets, nodes, node)
-        for root in roots:
-            assert (free_vars(root), all_vars(root)) == reference[root]
 
 
 def test_lazy_sets_match_the_eager_fold_on_the_size_5_corpus():

@@ -9,8 +9,6 @@ from prenexify.hierarchy import (
     PI,
     SIGMA,
     classify_prenex,
-    in_pi_plus,
-    in_sigma_plus,
     is_prenex,
     prenex_floors,
     prenex_level,
@@ -49,24 +47,25 @@ def test_strict_membership():
 
 
 def test_cumulative_membership():
-    pi1 = parse("forall x. P(x)")
-    assert in_sigma_plus(pi1, 2)
-    assert not in_sigma_plus(pi1, 1)
-    assert all(in_sigma_plus(parse("P(x)"), k) for k in range(5))
-    assert in_pi_plus(pi1, 1)
-    assert not in_pi_plus(parse("exists x. P(x)"), 1)
-    assert in_pi_plus(parse("exists x. P(x)"), 2)
+    # phi is in Sigma_k+ exactly when k >= sigma, and in Pi_k+ when k >= pi
+    assert prenex_floors(parse("forall x. P(x)")) == (2, 1)
+    assert prenex_floors(parse("exists x. P(x)")) == (1, 2)
+    assert prenex_floors(parse("P(x)")) == (0, 0)
 
 
 @settings(max_examples=300)
 @given(formulas())
 def test_cumulative_classes_grow(phi):
-    for k in range(4):
-        if in_sigma_plus(phi, k):
-            assert in_sigma_plus(phi, k + 1)
-        if in_pi_plus(phi, k):
-            assert in_sigma_plus(phi, k + 1)
-            assert in_pi_plus(phi, k + 1)
+    # a strict Sigma_k or Pi_k formula is in its own class from k on and in
+    # the other from k + 1, except that Sigma_0 = Pi_0
+    sigma, pi = prenex_floors(phi)
+    shape = classify_prenex(phi)
+    if shape is None:
+        assert sigma == pi == inf
+        return
+    own, other = (sigma, pi) if shape.kind == SIGMA else (pi, sigma)
+    assert own == shape.level
+    assert other == (shape.level + 1 if shape.level else 0)
 
 
 def _runs(phi):

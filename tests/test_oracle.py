@@ -5,8 +5,8 @@ from pathlib import Path
 
 import prenexify
 
-from prenexify.formula import Exists, alpha_canonical, free_vars
-from prenexify.hierarchy import in_pi_plus, in_sigma_plus
+from prenexify.formula import Exists, alpha_canonical
+from prenexify.hierarchy import prenex_floors
 from prenexify.oracle import Signature, can_reach, enumerate_formulas, reachable_set
 from prenexify.parser import parse, render
 from prenexify.rewrite import apply_step, verify_trace
@@ -76,23 +76,23 @@ def test_reachable_set_on_a_5000_deep_chain():
 
 def test_can_reach_yes_with_shortest_trace():
     phi = parse("(exists x. P(x)) | (forall y. Q(y))")
-    result = can_reach(phi, 0, lambda m: in_sigma_plus(m, 2))
+    result = can_reach(phi, 0, lambda m: 2 >= prenex_floors(m)[0])
     assert result.status == "yes"
     assert len(result.trace.steps) == 2
     final = verify_trace(result.trace)
-    assert in_sigma_plus(final, 2)
-    assert free_vars(final) == free_vars(phi)
+    assert 2 >= prenex_floors(final)[0]
+    assert final.free == phi.free
 
 
 def test_can_reach_reflexive():
     phi = parse("exists x. P(x)")
-    result = can_reach(phi, 0, lambda m: in_sigma_plus(m, 1))
+    result = can_reach(phi, 0, lambda m: 1 >= prenex_floors(m)[0])
     assert result.status == "yes" and result.trace.steps == ()
 
 
 def test_can_reach_pinned_negative():
     phi = parse("((forall x. P(x)) | (exists y. Q(y))) -> R(x)")
-    result = can_reach(phi, 1, lambda m: in_sigma_plus(m, 2))
+    result = can_reach(phi, 1, lambda m: 2 >= prenex_floors(m)[0])
     assert result.status == "no"
 
 
@@ -104,7 +104,7 @@ def test_can_reach_unknown_on_budget():
 
 def test_can_reach_class_predicates():
     phi = parse("(forall y. Q(y)) | (exists x. P(x))")
-    result = can_reach(phi, 1, lambda m: in_pi_plus(m, 2))
+    result = can_reach(phi, 1, lambda m: 2 >= prenex_floors(m)[1])
     assert result.status == "yes"
     assert verify_trace(result.trace) is parse(
         "forall y. exists x. Q(y) | P(x)"
@@ -125,8 +125,8 @@ def _discovery_path(closure, member: int) -> list:
 
 
 TARGETS = [
-    (f"{name} {k}", lambda m, member=member, k=k: member(m, k))
-    for name, member in (("sigma", in_sigma_plus), ("pi", in_pi_plus))
+    (f"{name} {k}", lambda m, side=side, k=k: k >= prenex_floors(m)[side])
+    for side, name in enumerate(("sigma", "pi"))
     for k in range(3)
 ]
 
@@ -194,7 +194,7 @@ def test_can_reach_runs_its_own_search(monkeypatch):
 
     monkeypatch.setattr(oracle, "reachable_set", refuse)
     phi = parse("(exists x. P(x)) | (forall y. Q(y))")
-    result = can_reach(phi, 0, lambda m: in_sigma_plus(m, 2))
+    result = can_reach(phi, 0, lambda m: 2 >= prenex_floors(m)[0])
     assert result.status == "yes" and len(result.trace.steps) == 2
 
 
@@ -223,7 +223,7 @@ def test_enumeration_is_alpha_distinct_and_deterministic():
 def test_witness_traces_replay_from_original_not_canonical():
     # start formula uses bound name y; states are canonicalized internally
     phi = parse("(exists y. P(y)) & Q(x)")
-    result = can_reach(phi, 0, lambda m: in_sigma_plus(m, 1))
+    result = can_reach(phi, 0, lambda m: 1 >= prenex_floors(m)[0])
     assert result.status == "yes"
     assert result.trace.start is phi
     assert verify_trace(result.trace) is parse("exists y. P(y) & Q(x)")

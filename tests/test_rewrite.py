@@ -9,8 +9,6 @@ from prenexify.formula import (
     PositionError,
     Prime,
     _Quant,
-    all_vars,
-    free_vars,
     fresh_variable,
     subformula_at,
 )
@@ -65,7 +63,7 @@ def test_apply_examples():
     assert step.fresh == "v0"
     out = apply_step(phi, step, 0)
     assert out is parse("exists v0. P(v0) & P(x)")
-    assert free_vars(out) == free_vars(phi)
+    assert out.free == phi.free
 
     phi = parse("Q(y) | forall x. P(x)")
     out = apply_step(phi, RewriteStep("OrForallN", ()), 0)
@@ -130,6 +128,10 @@ def test_error_kinds_are_distinguished():
     with pytest.raises(SideConditionError):
         # x free in the other operand, no fresh rename supplied
         apply_step(parse("(exists x. P(x)) & P(x)"), RewriteStep("ExistsAnd", ()), 0)
+    with pytest.raises(SideConditionError) as info:
+        # renaming x to y would capture the body's free y
+        apply_step(parse("(exists x. R(x, y)) & P(x)"), RewriteStep("ExistsAnd", (), "y"), 0)
+    assert str(info.value) == "ExistsAnd: fresh y already appears in the quantified operand"
 
 
 def test_degree_side_conditions():
@@ -259,7 +261,7 @@ def test_every_applicable_step_preserves_free_vars_and_measure(phi):
         steps = applicable_steps(phi, n)
         for step in steps:
             out = apply_step(phi, step, n)
-            assert free_vars(out) == free_vars(phi)
+            assert out.free == phi.free
             assert measure(out) == measure(phi) - 1
 
 
@@ -374,7 +376,7 @@ def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
         if quants and (not choices or rng.random() < 0.25):
             pos = rng.choice(quants)
             rule = "ExistsVar" if isinstance(subformula_at(phi, pos), Exists) else "ForallVar"
-            step = RewriteStep(rule, pos, fresh_variable(all_vars(phi)))
+            step = RewriteStep(rule, pos, fresh_variable(phi.vars))
         elif choices:
             step = rng.choice(choices)
         else:

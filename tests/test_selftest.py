@@ -134,6 +134,33 @@ def _output_left_as_input(phi, output, steps):
     return phi, steps
 
 
+def _last_step_repeated(phi, output, steps):
+    return output, steps + (steps[-1],)
+
+
+def _input_returned_with_no_steps(phi, output, steps):
+    return phi, ()
+
+
+NORMAL_FORM_FAULTS = {
+    fault.__name__: (fault, first)
+    for fault, first in [
+        (_last_step_dropped, "replay diverges for false & exists v0. false k=2 n=0"),
+        (_output_left_as_input, "replay diverges for false & exists v0. false k=2 n=0"),
+        (
+            _last_step_repeated,
+            "trace replay failed for false & exists v0. false k=2 n=0: step 1 "
+            "failed: AndExists does not match exists v0. false & false",
+        ),
+        (
+            _input_returned_with_no_steps,
+            "output false & exists v0. false not in target class (sigma 2) "
+            "for false & exists v0. false n=0",
+        ),
+    ]
+}
+
+
 def _above_the_least_level(fault, prenex_form):
     def faulty(phi, k, n, target, checker):
         output, steps = prenex_form(phi, k, n, target, checker)
@@ -157,14 +184,14 @@ def test_criterion_2_counts_one_check_per_positive_verdict():
     assert c2.checks == expected == 18403
 
 
-@pytest.mark.parametrize("fault", [_last_step_dropped, _output_left_as_input])
-def test_criterion_2_catches_a_fault_above_the_least_level(monkeypatch, fault):
+@pytest.mark.parametrize("fault, first", NORMAL_FORM_FAULTS.values(), ids=NORMAL_FORM_FAULTS)
+def test_criterion_2_catches_a_fault_above_the_least_level(monkeypatch, fault, first):
     monkeypatch.setattr(
         selftest, "prenex_form", _above_the_least_level(fault, selftest.prenex_form)
     )
     c2 = run_selftest(size=4)[1]
     assert not c2.passed and c2.checks == 18403
-    assert c2.failures[0] == "replay diverges for false & exists v0. false k=2 n=0"
+    assert c2.failures[0] == first
 
 
 # SHA-256 of the first 2,000 formulas and degrees criterion 7 draws at the

@@ -25,7 +25,7 @@ import pytest
 
 from prenexify import normalizer, oracle, rewrite, semiclassical
 from prenexify.formula import And, Exists, Forall, Imp, Or
-from prenexify.hierarchy import in_pi_plus, in_sigma_plus
+from prenexify.hierarchy import prenex_floors
 from prenexify.normalizer import normalize_J
 from prenexify.parser import parse
 from prenexify.rewrite import RewriteStep, SideConditionError, applicable_steps, apply_step
@@ -35,8 +35,8 @@ from prenexify.semiclassical import D, J, K, N, N1, R, Classifier
 CORPUS = list(oracle.enumerate_formulas(default_signature(5)))
 
 
-def _variant(u=lambda quant, n: in_pi_plus(quant, n),
-             c=lambda delta, n: in_sigma_plus(delta, n) or in_pi_plus(delta, n)):
+def _variant(u=lambda quant, n: n >= prenex_floors(quant)[1],
+             c=lambda delta, n: n >= prenex_floors(delta)[0] or n >= prenex_floors(delta)[1]):
     """A side-condition function with the tests ``u`` (for ForallImpN's
     quantified operand) and ``c`` (for the other operand of ImpExistsN,
     ForallOrN and OrForallN), and the original's reasons."""
@@ -52,20 +52,20 @@ def _variant(u=lambda quant, n: in_pi_plus(quant, n),
 
 
 KILLED = {
-    "U at level n + 1": _variant(u=lambda q, n: in_pi_plus(q, n + 1)),
-    "U at level n - 1": _variant(u=lambda q, n: in_pi_plus(q, n - 1)),
-    "U read as Sigma_n+": _variant(u=lambda q, n: in_sigma_plus(q, n)),
-    "U read as the body in Pi_n+": _variant(u=lambda q, n: in_pi_plus(q.body, n)),
+    "U at level n + 1": _variant(u=lambda q, n: n + 1 >= prenex_floors(q)[1]),
+    "U at level n - 1": _variant(u=lambda q, n: n - 1 >= prenex_floors(q)[1]),
+    "U read as Sigma_n+": _variant(u=lambda q, n: n >= prenex_floors(q)[0]),
+    "U read as the body in Pi_n+": _variant(u=lambda q, n: n >= prenex_floors(q.body)[1]),
     "U dropped": _variant(u=lambda q, n: True),
     "U always refused": _variant(u=lambda q, n: False),
     "C at level n + 1": _variant(
-        c=lambda d, n: in_sigma_plus(d, n + 1) or in_pi_plus(d, n + 1)
+        c=lambda d, n: n + 1 >= prenex_floors(d)[0] or n + 1 >= prenex_floors(d)[1]
     ),
     "C at level n - 1": _variant(
-        c=lambda d, n: in_sigma_plus(d, n - 1) or in_pi_plus(d, n - 1)
+        c=lambda d, n: n - 1 >= prenex_floors(d)[0] or n - 1 >= prenex_floors(d)[1]
     ),
-    "C read as Sigma_n+ only": _variant(c=in_sigma_plus),
-    "C read as Pi_n+ only": _variant(c=in_pi_plus),
+    "C read as Sigma_n+ only": _variant(c=lambda d, n: n >= prenex_floors(d)[0]),
+    "C read as Pi_n+ only": _variant(c=lambda d, n: n >= prenex_floors(d)[1]),
     "C dropped": _variant(c=lambda d, n: True),
     "C always refused": _variant(c=lambda d, n: False),
     "always allowed": lambda rule, quant, delta, n: None,
@@ -75,15 +75,17 @@ KILLED = {
 EQUIVALENT = {
     "the original": _variant(),
     # no universal formula is in Pi_0+
-    "U with n != 0 stated": _variant(u=lambda q, n: n != 0 and in_pi_plus(q, n)),
+    "U with n != 0 stated": _variant(u=lambda q, n: n != 0 and n >= prenex_floors(q)[1]),
     # the paper's statement, xi in U_n+ and n != 0, on a prenex xi
     "U as the body in Pi_n+ with n != 0": _variant(
-        u=lambda q, n: n != 0 and in_pi_plus(q.body, n)
+        u=lambda q, n: n != 0 and n >= prenex_floors(q.body)[1]
     ),
     # a universal formula's Sigma+ floor is above its Pi+ floor
-    "U read as C_n+": _variant(u=lambda q, n: in_sigma_plus(q, n) or in_pi_plus(q, n)),
+    "U read as C_n+": _variant(
+        u=lambda q, n: n >= prenex_floors(q)[0] or n >= prenex_floors(q)[1]
+    ),
     "C with Sigma and Pi swapped": _variant(
-        c=lambda d, n: in_pi_plus(d, n) or in_sigma_plus(d, n)
+        c=lambda d, n: n >= prenex_floors(d)[1] or n >= prenex_floors(d)[0]
     ),
 }
 
