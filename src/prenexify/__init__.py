@@ -19,14 +19,11 @@ from .formula import (
     Prime,
     alpha_canonical,
     fresh_variable,
+    is_prenex,
     replace_at,
     subformula_at,
 )
-from .hierarchy import (
-    PrenexShape,
-    classify_prenex,
-    is_prenex,
-)
+from .hierarchy import PrenexShape, classify_prenex
 from .normalizer import NormalizationResult, NotInClassError, normalize_J, normalize_R
 from .oracle import ReachableSet, SearchResult, Signature, can_reach, enumerate_formulas, reachable_set
 from .parser import ArityError, ParseError, parse, render

@@ -21,8 +21,8 @@ import sys
 from typing import Optional
 
 from . import oracle
-from .formula import Formula
-from .hierarchy import classify_prenex, prenex_floors
+from .formula import Formula, prenex_floors
+from .hierarchy import classify_prenex
 from .normalizer import NotInClassError, normalize_J, normalize_R
 from .parser import (
     ParseError,
@@ -341,7 +341,7 @@ def _unique_keys(pairs: list) -> dict:
 def cmd_verify(args) -> int:
     text = _read(args.trace)
     try:
-        if text.lstrip().startswith("{"):
+        if text.lstrip().startswith(("{", "[")):
             trace = trace_from_json(json.loads(text, object_pairs_hook=_unique_keys))
         else:
             trace = trace_from_text(text)

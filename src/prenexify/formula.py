@@ -4,19 +4,33 @@ Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
 formulas that nothing outside the table refers to.  Building a node costs
-its intern key and whether it is quantifier-free; its sorted
-tuples of free variables (``free``) and of all variables (``vars``) are
-each filled on first read, for the node and every node below it that
-lacks that tuple, and then kept.  Negation is not a
+its intern key, whether it is quantifier-free and its prenex code; its
+sorted tuples of free variables (``free``) and of all variables
+(``vars``) are each filled on first read, for the node and every node
+below it that lacks that tuple, and then kept.  Negation is not a
 primitive; ``~p`` is represented as ``Imp(p, Falsum)``.  Quantifiers bind
 exactly one variable per node and terms are restricted to variables.
+
+A formula is prenex when it is an alternation of non-empty quantifier
+blocks over a quantifier-free matrix.  Each node's ``_shape`` slot holds
+its *prenex code*: ``2 * level + 1`` for a prenex node whose first block
+is universal, ``2 * level`` for any other prenex node (so 0 for a
+quantifier-free one) and ``False`` for a node that is not prenex.  A
+quantifier's code follows from its body's in O(1), so the constructors
+set it.  Since ``0 == False``, a reader tests ``is False``; the code is
+read only through ``is_prenex``, ``prenex_level`` and ``prenex_floors``.
+A formula's floors are the least k with it in the cumulative class
+Sigma_k+ and the least with it in Pi_k+, ``inf`` for "in none": ``phi``
+is in Sigma_k+ exactly when ``k >= prenex_floors(phi)[0]``, and in Pi_k+
+when ``k >= prenex_floors(phi)[1]``.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from typing import Iterator
+from math import inf
+from typing import Iterator, Optional
 
 __all__ = [
     "Formula",
@@ -39,6 +53,9 @@ __all__ = [
     "alpha_canonical",
     "fresh_variable",
     "rename_bound",
+    "is_prenex",
+    "prenex_level",
+    "prenex_floors",
 ]
 
 # Child selectors for positions.  A position is a tuple of selectors; the
@@ -78,8 +95,7 @@ class Formula:
     # built, None in a compound node until the first read fills it, then
     # kept.  _canon caches alpha_canonical: True on a node that is its own
     # canonical form, so none refers to itself; _shape holds the prenex
-    # code (see hierarchy): 0 in a quantifier-free node, set when it is
-    # built, else None until hierarchy's walk fills in a code or False.
+    # code (see the module docstring), set when the node is built.
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -201,7 +217,7 @@ class _Binary(Formula):
         self._free = self._vars = None
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
-        self._shape = 0 if self.is_qf else None
+        self._shape = 0 if self.is_qf else False  # over a quantifier: not prenex
         return _intern(key, self)
 
 
@@ -236,18 +252,51 @@ class _Quant(Formula):
         self._free = self._vars = None
         self.is_qf = False
         self._canon = None
-        self._shape = None
+        code = body._shape
+        if code is not False:
+            forall = cls.forall
+            if code == 0:
+                code = 2 + forall
+            elif (code & 1) != forall:  # opens a new block
+                code = (code | 1) + 1 + forall
+        self._shape = code
         return _intern(key, self)
 
 
 class Exists(_Quant):
     __slots__ = ()
     _tag = "E"
+    forall = 0
 
 
 class Forall(_Quant):
     __slots__ = ()
     _tag = "A"
+    forall = 1
+
+
+def is_prenex(phi: Formula) -> bool:
+    return phi._shape is not False
+
+
+def prenex_level(phi: Formula) -> Optional[int]:
+    """The number of quantifier blocks of ``phi``, or ``None`` if it is
+    not prenex."""
+    code = phi._shape
+    return None if code is False else code >> 1
+
+
+def prenex_floors(phi: Formula) -> tuple:
+    """``(sigma, pi)``: the least k with ``phi`` in Sigma_k+ and the least
+    with ``phi`` in Pi_k+, both ``inf`` if ``phi`` is not prenex."""
+    code = phi._shape
+    if code is False:
+        return inf, inf
+    level = code >> 1
+    if code & 1:  # a Pi_k formula with k >= 1 first enters Sigma_{k+1}+
+        return level + 1, level
+    # and a Sigma_k one Pi_{k+1}+, but Sigma_0 = Pi_0
+    return level, (level + 1 if code else level)
 
 
 def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:

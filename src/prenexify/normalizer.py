@@ -9,7 +9,7 @@ the normal form of the goal at the foot of its lift chain, which is read
 off the node's least levels (``Classifier.lift_root``) without walking
 the chain, and a prenex formula in its class is its own normal form (its
 least levels are its Sigma+ / Pi+ floors), recognised from its prenex
-code, which each node keeps once it is read (``hierarchy.is_prenex``).
+code, which each node is built with (``formula.is_prenex``).
 Every other goal is normalized once per degree and kept in the
 classifier's store (``Classifier.normal_forms``): normalize the operands,
 then merge the two prenex results by hoisting their quantifier prefixes
@@ -65,8 +65,11 @@ from .formula import (
     Or,
     _Quant,
     fresh_variable,
+    is_prenex,
+    prenex_floors,
+    prenex_level,
 )
-from .hierarchy import PI, SIGMA, is_prenex, prenex_floors, prenex_level
+from .hierarchy import PI, SIGMA
 from .parser import formula_to_dict, render
 from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
 from .semiclassical import J, R, Classifier, _check_levels

@@ -28,8 +28,8 @@ from .formula import (
     Or,
     Prime,
     alpha_canonical,
+    prenex_floors,
 )
-from .hierarchy import prenex_floors
 from .rewrite import RewriteStep, Trace, applicable_steps, apply_step
 
 __all__ = [
@@ -52,15 +52,13 @@ Transitions = dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]]
 class ReachableSet:
     """Closure of a start formula under degree-n rewriting, modulo alpha."""
 
-    start: Formula
-    n: int
     members: list[Formula]  # alpha-canonical, in BFS discovery order
     edges: dict[int, list[tuple[RewriteStep, int]]]  # member index -> successors
     exhausted: bool
 
     @property
     def floors(self) -> tuple:
-        """``(sigma, pi)``: the least ``hierarchy.prenex_floors`` of each
+        """``(sigma, pi)``: the least ``formula.prenex_floors`` of each
         side over the members, ``inf`` where no member is prenex."""
         return tuple(map(min, zip(*map(prenex_floors, self.members))))
 
@@ -108,7 +106,7 @@ def _closure(
         if out:
             edges[head] = out
         head += 1
-    return ReachableSet(phi, n, members, edges, exhausted), found
+    return ReachableSet(members, edges, exhausted), found
 
 
 def reachable_set(

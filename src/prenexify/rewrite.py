@@ -69,11 +69,12 @@ from .formula import (
     _rebuild,
     _with_child,
     fresh_variable,
+    is_prenex,
+    prenex_level,
     rename_bound,
     replace_at,
     subformula_at,
 )
-from .hierarchy import is_prenex, prenex_level
 from .parser import is_variable, parse, render
 
 __all__ = [
@@ -196,8 +197,8 @@ def _strategy_ok(redex: Formula) -> bool:
     # All proper subformulas of the redex are prenex iff its immediate
     # children are (subformulas of prenex formulas are prenex).
     if isinstance(redex, _Binary):
-        # each reads the operand's prenex code, one slot once it is known:
-        # every step and hoist passes here
+        # each reads the operand's prenex code, one slot set when it was
+        # built: every step and hoist passes here
         return is_prenex(redex.left) and is_prenex(redex.right)
     # else a quantifier: the callers pass a connective or a redex ``_match`` accepted
     return is_prenex(redex.body)
@@ -336,9 +337,7 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
             f"{step.rule}: bound variable {quant.var} occurs free in the "
             "other operand (no or unusable fresh rename)"
         )
-    # the operand as matched: ``_strategy_ok`` has already filled its
-    # prenex code, and renaming does not change it
-    reason = _side_condition(rule, m[0], delta, n)
+    reason = _side_condition(rule, quant, delta, n)
     if reason is not None:
         raise SideConditionError(f"{step.rule}: {reason}")
 

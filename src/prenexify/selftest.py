@@ -75,9 +75,10 @@ from .formula import (
     Imp,
     Or,
     Prime,
+    prenex_floors,
     subformulas,
 )
-from .hierarchy import PI, SIGMA, prenex_floors
+from .hierarchy import PI, SIGMA
 from .normalizer import prenex_form
 from .oracle import Signature, enumerate_formulas
 from .parser import parse, render

@@ -255,6 +255,16 @@ def test_verify_text_trace_with_fresh_variable(tmp_path, capsys):
     assert out == "exists v0. P(v0) & Q(y)\n"
 
 
+def test_verify_text_trace_skips_comments_and_blank_lines(tmp_path, capsys):
+    trace_file = tmp_path / "commented.trace"
+    trace_file.write_text(
+        "# hoist the existential\ndegree: 0\n\n"
+        "start: (exists x. P(x)) & Q(y)  # the input\n\nExistsAnd@/\n"
+    )
+    code, out, err = run(capsys, "verify", str(trace_file))
+    assert (code, out, err) == (0, "exists x. P(x) & Q(y)\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -482,6 +492,36 @@ INPUT_ERRORS = {
         )
         for name, degree in [("plus-1", "+1"), ("1_0", "1_0"), ("arabic-indic", "\u0661")]
     },
+    "verify-json-array": (
+        ("verify", "t"),
+        {"t": b"[]"},
+        None,
+        "malformed trace: a JSON trace must be an object",
+    ),
+    "verify-json-schema-x": (
+        ("verify", "t"),
+        {"t": VERIFYING_JSON_TRACE.replace(b"prenexify.trace/1", b"x")},
+        None,
+        "malformed trace: unsupported trace schema 'x'",
+    ),
+    "verify-text-unknown-rule": (
+        ("verify", "t"),
+        {"t": b"degree: 0\nstart: (exists x. P(x)) & Q(y)\nFrob@/\n"},
+        None,
+        "malformed trace: unknown rule 'Frob'",
+    ),
+    "verify-json-unknown-rule": (
+        ("verify", "t"),
+        {"t": VERIFYING_JSON_TRACE.replace(b'"ExistsAnd"', b'"Frob"')},
+        None,
+        "malformed trace: unknown rule 'Frob'",
+    ),
+    "parse-sig-conflicting-arities": (
+        (*PARSE, "--sig", "P/1 P/2"),
+        {},
+        None,
+        "parse error: 1:1: conflicting arities for P",
+    ),
     "verify-json-start-not-a-string": (
         ("verify", "t"),
         {"t": json.dumps({**START_NOT_A_STRING, "steps": []}).encode()},

@@ -14,9 +14,10 @@ from prenexify.formula import (
     Imp,
     Or,
     Prime,
+    is_prenex,
+    prenex_floors,
     subformulas,
 )
-from prenexify.hierarchy import is_prenex, prenex_floors
 from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas, reachable_set
 from prenexify.rewrite import verify_trace

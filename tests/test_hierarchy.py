@@ -4,15 +4,8 @@ from math import inf
 
 from hypothesis import given, settings
 
-from prenexify.formula import And, Exists, Forall, Prime
-from prenexify.hierarchy import (
-    PI,
-    SIGMA,
-    classify_prenex,
-    is_prenex,
-    prenex_floors,
-    prenex_level,
-)
+from prenexify.formula import And, Exists, Forall, Prime, is_prenex, prenex_floors, prenex_level
+from prenexify.hierarchy import PI, SIGMA, classify_prenex
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse
 from prenexify.selftest import default_signature
@@ -132,41 +125,43 @@ def test_strict_membership_matches_shape(phi):
         assert shape.kind == (PI if runs and runs[0][0] is Forall else SIGMA)
 
 
-def test_one_test_of_a_non_prenex_chain_marks_every_quantifier():
-    # later prenex tests of the chain's nodes then cost no walk
+def test_every_quantifier_over_a_non_prenex_chain_is_built_non_prenex():
     phi = And(Exists("y", Prime("Mark", ("y",))), Exists("y", Prime("Marked", ("y",))))
     chain = []
     for _ in range(5000):
         phi = Exists("x", phi)
         chain.append(phi)
-    assert all(q._shape is None for q in chain)
-    assert not is_prenex(phi)
-    assert all(q._shape is False for q in chain)
+    assert not any(map(is_prenex, chain))
+    assert all(prenex_level(q) is None for q in chain)
+    assert all(prenex_floors(q) == (inf, inf) for q in chain)
     assert classify_prenex(phi) is None
 
 
-def test_one_test_of_a_prenex_chain_codes_every_quantifier():
+def test_every_quantifier_of_a_prenex_chain_is_built_with_its_level():
     # blocks of three quantifiers each, so the levels climb every third
     phi = And(Prime("Coded", ("x",)), Prime("Coded", ("y",)))
     chain = []
     for i in range(5000):
         phi = (Exists if (i // 3) % 2 else Forall)("x", phi)
         chain.append(phi)
-    assert all(q._shape is None for q in chain)
-    assert is_prenex(phi)
-    assert [q._shape >> 1 for q in chain] == [i // 3 + 1 for i in range(5000)]
-    assert [q._shape & 1 for q in chain] == [type(q) is Forall for q in chain]
+    assert all(map(is_prenex, chain))
+    levels = [i // 3 + 1 for i in range(5000)]
+    assert [prenex_level(q) for q in chain] == levels
+    assert [prenex_floors(q) for q in chain] == [
+        (level + 1, level) if type(q) is Forall else (level, level + 1)
+        for q, level in zip(chain, levels)
+    ]
 
 
 def test_a_deep_alternating_chain_is_read_in_linear_time_and_space():
     # a shape kept per suffix would hold a blocks tuple per quantifier:
-    # quadratic in the depth
-    phi = Prime("Deep", ("x",))
-    for i in range(20000):
-        phi = (Exists if i % 2 else Forall)("x", phi)
+    # quadratic in the depth, and paid as the chain is built
     tracemalloc.start()
     try:
         start = time.perf_counter()
+        phi = Prime("Deep", ("x",))
+        for i in range(20000):
+            phi = (Exists if i % 2 else Forall)("x", phi)
         level = prenex_level(phi)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]

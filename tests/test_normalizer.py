@@ -11,10 +11,11 @@ from prenexify.formula import (
     Prime,
     _Quant,
     alpha_canonical,
+    is_prenex,
+    prenex_floors,
     rename_bound,
     subformulas,
 )
-from prenexify.hierarchy import is_prenex, prenex_floors
 from prenexify.normalizer import (
     RESULT_SCHEMA,
     NotInClassError,

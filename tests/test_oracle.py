@@ -5,8 +5,7 @@ from pathlib import Path
 
 import prenexify
 
-from prenexify.formula import Exists, alpha_canonical
-from prenexify.hierarchy import prenex_floors
+from prenexify.formula import Exists, alpha_canonical, prenex_floors
 from prenexify.oracle import Signature, can_reach, enumerate_formulas, reachable_set
 from prenexify.parser import parse, render
 from prenexify.rewrite import apply_step, verify_trace

@@ -10,9 +10,9 @@ from prenexify.formula import (
     Prime,
     _Quant,
     fresh_variable,
+    is_prenex,
     subformula_at,
 )
-from prenexify.hierarchy import is_prenex
 from prenexify.parser import parse
 from prenexify.rewrite import (
     RULES,
@@ -120,6 +120,9 @@ def test_error_kinds_are_distinguished():
         apply_step(phi, RewriteStep("ExistsOr", ()), 0)
     with pytest.raises(RuleMismatchError):
         apply_step(phi, RewriteStep("Unheard", ()), 0)
+    with pytest.raises(RuleMismatchError):
+        # the connective matches, the quantifier's kind does not
+        apply_step(parse("(forall x. P(x)) & Q(y)"), RewriteStep("ExistsAnd", ()), 0)
     with pytest.raises(PositionError):
         apply_step(phi, RewriteStep("ExistsAnd", ("b",)), 0)
     with pytest.raises(SideConditionError):

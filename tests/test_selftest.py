@@ -1,8 +1,8 @@
-"""Criteria 1, 2, 4 and 7 of the selftest: their check counts, the faults
+"""Criteria 1 to 5 and 7 of the selftest: their check counts, the faults
 they must catch, and the data criterion 7 draws; and the split of
 ``run_selftest`` between the calling process and two forked workers.
 
-Criteria 1 and 4's faults are planted in ``semiclassical._least_levels``, the
+Criteria 1, 3, 4 and 5's faults are planted in ``semiclassical._least_levels``, the
 one place the classifier computes a node's least levels (k_J, k_R) at a
 degree, so every membership the criterion reads sees them.  Criterion
 2's faults are planted in ``prenex_form`` as the selftest calls it, only
@@ -30,9 +30,9 @@ import time
 import pytest
 
 from prenexify import forked, oracle, selftest, semiclassical
-from prenexify.formula import Exists, Or
+from prenexify.formula import And, Exists, Or
 from prenexify.oracle import enumerate_formulas
-from prenexify.parser import ParseError, render
+from prenexify.parser import ParseError, parse, render
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -124,6 +124,40 @@ def test_criterion_4_catches_a_planted_classifier_fault(monkeypatch, fault, firs
     result = _check_monotonicity(CORPUS, N_MAX, K_MAX, semiclassical.Classifier())
     assert not result.passed
     assert result.failures[0] == first
+
+
+def test_criterion_3_catches_a_planted_classifier_fault(monkeypatch):
+    # at n = 1 every level is one too high, so J_1^1 differs from J_1^2
+    monkeypatch.setattr(semiclassical, "_least_levels", FAULTS["n-monotonicity"][0])
+    result = selftest._check_stabilization(CORPUS, K_MAX, semiclassical.Classifier())
+    assert not result.passed
+    assert result.failures[0] == "J/R not stable for exists v0. false k=1 n=2"
+
+
+def test_criterion_4_catches_an_or_below_its_operand(monkeypatch):
+    # the operand is in D_2 and no lower; the lowered Or is in D_1
+    monkeypatch.setattr(semiclassical, "_least_levels", FAULTS["or-lowered"][0])
+    phi = parse("false | exists x. forall y. P(x, y)")
+    result = _check_monotonicity([phi], N_MAX, K_MAX, semiclassical.Classifier())
+    assert not result.passed
+    assert result.failures[0] == f"subformula closure fails {render(phi)} k=1 n=0"
+
+
+def _and_in_no_class_at_0(phi, n, pairs):
+    k_j, k_r = _least_levels(phi, n, pairs)
+    return (math.inf, math.inf) if type(phi) is And and n == 0 else (k_j, k_r)
+
+
+def test_criterion_5_catches_a_planted_classifier_fault(monkeypatch):
+    # a hoist out of the And reaches a quantifier, which keeps its classes
+    monkeypatch.setattr(semiclassical, "_least_levels", _and_in_no_class_at_0)
+    c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
+    c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
+    selftest._check_degree(c1, c5, CORPUS, 0, N_MAX, K_MAX, oracle.DEFAULT_NODE_BUDGET, None)
+    assert not c5.passed
+    assert c5.failures[0] == (
+        "J not backward closed: false & exists v0. false ~> exists v0. false & false k=1 n=0"
+    )
 
 
 def _last_step_dropped(phi, output, steps):

@@ -24,8 +24,7 @@ the first corpus formulas with each pair of least levels.
 import pytest
 
 from prenexify import normalizer, oracle, rewrite, semiclassical
-from prenexify.formula import And, Exists, Forall, Imp, Or
-from prenexify.hierarchy import prenex_floors
+from prenexify.formula import And, Exists, Forall, Imp, Or, prenex_floors
 from prenexify.normalizer import normalize_J
 from prenexify.parser import parse
 from prenexify.rewrite import RewriteStep, SideConditionError, applicable_steps, apply_step
