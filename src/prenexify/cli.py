@@ -308,7 +308,8 @@ def cmd_classify(args) -> int:
         if body is None:
             record = _classify_record(phi, args.n, args.k_max, key)
             line = json.dumps(record, sort_keys=True)
-            assert line.startswith(prefix), line
+            if not line.startswith(prefix):
+                raise AssertionError(line)
             body = bodies[key] = line[len(prefix):]
         print(prefix + body)
     return EXIT_OK

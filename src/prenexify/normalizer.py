@@ -28,7 +28,7 @@ recursion limit.
 (``Classifier.levels``), which decides membership, its prenex test, the
 goal's root (``Classifier.lift_root``), a lookup in the store, and the
 ``(output, steps)`` pair of the entry, the same objects on every call for the
-goal.  ``normalize_J`` / ``normalize_R`` wrap it: they assert that the
+goal.  ``normalize_J`` / ``normalize_R`` wrap it: they check that the
 output is in the target class with the input's free variables, and build
 the ``Trace`` and the ``NormalizationResult``.  The selftest calls
 ``prenex_form`` directly and makes its own checks.
@@ -40,15 +40,14 @@ of the other kind opens a new block and spends one level.  The loop only
 orders the hoists, in an order read off the rule table (``_ORDER``): per
 connective, the rules whose output continues the current block before
 those that open a new one, the left operand's before the right's, after
-a disjunction's operand ranks pick the operand (``_or_rank``).  At each
-pass the rewrite engine returns the first rule of that order valid at
-the connective under the degree-n side conditions, with the redex split
-(``valid_hoists``), and checks no rule after it.  Every hoist is checked
-by the rewrite engine at its redex when its entry is built
-(``rewrite_node``, with every rule, strategy and side-condition check),
-so an invalid schedule cannot survive unnoticed.  No ancestor of the
-redex is rebuilt: the loop wraps its hoisted prefix around the
-connective once, when it ends.
+a disjunction's operand ranks pick the operand (``_or_rank``).  Each
+pass is one call into the rewrite engine (``rewrite.hoist``), which
+applies the first rule of that order valid at the connective, with every
+rule, strategy, variable and degree-n side-condition check that step
+replay (``rewrite_node``) makes, and checks no rule after it; so an
+invalid schedule cannot survive unnoticed.  No ancestor of the redex is
+rebuilt: the loop wraps its hoisted prefix around the connective once,
+when it ends.
 """
 
 from __future__ import annotations
@@ -64,14 +63,13 @@ from .formula import (
     Imp,
     Or,
     _Quant,
-    fresh_variable,
     is_prenex,
     prenex_floors,
     prenex_level,
 )
 from .hierarchy import PI, SIGMA
 from .parser import formula_to_dict, render
-from .rewrite import RULES, RewriteStep, Trace, rewrite_node, trace_to_json, valid_hoists
+from .rewrite import RULES, RewriteStep, Trace, hoist, trace_to_json
 from .semiclassical import J, R, Classifier, _check_levels
 
 __all__ = [
@@ -133,9 +131,10 @@ def _result(
 ) -> NormalizationResult:
     # no process-global store: without a checker, nothing outlives the call
     output, steps = prenex_form(phi, k, n, target, checker or Classifier())
-    floor = prenex_floors(output)[0 if target == SIGMA else 1]
-    assert k >= floor, "normalizer output left the target class"
-    assert output.free == phi.free, "free variables not preserved"
+    if k < prenex_floors(output)[0 if target == SIGMA else 1]:
+        raise AssertionError("normalizer output left the target class")
+    if output.free != phi.free:
+        raise AssertionError("free variables not preserved")
     return NormalizationResult(phi, k, n, target, output, Trace(phi, steps, n))
 
 
@@ -278,26 +277,25 @@ def _hoist_prefixes(
     around the connective once, at the end, and the hoists' ``(rule,
     fresh)`` pairs."""
     prefix: list[_Quant] = []
+    # exactly the variables of the prefix over the node: a name renamed
+    # away must drop out, or the fresh names would change
+    binders: list[str] = []
     hoists: list[tuple[str, Optional[str]]] = []
     while not (node.left.is_qf and node.right.is_qf):
         side = _or_rank(node.left, node.right, kind, n) if type(node) is Or else None
-        found = valid_hoists(node, n, _ORDER[type(node), kind, side])
+        found = hoist(node, n, _ORDER[type(node), kind, side], binders)
         if found is None:
             raise AssertionError("no valid hoist; merge preconditions broken")
-        rule, quant, delta = found
-        fresh = None
-        if quant.var in delta.free:
-            # exactly the variables of the prefix over the node: a name
-            # renamed away must drop out, or the fresh names would change
-            fresh = fresh_variable([q.var for q in prefix] + list(node.vars))
-        hoisted = rewrite_node(node, RewriteStep(rule.name, (), fresh), n)
+        rule, fresh, hoisted = found
         hoists.append((rule.name, fresh))
         prefix.append(hoisted)
+        binders.append(hoisted.var)
         node = hoisted.body
         # A quantifier of the current kind continues its block; one of the
         # other kind opens a new block and spends one level.
         if rule.out is not kind:
-            assert budget >= 1, "merge level budget exhausted"
+            if budget < 1:
+                raise AssertionError("merge level budget exhausted")
             kind = rule.out
             budget -= 1
     for quant in reversed(prefix):
@@ -313,7 +311,8 @@ def _or_rank(left: Formula, right: Formula, kind: type, n: int) -> Optional[str]
     if left.is_qf or right.is_qf:
         return None
     ll, rl = prenex_level(left), prenex_level(right)
-    assert ll is not None and rl is not None, "merge operands must stay prenex"
+    if ll is None or rl is None:
+        raise AssertionError("merge operands must stay prenex")
     if kind is Exists:
         # an operand above the degree must shed its existential block
         # before any universal hoist can see it as delta

@@ -32,7 +32,9 @@ Sigma_n+ u Pi_n+: the side conditions read the prenex hierarchy, not the
 classifier, so the rewrite search checks the classifier independently.
 One function, ``_side_condition``, states the four degree conditions.
 ``applicable_steps`` (the search), ``rewrite_node`` (step replay) and
-``valid_hoists`` (the normalizer's choice of hoist) all read them there.
+``hoist`` (the normalizer's hoist) all read them there.  ``rewrite_node``
+and ``hoist`` apply a connective rule through one function, ``_apply``,
+which renames, checks the variable condition and builds the result.
 
 A step may carry a ``fresh`` variable.  For the two Var rules it is the
 new bound name.  For the other rules it folds an implicit renaming of the
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formula import (
     BODY,
@@ -87,7 +89,7 @@ __all__ = [
     "SideConditionError",
     "TraceStepError",
     "applicable_steps",
-    "valid_hoists",
+    "hoist",
     "apply_step",
     "rewrite_node",
     "verify_trace",
@@ -175,9 +177,9 @@ _CANDIDATES: dict[tuple, tuple[tuple[int, _Rule], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    """A named rule at a position, with optional fresh-variable binding."""
+class RewriteStep(NamedTuple):
+    """A named rule at a position, with optional fresh-variable binding:
+    an immutable tuple, equal and hashed as ``(rule, position, fresh)``."""
 
     rule: str
     position: Position
@@ -273,26 +275,43 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     return [step for _, step in sorted(reversed(found), key=lambda item: item[0])]
 
 
-def valid_hoists(node: Formula, n: int, order: tuple[_Rule, ...]) -> Optional[tuple]:
-    """The first rule of ``order`` that may hoist a quantified operand
-    above the connective ``node`` at degree ``n``, as ``(rule, quant,
-    delta)`` with the redex split into that operand and the other one:
-    its left-hand side matches ``node``, whose operands are prenex, and
-    its side condition allows the hoist; ``None`` when no rule of
-    ``order`` is valid.  The rules after it are not checked.  A bound
-    variable that is free in the other operand refuses none of them: a
-    fresh rename discharges it."""
+def hoist(node: Formula, n: int, order: tuple[_Rule, ...], avoid: list[str]) -> Optional[tuple]:
+    """Apply at the connective ``node`` the first rule of ``order`` that
+    ``rewrite_node`` would apply at degree ``n``, making each of its checks
+    once: ``(rule, fresh, hoisted)``, or ``None`` when no rule is valid.  A
+    bound variable free in the other operand is renamed to ``fresh``, the
+    first name in neither ``avoid`` nor ``node``'s variables."""
     if not _strategy_ok(node):
         return None
-    left, right = node.left, node.right
     for rule in order:
-        if rule.qside == "l":
-            quant, delta = left, right
-        else:
-            quant, delta = right, left
-        if type(quant) is rule.qkind and _side_condition(rule, quant, delta, n) is None:
-            return rule, quant, delta
+        m = _match(rule, node)
+        if m is None:
+            continue
+        quant, delta = m
+        if _side_condition(rule, quant, delta, n) is None:
+            fresh = fresh_variable([*avoid, *node.vars]) if quant.var in delta.free else None
+            return rule, fresh, _apply(rule, quant, delta, fresh)
     return None
+
+
+def _apply(rule: _Rule, quant: _Quant, delta: Formula, fresh: Optional[str]) -> Formula:
+    """The connective redex split into ``quant`` and ``delta`` rewritten by
+    ``rule``, ``quant`` renamed to ``fresh`` first when given.  Raises
+    SideConditionError when a variable condition fails, not the degree one."""
+    if fresh is not None:
+        if fresh in quant.body.vars:
+            raise SideConditionError(
+                f"{rule.name}: fresh {fresh} already appears in the "
+                "quantified operand"
+            )
+        quant = rename_bound(quant, fresh)
+    if quant.var in delta.free:
+        raise SideConditionError(
+            f"{rule.name}: bound variable {quant.var} occurs free in the "
+            "other operand (no or unusable fresh rename)"
+        )
+    left, right = (quant.body, delta) if rule.qside == "l" else (delta, quant.body)
+    return rule.out(quant.var, rule.conn(left, right))
 
 
 def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
@@ -317,35 +336,17 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
         # Standalone renaming.
         if step.fresh is None:
             raise SideConditionError(f"{step.rule} requires a fresh variable")
-        quant = node
-        if step.fresh in quant.body.vars:
-            raise SideConditionError(
-                f"{step.rule}: {step.fresh} already appears in the body"
-            )
-        return rename_bound(quant, step.fresh)
+        if step.fresh in node.body.vars:
+            raise SideConditionError(f"{step.rule}: {step.fresh} already appears in the body")
+        return rename_bound(node, step.fresh)
 
+    # the variable conditions are reported before the degree condition
     quant, delta = m
-    if step.fresh is not None:
-        if step.fresh in quant.body.vars:
-            raise SideConditionError(
-                f"{step.rule}: fresh {step.fresh} already appears in the "
-                "quantified operand"
-            )
-        quant = rename_bound(quant, step.fresh)
-    if quant.var in delta.free:
-        raise SideConditionError(
-            f"{step.rule}: bound variable {quant.var} occurs free in the "
-            "other operand (no or unusable fresh rename)"
-        )
+    hoisted = _apply(rule, quant, delta, step.fresh)
     reason = _side_condition(rule, quant, delta, n)
     if reason is not None:
         raise SideConditionError(f"{step.rule}: {reason}")
-
-    if rule.qside == "l":
-        inner = rule.conn(quant.body, delta)
-    else:
-        inner = rule.conn(delta, quant.body)
-    return rule.out(quant.var, inner)
+    return hoisted
 
 
 def apply_step(phi: Formula, step: RewriteStep, n: int) -> Formula:
@@ -432,15 +433,9 @@ def parse_position(text: str) -> Position:
     return parts
 
 
-def _format_step(step: RewriteStep) -> str:
-    text = f"{step.rule}@{format_position(step.position)}"
-    if step.fresh is not None:
-        text += f" fresh={step.fresh}"
-    return text
-
-
-# The fresh name is checked by ``_step``, with the grammar's own rule.
-_STEP_RE = re.compile(r"([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=(\S+))?\s*$")
+# A step line, blanks and comment included.  The fresh name is checked by
+# ``_step``, with the grammar's own rule.
+_STEP_RE = re.compile(r"\s*([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=([^\s#]+))?\s*(?:#.*)?")
 
 
 def _step(rule: str, path: str, fresh: Optional[str]) -> RewriteStep:
@@ -453,7 +448,9 @@ def _step(rule: str, path: str, fresh: Optional[str]) -> RewriteStep:
 
 def trace_to_text(trace: Trace) -> str:
     lines = [f"degree: {trace.n}", f"start: {render(trace.start)}"]
-    lines.extend(_format_step(step) for step in trace.steps)
+    for rule, position, fresh in trace.steps:
+        line = f"{rule}@{format_position(position)}"
+        lines.append(line if fresh is None else f"{line} fresh={fresh}")
     return "\n".join(lines) + "\n"
 
 
@@ -469,6 +466,9 @@ def trace_from_text(text: str) -> Trace:
     start: Optional[Formula] = None
     steps: list[RewriteStep] = []
     for raw in text.splitlines():
+        if (m := _STEP_RE.fullmatch(raw)) is not None:
+            steps.append(_step(*m.groups()))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -482,8 +482,6 @@ def trace_from_text(text: str) -> Trace:
             if start is not None:
                 raise ValueError("trace has a second 'start:' line")
             start = parse(line.split(":", 1)[1].strip())
-        elif (m := _STEP_RE.match(line)) is not None:
-            steps.append(_step(*m.groups()))
         else:
             raise ValueError(f"malformed trace step {line!r}")
     if degree is None or start is None:

@@ -510,6 +510,28 @@ INPUT_ERRORS = {
         None,
         "malformed trace: unknown rule 'Frob'",
     ),
+    # each malformed step line keeps its message; the rule is checked
+    # before the fresh name, and the fresh name before the path
+    **{
+        f"verify-text-step-{name}": (
+            ("verify", "t"),
+            {"t": b"degree: 0\nstart: (exists x. P(x)) & Q(y)\n" + line.encode() + b"\n"},
+            None,
+            f"malformed trace: {message}",
+        )
+        for name, line, message in [
+            ("path-lr", "ExistsAnd@/lr", "bad position selector 'lr' in '/lr'"),
+            ("path-empty-selector", "ExistsAnd@//", "bad position selector '' in '//'"),
+            ("path-trailing-slash", "ExistsAnd@/l/", "bad position selector '' in '/l/'"),
+            ("unknown-rule-and-bad-path", "Frob@/lr fresh=forall", "unknown rule 'Frob'"),
+            ("fresh-keyword", "ExistsAnd@/ fresh=forall", "fresh name 'forall' is not a variable"),
+            ("fresh-predicate", "ExistsAnd@/ fresh=Q", "fresh name 'Q' is not a variable"),
+            ("fresh-before-path", "ExistsAnd@/lr fresh=x,", "fresh name 'x,' is not a variable"),
+            ("no-at", "ExistsAnd/", "malformed trace step 'ExistsAnd/'"),
+            ("bad-selector", "ExistsAnd@/x  # comment", "malformed trace step 'ExistsAnd@/x'"),
+            ("no-fresh-name", "ExistsAnd@/ fresh=", "malformed trace step 'ExistsAnd@/ fresh='"),
+        ]
+    },
     "verify-json-unknown-rule": (
         ("verify", "t"),
         {"t": VERIFYING_JSON_TRACE.replace(b'"ExistsAnd"', b'"Frob"')},

@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from prenexify import formula, normalizer
+from prenexify import formula, normalizer, rewrite
 from prenexify.formula import (
     And,
     Exists,
@@ -464,17 +464,20 @@ def test_a_prenex_formula_is_its_own_normal_form(monkeypatch):
     assert derived == []
 
 
-def test_every_hoist_is_checked_by_rewrite_node(monkeypatch):
+def test_every_hoist_is_made_by_the_rewrite_engine(monkeypatch):
     # the pins cannot see a hoist built without the rewrite engine's
-    # checks: each hoist an entry keeps is one rewrite_node call
+    # checks: each hoist an entry keeps is one rewrite.hoist call, which
+    # makes every check of rewrite_node (test_rewrite's
+    # test_hoist_agrees_with_the_first_rule_rewrite_node_applies)
     calls = []
-    check = normalizer.rewrite_node
+    engine = normalizer.hoist
 
-    def counted(node, step, n):
-        calls.append(step)
-        return check(node, step, n)
+    def counted(node, n, order, avoid):
+        found = engine(node, n, order, avoid)
+        calls.append(found)
+        return found
 
-    monkeypatch.setattr(normalizer, "rewrite_node", counted)
+    monkeypatch.setattr(normalizer, "hoist", counted)
     # every merge of the size-4 corpus hoists once, so a few formulas
     # whose merges hoist more than once join it
     corpus = list(enumerate_formulas(default_signature(4)))
@@ -500,9 +503,11 @@ def test_every_hoist_is_checked_by_rewrite_node(monkeypatch):
 
 
 def test_a_refused_hoist_reaches_the_caller(monkeypatch):
-    def refuse(node, step, n):
-        raise SideConditionError(f"{step.rule} refused")
+    # the engine's applier, which renames, checks the variable condition
+    # and builds, refuses; the normalizer passes the refusal on
+    def refuse(rule, quant, delta, fresh):
+        raise SideConditionError(f"{rule.name} refused")
 
-    monkeypatch.setattr(normalizer, "rewrite_node", refuse)
+    monkeypatch.setattr(rewrite, "_apply", refuse)
     with pytest.raises(SideConditionError, match="ExistsAnd refused"):
         normalize_J(parse("(exists x. P(x)) & Q(y)"), 1, 0)

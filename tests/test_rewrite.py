@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from prenexify.formula import (
     FALSUM,
+    And,
     Exists,
+    Forall,
     Imp,
+    Or,
     PositionError,
     Prime,
     _Quant,
@@ -13,9 +16,11 @@ from prenexify.formula import (
     is_prenex,
     subformula_at,
 )
+from prenexify.normalizer import _ORDER
 from prenexify.parser import parse
 from prenexify.rewrite import (
     RULES,
+    RewriteError,
     RewriteStep,
     RuleMismatchError,
     SideConditionError,
@@ -25,15 +30,17 @@ from prenexify.rewrite import (
     applicable_steps,
     apply_step,
     format_position,
+    hoist,
     measure,
     parse_position,
+    rewrite_node,
     trace_from_json,
     trace_from_text,
     trace_to_json,
     trace_to_text,
     verify_trace,
 )
-from test_formula import formulas, node_count, positions
+from test_formula import Px, Py, Qx, Qy, formulas, node_count, positions
 
 
 def test_rule_table_has_fourteen_rules():
@@ -406,3 +413,104 @@ def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
         assert _outcome(verify_trace, bad) == _outcome(_fold, bad)
     index, reason, message = _outcome(verify_trace, Trace(start, tuple(corrupted[1]), n))
     assert (index, reason) == (i, PositionError) and "invalid for" in message
+
+
+def _first_rewrite(node, n, order, avoid):
+    """The first rule of ``order`` whose step ``rewrite_node`` applies at
+    ``node``, renaming as the normalizer does, as ``(rule, fresh,
+    hoisted)``; ``None`` when it refuses every one."""
+    for rule in order:
+        quant, delta = (node.left, node.right) if rule.qside == "l" else (node.right, node.left)
+        fresh = None
+        if isinstance(quant, _Quant) and quant.var in delta.free:
+            fresh = fresh_variable([*avoid, *node.vars])
+        try:
+            return rule, fresh, rewrite_node(node, RewriteStep(rule.name, (), fresh), n)
+        except RewriteError:
+            continue
+    return None
+
+
+_QF = st.recursive(
+    st.sampled_from([FALSUM, Px, Py, Qx, Qy]),
+    lambda sub: st.builds(lambda conn, a, b: conn(a, b), st.sampled_from([And, Or, Imp]), sub, sub),
+    max_leaves=3,
+)
+
+
+def _prenex(prefix, matrix):
+    for quant, var in reversed(prefix):
+        matrix = quant(var, matrix)
+    return matrix
+
+
+_PRENEX = st.builds(
+    _prenex,
+    st.lists(st.tuples(st.sampled_from([Exists, Forall]), st.sampled_from("xyz")), max_size=4),
+    _QF,
+)
+
+
+@seed(31)
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([And, Or, Imp]),
+    st.one_of(_PRENEX, formulas(max_leaves=4)),
+    _PRENEX,
+    st.lists(st.sampled_from(["v0", "v1", "x", "z"]), max_size=3),
+)
+def test_hoist_agrees_with_the_first_rule_rewrite_node_applies(conn, left, right, avoid):
+    # the normalizer's one engine call per hoist makes the checks of
+    # rewrite_node, each once: same rule, fresh name and hoisted node, and
+    # None exactly when rewrite_node refuses every rule of the order (a
+    # left operand that is not prenex refuses them all)
+    node = conn(left, right)
+    for order in _ORDER.values():
+        for n in range(4):
+            assert hoist(node, n, order, avoid) == _first_rewrite(node, n, order, avoid)
+
+
+def test_a_step_is_an_immutable_value():
+    step = RewriteStep("ExistsAnd", ("b",), "v0")
+    for field in ("rule", "position", "fresh"):
+        with pytest.raises(AttributeError):
+            setattr(step, field, None)
+    assert step == RewriteStep("ExistsAnd", ("b",), "v0")
+    assert repr(step) == "RewriteStep(rule='ExistsAnd', position=('b',), fresh='v0')"
+
+
+def test_equal_steps_hash_equal_across_text_and_json_round_trips():
+    # criterion 7 compares step sets: set(steps) <= set(applicable_steps(...))
+    phi = parse("((exists x. P(x)) & P(x)) | (forall y. Q(y) -> exists z. R(y, z))")
+    trace = Trace(phi, tuple(applicable_steps(phi, 1)), 1)
+    assert any(step.fresh for step in trace.steps)
+    for again in (trace_from_text(trace_to_text(trace)), trace_from_json(trace_to_json(trace))):
+        assert again == trace
+        assert [hash(step) for step in again.steps] == [hash(step) for step in trace.steps]
+        assert set(again.steps) == set(trace.steps)
+
+
+def test_step_lines_with_comments_blanks_and_a_repeated_path_read_back_equal():
+    text = (
+        "degree: 0   \n"
+        "start: exists x. P(x) & Q(y)\n"
+        "  ExistsVar@/ fresh=z   # rename\n"
+        "ExistsVar@/ fresh=w\t\n"
+        "\t# only a comment\n"
+        "   \n"
+        "ExistsVar@/#no blank before the comment\n"
+    )
+    assert trace_from_text(text) == Trace(
+        parse("exists x. P(x) & Q(y)"),
+        (
+            RewriteStep("ExistsVar", (), "z"),
+            RewriteStep("ExistsVar", (), "w"),
+            RewriteStep("ExistsVar", (), None),
+        ),
+        0,
+    )
+    deep = "degree: 1\nstart: P(x)\nExistsAnd@/l/b/r\nForallOrN@/l/b/r fresh=v2 #\n"
+    assert trace_from_text(deep).steps == (
+        RewriteStep("ExistsAnd", ("l", "b", "r")),
+        RewriteStep("ForallOrN", ("l", "b", "r"), "v2"),
+    )

@@ -127,7 +127,7 @@ def test_the_search_replay_and_normalizer_read_the_one_function(monkeypatch):
     with pytest.raises(AssertionError, match="no valid hoist"):
         normalize_J(phi, 1, 0)
     # the normalizer hoists through the rewrite engine, not a copy of it
-    assert normalizer.valid_hoists is rewrite.valid_hoists
+    assert normalizer.hoist is rewrite.hoist
 
 
 _CASES = ("k-1<n", "k-1=n", "k-1>n")
