@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Forall, Formula, _Quant
+from .formula import Forall, Formula, _Quant, prenex_level
 
 __all__ = [
     "SIGMA",
@@ -45,23 +45,19 @@ class PrenexShape:
 
 
 def classify_prenex(phi: Formula) -> Optional[PrenexShape]:
-    """Minimal shape of ``phi`` if it is prenex, else ``None``.
-
-    Blocks are maximal, so the reported level is the unique minimal one.
-    The shape is built by walking the prefix and is not cached: the
-    prenex code is what the other readers use.
-    """
-    blocks: list[int] = []
-    current: Optional[type] = None
-    node = phi
-    while isinstance(node, _Quant):
-        if type(node) is current:
+    """Minimal shape of ``phi`` if it is prenex, else ``None``: whether it
+    is and its level are read off its prenex code, and the walk of its
+    prefix only counts its blocks, maximal runs of one quantifier."""
+    level = prenex_level(phi)
+    if level is None:
+        return None
+    kind = PI if isinstance(phi, Forall) else SIGMA
+    blocks, current = [], None
+    while isinstance(phi, _Quant):
+        if type(phi) is current:
             blocks[-1] += 1
         else:
             blocks.append(1)
-            current = type(node)
-        node = node.body
-    if not node.is_qf:
-        return None
-    kind = PI if isinstance(phi, Forall) else SIGMA
-    return PrenexShape(kind, len(blocks), tuple(blocks))
+            current = type(phi)
+        phi = phi.body
+    return PrenexShape(kind, level, tuple(blocks))

@@ -41,18 +41,19 @@ other piece of work is a task in a fixed list: criterion 7, criterion 2
 at each degree, criteria 3 and 4, and criterion 6.  Wherever ``os.fork``
 exists, ``run_selftest`` forks two workers (``forked.run_tasks``) once
 the corpus is built; they take the tasks from a shared queue, a pipe
-holding one byte per task, until it ends.  The caller takes no task, so
-its own work, and what a tracer installed in it counts, does not depend
-on timing.  Where the platform does not fork, the caller takes the same
-tasks from the same queue after its degree loop.  Results, counts,
-failures and the progress messages are the same either way: each
-criterion's result is merged in task order (criterion 2's degrees in
-degree order, its first ten failures kept), and the phase ends of
-criteria 3, 4, 6 and 7 are reported after every worker is reaped.  A
-worker that fails has its error raised by the caller once the other is
-killed and reaped.  The workers' memory is their own, so it is not in
-the caller's ``ru_maxrss`` (``RUSAGE_SELF``), only in
-``RUSAGE_CHILDREN``.
+holding one byte per task, until it ends.  Criterion 7 is most of the
+workers' work at size 5 and criterion 2 at size 6, so no fixed split of
+the tasks suits both.  The caller takes no task, so its own work, and
+what a tracer installed in it counts, does not depend on timing.  Where
+the platform does not fork, the caller takes the same tasks from the
+same queue after its degree loop.  Results, counts, failures and the
+progress messages are the same either way: each criterion's result is
+merged in task order (criterion 2's degrees in degree order, its first
+ten failures kept), and the phase ends of criteria 3, 4, 6 and 7 are
+reported after every worker is reaped.  A worker that fails has its
+error raised by the caller once the other is killed and reaped.  The
+workers' memory is their own, so it is not in the caller's ``ru_maxrss``
+(``RUSAGE_SELF``), only in ``RUSAGE_CHILDREN``.
 
 The module is consumed both by ``prenexify selftest`` and by the
 acceptance test suite, which asserts every criterion at full scale.
@@ -176,7 +177,7 @@ def _queued_tasks(
 def _merged(parts: list[CriterionResult]) -> list[CriterionResult]:
     """One result per name: the checks summed, and the failures kept in
     the order of ``parts``, at most ten, as one sequential pass keeps
-    them."""
+    them.  A criterion that made no checks fails: it showed nothing."""
     merged: dict[str, CriterionResult] = {}
     for part in parts:
         into = merged.setdefault(part.name, CriterionResult(part.name, True, 0))
@@ -184,6 +185,9 @@ def _merged(parts: list[CriterionResult]) -> list[CriterionResult]:
         into.passed = into.passed and part.passed
         for message in part.failures:
             into.fail(message)
+    for result in merged.values():
+        if not result.checks:
+            result.fail("no checks were made")
     return list(merged.values())
 
 

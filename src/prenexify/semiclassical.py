@@ -25,10 +25,10 @@ Least levels.  The lift clause makes every class cumulative in k
 formula is fixed by its pair of least levels (k_J, k_R), with infinity
 for "in no level": phi is in S_k^n exactly when k >= k_S.  Each
 hash-consed node gets this pair once per degree, bottom-up from the
-pairs of its operands, and ``decide`` is two comparisons.  The pair
-depends only on the node's connective and its operands' pairs, so it is
-computed once per such key and degree, and looked up for every other
-node with the same key.
+pairs of its operands, and ``decide`` is two comparisons.
+``_least_levels`` computes the pair from its key, the node's connective
+and its operands' pairs, once per key and degree; every other node with
+the same key looks it up.
 
 Why a few candidate levels suffice.  Take a formula with quantifiers,
 so in no level 0.  Below the first level k0 >= 1 at which some
@@ -101,12 +101,12 @@ _CLAUSES = {
 _NO_CLAUSES = _every_case()
 
 
-def _clause(phi: Formula, side: str, k: int, n: int, pairs: list) -> Optional[tuple]:
-    """The first table alternative deriving ``phi`` on ``side`` at level
-    ``k >= 1`` from operands with least-level ``pairs``, or ``None``."""
+def _clause(conn: type, side: str, k: int, n: int, pairs: list) -> Optional[tuple]:
+    """The first table alternative deriving a ``conn`` node on ``side`` at
+    level ``k >= 1`` from operands with least-level ``pairs``, or ``None``."""
     at = (k, n, n + 1)
     case = 0 if k <= n else 1 if k == n + 1 else 2
-    for alternative in _CLAUSES.get((type(phi), side), _NO_CLAUSES)[case]:
+    for alternative in _CLAUSES.get((conn, side), _NO_CLAUSES)[case]:
         for (s, level), (k_j, k_r) in zip(alternative[1:], pairs):
             if at[level] < (k_j if s == J else k_r if s == R else min(k_j, k_r)):
                 break
@@ -115,13 +115,13 @@ def _clause(phi: Formula, side: str, k: int, n: int, pairs: list) -> Optional[tu
     return None
 
 
-def _least_levels(phi: Formula, n: int, pairs: list) -> tuple:
-    """(k_J, k_R) of a non-quantifier-free ``phi`` from its operands'."""
+def _least_levels(conn: type, n: int, pairs: list) -> tuple:
+    """(k_J, k_R) of a ``conn`` node with a quantifier, from its operands'."""
     candidates = {1, n + 1, n + 2}
     candidates.update(level for pair in pairs for level in pair if 1 <= level < INF)
     for k in sorted(candidates):
-        j = _clause(phi, J, k, n, pairs) is not None
-        r = _clause(phi, R, k, n, pairs) is not None
+        j = _clause(conn, J, k, n, pairs) is not None
+        r = _clause(conn, R, k, n, pairs) is not None
         if j or r:
             return (k if j else k + 1, k if r else k + 1)
     return (INF, INF)
@@ -166,8 +166,7 @@ class Classifier:
     def __init__(self):
         # n -> {non-quantifier-free node: (k_J, k_R)}
         self._levels: defaultdict[int, dict[Formula, tuple]] = defaultdict(dict)
-        # n -> {(connective, operands' pairs): (k_J, k_R)}; the least levels
-        # read nothing else of a node, and few such keys recur
+        # n -> {(connective, *operands' pairs): (k_J, k_R)}; few keys recur
         self._by_pairs: defaultdict[int, dict[tuple, tuple]] = defaultdict(dict)
         # n -> {goal: normal form}, filled by the normalizer
         self._normal_forms: defaultdict[int, dict] = defaultdict(dict)
@@ -227,7 +226,7 @@ class Classifier:
             stack.pop()
             pair = by_pairs.get(key)
             if pair is None:
-                pair = by_pairs[key] = _least_levels(psi, n, key[1:])
+                pair = by_pairs[key] = _least_levels(key[0], n, key[1:])
             cache[psi] = pair
         return pair
 
@@ -252,7 +251,7 @@ class Classifier:
             return "qf", []
         operands = (psi.left, psi.right) if isinstance(psi, _Binary) else (psi.body,)
         pairs = [levels.get(c, _QF) for c in operands]
-        alternative = _clause(psi, side, k, n, pairs)
+        alternative = _clause(type(psi), side, k, n, pairs)
         at = (k, n, n + 1)
         premises = []
         for c, (p_side, level), pair in zip(operands, alternative[1:], pairs):

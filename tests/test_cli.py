@@ -350,7 +350,7 @@ def test_config_file_sets_signature_and_budget(tmp_path, capsys):
 
 def test_selftest_small(capsys):
     code, out, _ = run(
-        capsys, "selftest", "--size", "3", "--n-max", "1", "--k-max", "3", "--quiet"
+        capsys, "selftest", "--size", "4", "--n-max", "1", "--k-max", "3", "--quiet"
     )
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
@@ -362,8 +362,10 @@ def test_selftest_takes_a_negative_or_padded_seed(capsys, seed, value):
     argv = ("selftest", "--size", "1", "--n-max", "0", "--k-max", "0", "--seed", seed)
     assert _build_parser().parse_args(argv).seed == value
     code, out, _ = run(capsys, *argv, "--quiet")
-    assert code == 0
-    assert len([line for line in out.splitlines() if line.startswith("PASS")]) == 7
+    # no size-1 formula has a rewrite edge, so criterion 5 makes no check
+    assert code == 1
+    assert len([line for line in out.splitlines() if line.startswith("PASS")]) == 6
+    assert "FAIL criterion-5 backward closure (0 checks)\n  no checks were made\n" in out
 
 
 SEARCH = ("search", "P(x)", "-n", "0", "--target", "j", "-k", "0")

@@ -42,23 +42,23 @@ K_MAX = 4
 _least_levels = semiclassical._least_levels
 
 
-def _n_monotonicity_broken(phi, n, pairs):
+def _n_monotonicity_broken(conn, n, pairs):
     # at n = 1 every node with a quantifier needs one level more, so it
     # leaves classes it was in at n = 0
-    k_j, k_r = _least_levels(phi, n, pairs)
+    k_j, k_r = _least_levels(conn, n, pairs)
     return (k_j + 1, k_r + 1) if n == 1 else (k_j, k_r)
 
 
-def _or_lowered(phi, n, pairs):
-    k_j, k_r = _least_levels(phi, n, pairs)
-    if type(phi) is Or:
+def _or_lowered(conn, n, pairs):
+    k_j, k_r = _least_levels(conn, n, pairs)
+    if conn is Or:
         return max(1, k_j - 1), max(1, k_r - 1)
     return k_j, k_r
 
 
-def _exists_out_of_j_at_0(phi, n, pairs):
-    k_j, k_r = _least_levels(phi, n, pairs)
-    if type(phi) is Exists and n == 0:
+def _exists_out_of_j_at_0(conn, n, pairs):
+    k_j, k_r = _least_levels(conn, n, pairs)
+    if conn is Exists and n == 0:
         return math.inf, k_r
     return k_j, k_r
 
@@ -80,9 +80,9 @@ FAULTS = {
 }
 
 
-def _exists_in_no_class_at_0(phi, n, pairs):
-    k_j, k_r = _least_levels(phi, n, pairs)
-    return (math.inf, math.inf) if type(phi) is Exists and n == 0 else (k_j, k_r)
+def _exists_in_no_class_at_0(conn, n, pairs):
+    k_j, k_r = _least_levels(conn, n, pairs)
+    return (math.inf, math.inf) if conn is Exists and n == 0 else (k_j, k_r)
 
 
 def test_criterion_1_reports_each_level_and_side_of_a_planted_fault(monkeypatch):
@@ -143,9 +143,9 @@ def test_criterion_4_catches_an_or_below_its_operand(monkeypatch):
     assert result.failures[0] == f"subformula closure fails {render(phi)} k=1 n=0"
 
 
-def _and_in_no_class_at_0(phi, n, pairs):
-    k_j, k_r = _least_levels(phi, n, pairs)
-    return (math.inf, math.inf) if type(phi) is And and n == 0 else (k_j, k_r)
+def _and_in_no_class_at_0(conn, n, pairs):
+    k_j, k_r = _least_levels(conn, n, pairs)
+    return (math.inf, math.inf) if conn is And and n == 0 else (k_j, k_r)
 
 
 def test_criterion_5_catches_a_planted_classifier_fault(monkeypatch):
@@ -158,6 +158,15 @@ def test_criterion_5_catches_a_planted_classifier_fault(monkeypatch):
     assert c5.failures[0] == (
         "J not backward closed: false & exists v0. false ~> exists v0. false & false k=1 n=0"
     )
+
+
+def test_a_criterion_with_no_checks_fails():
+    # no formula below size 4 has a rewrite edge, so criterion 5 checks none
+    results = run_selftest(size=3)
+    c5 = results[4]
+    assert (c5.name, c5.passed, c5.checks) == ("criterion-5 backward closure", False, 0)
+    assert c5.failures == ["no checks were made"]
+    assert all(r.passed and r.checks for r in results if r is not c5), _outcomes(results)
 
 
 def _last_step_dropped(phi, output, steps):

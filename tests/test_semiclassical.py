@@ -4,6 +4,7 @@ universe, as opposed to the checker's clause table and per-node least
 levels.
 """
 
+import itertools
 import math
 import random
 
@@ -362,7 +363,7 @@ def reference_levels(corpus, n):
     pairs = {}
     for psi in postorder:
         operands = (psi.left, psi.right) if isinstance(psi, _Binary) else (psi.body,)
-        pairs[psi] = _least_levels(psi, n, [pairs.get(c, (0, 0)) for c in operands])
+        pairs[psi] = _least_levels(type(psi), n, [pairs.get(c, (0, 0)) for c in operands])
     return pairs
 
 
@@ -441,6 +442,55 @@ def test_least_levels_by_pairs_are_per_classifier():
     assert not two._by_pairs
     assert all(two.min_levels(phi, 1) == one.min_levels(phi, 1) for phi in corpus)
     assert len(two._by_pairs[1]) == keys
+
+
+# operand pairs with finite levels up to 7, and every key built from them
+SHIFT_PAIRS = [(0, 0), (math.inf, math.inf)]
+SHIFT_PAIRS += [(k, k) for k in range(1, 8)]
+SHIFT_PAIRS += [pair for k in range(1, 7) for pair in ((k, k + 1), (k + 1, k))]
+SHIFT_KEYS = [(q, (pair,)) for q in (Exists, Forall) for pair in SHIFT_PAIRS] + [
+    (conn, operands)
+    for conn in (And, Or, Imp)
+    for operands in itertools.product(SHIFT_PAIRS, repeat=2)
+]
+
+
+def shift(pair):
+    """``pair`` with each finite nonzero level one higher."""
+    return tuple(level + 1 if 0 < level < math.inf else level for level in pair)
+
+
+def test_least_levels_shift_with_the_degree():
+    # a key's pair at n + 1 over shifted operands is its pair at n, shifted,
+    # but for the keys over quantifier-free operands alone, whose pair
+    # (1, 1), (1, 2) or (2, 1) does not move with the degree
+    assert len(SHIFT_PAIRS) == 21 and len(SHIFT_KEYS) == 1365
+    misses, checks = [], 0
+    for n in range(6):
+        for conn, operands in SHIFT_KEYS:
+            checks += 1
+            shifted = _least_levels(conn, n + 1, [shift(pair) for pair in operands])
+            if shifted != shift(_least_levels(conn, n, operands)):
+                misses.append((conn, operands, n))
+    assert checks == 8190
+    assert len(misses) == 30
+    assert all(set(operands) == {(0, 0)} for _, operands, _ in misses)
+
+
+@pytest.mark.parametrize("bound, checks, misses", [(2, 2525, 0), (1, 3770, 380)])
+def test_least_levels_shift_with_the_operands_above_the_degree(bound, checks, misses):
+    # at one degree n, shifting the operands shifts the pair once every
+    # finite nonzero operand level is at least n + 2; n + 1 is not enough
+    counted, missed = 0, 0
+    for n in range(5):
+        for conn, operands in SHIFT_KEYS:
+            levels = [level for pair in operands for level in pair if 0 < level < math.inf]
+            if set(operands) == {(0, 0)} or min(levels, default=math.inf) < n + bound:
+                continue
+            counted += 1
+            shifted = _least_levels(conn, n, [shift(pair) for pair in operands])
+            missed += shifted != shift(_least_levels(conn, n, operands))
+    assert (counted, missed) == (checks, misses)
 
 
 def test_alpha_variants_share_verdicts():
