@@ -507,7 +507,8 @@ def alpha_canonical(phi: Formula) -> Formula:
     Bound variables are renamed to ``v0, v1, ...`` in the order their
     binders appear in a preorder walk (outermost first, left before right),
     skipping names that occur free anywhere in ``phi``.  Free variables are
-    untouched, shapes are preserved, and the map is idempotent.
+    untouched, shapes are preserved, and the map is idempotent.  The new
+    names are interned strings, so canonical binders share them.
     """
     cached = phi._canon
     if cached is not None:
@@ -545,10 +546,10 @@ def alpha_canonical(phi: Formula) -> Formula:
             stack.append(task.right)
             stack.append(task.left)
         else:
-            name = f"v{counter}"
+            name = sys.intern(f"v{counter}")
             counter += 1
             while name in reserved:
-                name = f"v{counter}"
+                name = sys.intern(f"v{counter}")
                 counter += 1
             stack.append((type(task), name, task.var, env.get(task.var)))
             env[task.var] = name

@@ -44,8 +44,10 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 100_000
 
-# (canonical state, degree) -> ((step on the state, canonical successor), ...)
-Transitions = dict[tuple[Formula, int], tuple[tuple[RewriteStep, Formula], ...]]
+# degree -> {canonical state -> (canonical successor, ...)}: one successor
+# per step applicable to the state at that degree, in step order.  The
+# steps themselves are not kept; ``can_reach`` rebuilds its trace's steps.
+Transitions = dict[int, dict[Formula, tuple[Formula, ...]]]
 
 
 @dataclass
@@ -53,7 +55,9 @@ class ReachableSet:
     """Closure of a start formula under degree-n rewriting, modulo alpha."""
 
     members: list[Formula]  # alpha-canonical, in BFS discovery order
-    edges: dict[int, list[tuple[RewriteStep, int]]]  # member index -> successors
+    # member index -> its successors' member indices, one per applicable
+    # step in step order; a member with none has no entry
+    edges: dict[int, list[int]]
     exhausted: bool
 
     @property
@@ -74,24 +78,25 @@ def _closure(
     steps applicable at degree n, cut at ``node_budget`` members, and
     stopped at the first member, the start included, that ``goal``
     accepts.  The flag says whether one did; it is then the last member.
-    ``transitions`` caches each state's expansion."""
+    ``transitions[n]`` caches each state's successors at degree n."""
     start = alpha_canonical(phi)
     members = [start]
     index = {start: 0}
-    edges: dict[int, list[tuple[RewriteStep, int]]] = {}
+    edges: dict[int, list[int]] = {}
     exhausted = True
     found = goal is not None and goal(start)
+    expanded = transitions.setdefault(n, {})
     head = 0
     while head < len(members) and not found:
         state = members[head]
         out = []
-        successors = transitions.get((state, n))
+        successors = expanded.get(state)
         if successors is None:
-            successors = transitions[state, n] = tuple(
-                (step, alpha_canonical(apply_step(state, step, n)))
+            successors = expanded[state] = tuple(
+                alpha_canonical(apply_step(state, step, n))
                 for step in applicable_steps(state, n)
             )
-        for step, succ in successors:
+        for succ in successors:
             dst = index.get(succ)
             if dst is None:
                 if len(members) >= node_budget:
@@ -100,7 +105,7 @@ def _closure(
                 dst = index[succ] = len(members)
                 members.append(succ)
                 found = goal is not None and goal(succ)
-            out.append((step, dst))
+            out.append(dst)
             if found:
                 break
         if out:
@@ -120,9 +125,10 @@ def reachable_set(
     """Breadth-first closure of ``phi`` under applicable steps at degree n.
 
     ``exhausted`` is False only when the budget cut exploration short.
-    ``transitions`` caches each state's expansion; states recur across
-    related start formulas, so a caller closing many passes its own dict
-    to every call.  ``checker`` is ignored.
+    ``transitions`` caches each state's successors, per degree (see
+    ``Transitions``); states recur across related start formulas, so a
+    caller closing many passes its own dict to every call, at one degree
+    or several.  ``checker`` is ignored.
     """
     return _closure(phi, n, node_budget, {} if transitions is None else transitions)[0]
 
@@ -153,7 +159,7 @@ def can_reach(
     # first edge in), rebuilt as a concrete trace from phi itself.
     parent: dict[int, int] = {}
     for src, out in closure.edges.items():
-        for _, dst in out:
+        for dst in out:
             parent.setdefault(dst, src)
     path = [len(closure.members) - 1]
     while path[-1]:

@@ -308,23 +308,24 @@ def _check_backward_closure(
 ) -> None:
     # Every expansion cached during one degree's searches is an edge
     # source ~>_n successor; rules only gain at higher degrees.
-    for (state, n), successors in transitions.items():
-        state_levels = [checker.levels(state, n2) for n2 in range(n, n_max + 1)]
-        for _, succ in successors:
-            for n2, (p_j, p_r) in enumerate(state_levels, start=n):
-                s_j, s_r = checker.levels(succ, n2)
-                result.checks += 2 * (k_max + 1)
-                for k in range(k_max + 1):
-                    if s_j <= k < p_j:
-                        result.fail(
-                            f"J not backward closed: {render(state)} ~> "
-                            f"{render(succ)} k={k} n={n2}"
-                        )
-                    if s_r <= k < p_r:
-                        result.fail(
-                            f"R not backward closed: {render(state)} ~> "
-                            f"{render(succ)} k={k} n={n2}"
-                        )
+    for n, expanded in transitions.items():
+        for state, successors in expanded.items():
+            state_levels = [checker.levels(state, n2) for n2 in range(n, n_max + 1)]
+            for succ in successors:
+                for n2, (p_j, p_r) in enumerate(state_levels, start=n):
+                    s_j, s_r = checker.levels(succ, n2)
+                    result.checks += 2 * (k_max + 1)
+                    for k in range(k_max + 1):
+                        if s_j <= k < p_j:
+                            result.fail(
+                                f"J not backward closed: {render(state)} ~> "
+                                f"{render(succ)} k={k} n={n2}"
+                            )
+                        if s_r <= k < p_r:
+                            result.fail(
+                                f"R not backward closed: {render(state)} ~> "
+                                f"{render(succ)} k={k} n={n2}"
+                            )
 
 
 def _check_levels_suites(

@@ -4,6 +4,7 @@ deletion or signature change that would break it fails this suite too."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -67,3 +68,16 @@ def test_the_benchmark_call_shapes_bind():
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
 
+
+def test_the_traced_oracle_counters_read_a_closure():
+    # the tracer counts a closure's states and edges off its members and
+    # edges; a change to their shape must still give these counts
+    closure = oracle.reachable_set(parse("(exists x. P(x)) & (exists y. Q(y))"), 0)
+    assert len(closure.members) == 5
+    assert sum(len(out) for out in closure.edges.values()) == 4
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer._count("oracle.reachable_set", (), closure)
+    assert (tracer.counters["oracle_states"], tracer.counters["oracle_edges"]) == (5, 4)

@@ -133,6 +133,12 @@ def test_alpha_canonical_examples():
     assert canon is Forall("v0", Exists("v1", Prime("P", ("v1",))))
 
 
+def test_canonical_binders_share_one_name_string():
+    exists = alpha_canonical(parse("exists x. P(x)"))
+    forall = alpha_canonical(parse("forall y. Q(y)"))
+    assert exists.var is forall.var == "v0"
+
+
 def test_alpha_canonical_avoids_free_names():
     phi = Exists("x", Prime("P", ("x", "v0")))
     canon = alpha_canonical(phi)

@@ -120,6 +120,17 @@ def test_or_hoists_from_the_higher_ranked_operand_first():
     assert verify_trace(result.trace) is result.output
 
 
+def test_or_hoists_an_existential_operand_above_the_degree_first():
+    # Sigma_1 | Pi_2 at degree 0: the left operand is existential and above
+    # the degree, so it hoists first although the ranks point right; the
+    # right operand's universal hoist could not take it as delta otherwise
+    result = normalize_J(parse("(exists x. P(x)) | forall y. exists z. Q(z)"), 3, 0)
+    assert result.output is parse("exists x. forall y. exists z. P(x) | Q(z)")
+    steps = [(step.rule, step.position) for step in result.trace.steps]
+    assert steps == [("ExistsOr", ()), ("OrForallN", ("b",)), ("OrExists", ("b", "b"))]
+    assert verify_trace(result.trace) is result.output
+
+
 def test_not_in_class_errors():
     with pytest.raises(NotInClassError):
         normalize_J(parse("(forall x. P(x)) -> false"), 2, 0)

@@ -110,12 +110,27 @@ def test_can_reach_class_predicates():
     )
 
 
+def test_one_transitions_dict_serves_every_degree():
+    # the cache is keyed by degree first, so closures sharing one dict
+    # across degrees match closures that each get a fresh dict
+    shared = {}
+    for n in range(3):
+        for phi in enumerate_formulas(SIG):
+            closure = reachable_set(phi, n, transitions=shared)
+            alone = reachable_set(phi, n, transitions={})
+            assert closure.members == alone.members, (render(phi), n)
+            assert closure.edges == alone.edges, (render(phi), n)
+            assert closure.floors == alone.floors, (render(phi), n)
+            assert closure.exhausted and alone.exhausted, (render(phi), n)
+    assert sorted(shared) == [0, 1, 2]
+
+
 def _discovery_path(closure, member: int) -> list:
     """The members on the BFS route to ``member``: each is reached by the
     first edge into it, the edge that discovered it."""
     parent = {}
     for src, out in closure.edges.items():
-        for _, dst in out:
+        for dst in out:
             parent.setdefault(dst, src)
     path = [member]
     while path[-1]:

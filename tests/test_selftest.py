@@ -143,6 +143,18 @@ def test_criterion_4_catches_an_or_below_its_operand(monkeypatch):
     assert result.failures[0] == f"subformula closure fails {render(phi)} k=1 n=0"
 
 
+def test_criterion_5_checks_each_cached_successor_at_each_higher_degree():
+    # each successor cached at a degree is checked at that degree and at
+    # every higher one
+    c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
+    c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
+    budget = oracle.DEFAULT_NODE_BUDGET
+    for n in range(N_MAX + 1):
+        selftest._check_degree(c1, c5, CORPUS, n, N_MAX, K_MAX, budget, None)
+    assert (c1.passed, c5.passed) == (True, True)
+    assert c5.checks == 24150
+
+
 def _and_in_no_class_at_0(conn, n, pairs):
     k_j, k_r = _least_levels(conn, n, pairs)
     return (math.inf, math.inf) if conn is And and n == 0 else (k_j, k_r)
