@@ -40,7 +40,10 @@ of the other kind opens a new block and spends one level.  The loop only
 orders the hoists, in an order read off the rule table (``_ORDER``): per
 connective, the rules whose output continues the current block before
 those that open a new one, the left operand's before the right's, after
-a disjunction's operand ranks pick the operand (``_or_rank``).  Each
+a disjunction's operand ranks pick the operand (``_or_rank``).  While one
+operand is quantifier-free, the order holds only the other operand's
+rules (a one-sided ``_ORDER`` entry): no rule hoisting from the
+quantifier-free one can match, so the first valid rule is the same.  Each
 pass is one call into the rewrite engine (``rewrite.hoist``), which
 applies the first rule of that order valid at the connective, with every
 rule, strategy, variable and degree-n side-condition check that step
@@ -98,9 +101,12 @@ class NormalizationResult:
     trace: Trace
 
     def to_json(self) -> dict:
+        trace = trace_to_json(self.trace)
+        # a result's trace starts at its input (``_result``): render it once
+        text = trace["start"] if self.trace.start is self.input else render(self.input)
         return {
             "schema": RESULT_SCHEMA,
-            "input": {"text": render(self.input), "ast": formula_to_dict(self.input)},
+            "input": {"text": text, "ast": formula_to_dict(self.input)},
             "k": self.k,
             "n": self.n,
             "target": self.target,
@@ -108,7 +114,7 @@ class NormalizationResult:
                 "text": render(self.output),
                 "ast": formula_to_dict(self.output),
             },
-            "trace": trace_to_json(self.trace),
+            "trace": trace,
         }
 
 
@@ -237,7 +243,7 @@ def _absolute_steps(form: _NormalForm) -> tuple[RewriteStep, ...]:
         form, pos, expanded = stack.pop()
         if expanded:
             for rule, fresh in form.hoists:
-                steps.append(RewriteStep(rule, pos, fresh))
+                steps.append(tuple.__new__(RewriteStep, (rule, pos, fresh)))
                 pos += ("b",)
             continue
         stack.append((form, pos, True))
@@ -282,7 +288,11 @@ def _hoist_prefixes(
     binders: list[str] = []
     hoists: list[tuple[str, Optional[str]]] = []
     while not (node.left.is_qf and node.right.is_qf):
-        side = _or_rank(node.left, node.right, kind, n) if type(node) is Or else None
+        if node.left.is_qf or node.right.is_qf:
+            # no rule hoists from a quantifier-free operand
+            side = "r" if node.left.is_qf else "l"
+        else:
+            side = _or_rank(node.left, node.right, kind, n) if type(node) is Or else None
         found = hoist(node, n, _ORDER[type(node), kind, side], binders)
         if found is None:
             raise AssertionError("no valid hoist; merge preconditions broken")
@@ -306,10 +316,7 @@ def _hoist_prefixes(
 def _or_rank(left: Formula, right: Formula, kind: type, n: int) -> Optional[str]:
     """The operand of a disjunction that the ranks of its two quantified
     operands make hoist from next, "l" or "r", or None when they leave
-    the choice to the rule order, as a quantifier-free operand always
-    does."""
-    if left.is_qf or right.is_qf:
-        return None
+    the choice to the rule order."""
     ll, rl = prenex_level(left), prenex_level(right)
     if ll is None or rl is None:
         raise AssertionError("merge operands must stay prenex")

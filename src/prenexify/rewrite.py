@@ -43,6 +43,22 @@ into the application, which is how the ``x`` not free in ``delta`` side
 condition is discharged when violated.  ``applicable_steps`` never
 enumerates standalone Var steps; renaming alone does not terminate, and
 folded renaming reaches the same formulas up to alpha-equivalence.
+
+A trace is written as text, a ``degree:`` line, a ``start:`` line and a
+line ``Rule@/path`` per step with an optional `` fresh=name``, or as
+JSON.  A path is "/" followed by the selectors (``l``, ``r``, ``b``),
+one after each further slash.  A step's rule is checked first, then its
+fresh name, then its path.  The text reader reads a well-formed path by
+slicing the matched line: its odd characters are its selectors.  Only
+another path of slashes and selectors (``/lr``, ``//``, ``/l/``) goes to
+``parse_position``, which decides its error; a line with any other
+character is no step line.  The JSON reader reads a string path that
+``format_position`` writes back from its odd characters by slicing too,
+and hands ``parse_position`` every other path, a non-string one
+included.  The readers and the normalizer build each step as a plain
+tuple (``tuple.__new__``), and the writers join each path's text inline,
+so that writing a step, or reading a step line, calls no Python function
+but ``is_variable`` on a fresh name.
 """
 
 from __future__ import annotations
@@ -376,9 +392,12 @@ def verify_trace(trace: Trace, checker=None) -> Formula:
     for index, step in enumerate(trace.steps):
         pos = step.position
         try:
-            common = min(len(path), len(pos))
-            if path[:common] != pos[:common]:
-                common = next(i for i, (a, b) in enumerate(zip(path, pos)) if a != b)
+            # one prefix test: a step at or below the cursor keeps its spine
+            common = len(path)
+            if pos[:common] != path:
+                common = 0
+                while common < len(pos) and pos[common] == path[common]:
+                    common += 1
             while len(spine) > common:
                 node = _with_child(spine.pop(), path[len(spine)], node)
             for sel in pos[common:]:
@@ -439,18 +458,27 @@ _STEP_RE = re.compile(r"\s*([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=([^\s#]+))?\s*(?:#.
 
 
 def _step(rule: str, path: str, fresh: Optional[str]) -> RewriteStep:
+    """The step a trace names, its rule, fresh name and path checked in
+    that order.  A string path that ``format_position`` writes for its odd
+    characters is read as them; ``parse_position`` reads any other."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if fresh is not None and not (isinstance(fresh, str) and is_variable(fresh)):
         raise ValueError(f"fresh name {fresh!r} is not a variable")
-    return RewriteStep(rule, parse_position(path), fresh)
+    if type(path) is str:
+        position = tuple(path[1::2])
+        if _SELECTORS.issuperset(position) and format_position(position) == path:
+            return tuple.__new__(RewriteStep, (rule, position, fresh))
+    return tuple.__new__(RewriteStep, (rule, parse_position(path), fresh))
 
 
 def trace_to_text(trace: Trace) -> str:
     lines = [f"degree: {trace.n}", f"start: {render(trace.start)}"]
+    append = lines.append
     for rule, position, fresh in trace.steps:
-        line = f"{rule}@{format_position(position)}"
-        lines.append(line if fresh is None else f"{line} fresh={fresh}")
+        # ``format_position``, written out: no call per step
+        line = f"{rule}@/{'/'.join(position)}"
+        append(line if fresh is None else f"{line} fresh={fresh}")
     return "\n".join(lines) + "\n"
 
 
@@ -465,9 +493,24 @@ def trace_from_text(text: str) -> Trace:
     degree: Optional[int] = None
     start: Optional[Formula] = None
     steps: list[RewriteStep] = []
+    append = steps.append
     for raw in text.splitlines():
         if (m := _STEP_RE.fullmatch(raw)) is not None:
-            steps.append(_step(*m.groups()))
+            rule, path, fresh = m.groups()
+            # ``path`` holds slashes and selectors; it is well formed, "/"
+            # or one selector after each slash, when its odd characters are
+            # selectors and its even ones slashes, and then they are its
+            # selectors
+            selectors = path[1::2]
+            if (
+                rule in RULES
+                and (fresh is None or is_variable(fresh))
+                and "/" not in selectors
+                and path[::2] == "/" * max(len(selectors), 1)
+            ):
+                append(tuple.__new__(RewriteStep, (rule, tuple(selectors), fresh)))
+            else:  # ``_step`` raises the error of the first failing check
+                append(_step(rule, path, fresh))
             continue
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -494,13 +537,10 @@ def trace_to_json(trace: Trace) -> dict:
         "schema": TRACE_SCHEMA,
         "degree": trace.n,
         "start": render(trace.start),
+        # ``format_position``, written out: no call per step
         "steps": [
-            {
-                "rule": step.rule,
-                "path": format_position(step.position),
-                "fresh": step.fresh,
-            }
-            for step in trace.steps
+            {"rule": rule, "path": "/" + "/".join(position), "fresh": fresh}
+            for rule, position, fresh in trace.steps
         ],
     }
 

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from prenexify.formula import (
     subformula_at,
 )
 from prenexify.normalizer import _ORDER
-from prenexify.parser import parse
+from prenexify.parser import is_variable, parse
 from prenexify.rewrite import (
     RULES,
     RewriteError,
@@ -470,6 +473,26 @@ def test_hoist_agrees_with_the_first_rule_rewrite_node_applies(conn, left, right
             assert hoist(node, n, order, avoid) == _first_rewrite(node, n, order, avoid)
 
 
+@seed(34)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([And, Or, Imp]),
+    _QF,
+    st.one_of(_PRENEX, formulas(max_leaves=4)).filter(lambda phi: not phi.is_qf),
+    st.booleans(),
+    st.lists(st.sampled_from(["v0", "v1", "x", "z"]), max_size=3),
+)
+def test_the_one_sided_order_hoists_as_the_whole_order(conn, qf, quantified, qf_left, avoid):
+    # with one operand quantifier-free, the normalizer passes hoist only
+    # the rules that hoist from the other one: the same first valid rule,
+    # fresh name and hoisted node, and None in the same cases
+    node, side = (conn(qf, quantified), "r") if qf_left else (conn(quantified, qf), "l")
+    for kind in (Exists, Forall):
+        for n in range(4):
+            whole = hoist(node, n, _ORDER[conn, kind, None], avoid)
+            assert hoist(node, n, _ORDER[conn, kind, side], avoid) == whole
+
+
 def test_a_step_is_an_immutable_value():
     step = RewriteStep("ExistsAnd", ("b",), "v0")
     for field in ("rule", "position", "fresh"):
@@ -514,3 +537,84 @@ def test_step_lines_with_comments_blanks_and_a_repeated_path_read_back_equal():
         RewriteStep("ExistsAnd", ("l", "b", "r")),
         RewriteStep("ForallOrN", ("l", "b", "r"), "v2"),
     )
+
+
+def _read_as_before(rule, path, fresh):
+    """The step that ``RewriteStep(rule, parse_position(path), fresh)``
+    gives after the reader's rule and fresh-name checks, in that order."""
+    if rule not in RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    if fresh is not None and not (isinstance(fresh, str) and is_variable(fresh)):
+        raise ValueError(f"fresh name {fresh!r} is not a variable")
+    return RewriteStep(rule, parse_position(path), fresh)
+
+
+def _json_as_before(rule, path, fresh):
+    """``_read_as_before`` with the JSON reader's report of a bad field."""
+    try:
+        return _read_as_before(rule, path, fresh)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed trace field: {exc}") from None
+
+
+def _read_outcome(read, *args):
+    """The step ``read`` gives, of that type, or its error's type and message."""
+    try:
+        step = read(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    assert type(step) is RewriteStep and type(step.position) is tuple
+    return step
+
+
+def _random_path(rng):
+    """A path text of 0-60 selectors, well formed or broken in one of the
+    ways a hand-written trace breaks one."""
+    selectors = [rng.choice("lrb") for _ in range(rng.randint(0, 60))]
+    path = "/" + "/".join(selectors)
+    slashes = [i for i, char in enumerate(path) if char == "/"]
+    kind = rng.choice(["well formed"] * 4 + ["lr", "//", "l/", "bad selector", "no slash"])
+    if kind == "lr" and len(selectors) > 1:  # two selectors with no slash between
+        cut = rng.choice(slashes[1:])
+        return path[:cut] + path[cut + 1:]
+    if kind == "//":
+        cut = rng.choice(slashes)
+        return path[:cut] + "/" + path[cut:]
+    if kind == "l/":
+        return path + "/"
+    if kind == "bad selector":
+        cut = rng.choice(slashes)
+        return path[:cut + 1] + rng.choice(["x", "L", "lr", "", "\\"]) + path[cut + 2:]
+    if kind == "no slash":
+        return path[1:]
+    return path
+
+
+def test_the_step_readers_read_every_path_as_parse_position_does():
+    # both readers slice a well-formed path; every step they read, and
+    # every error they raise, is the one parse_position and the two
+    # checks before it give
+    rng = random.Random(7)
+    rules = [*RULES, "Frob"]
+    names = [None, None, None, "v0", "x", "y1", "forall", "Q", "x,", ""]
+    for _ in range(3000):
+        rule, path, fresh = rng.choice(rules), _random_path(rng), rng.choice(names)
+        line = f"{rule}@{path}" if fresh is None else f"{rule}@{path} fresh={fresh}"
+        text = f"degree: 0\nstart: P(x)\n{line}\n"
+        if re.fullmatch(r"/[lrb/]*", path) and fresh != "":
+            expected = _read_outcome(_read_as_before, rule, path, fresh)
+        else:  # no step line: a bad selector, no leading slash or an empty fresh=
+            expected = (ValueError, f"malformed trace step {line!r}")
+        assert _read_outcome(lambda: trace_from_text(text).steps[0]) == expected, line
+        step = {"rule": rule, "path": path, "fresh": fresh}
+        if fresh is None and rng.random() < 0.5:
+            del step["fresh"]
+        data = {"schema": "prenexify.trace/1", "degree": 0, "start": "P(x)", "steps": [step]}
+        expected = _read_outcome(_json_as_before, rule, path, fresh)
+        assert _read_outcome(lambda: trace_from_json(data).steps[0]) == expected, step
+    for path in (None, 5, 1.5, ["l", "r"], {"l": 1}, "/l/r"):
+        for rule in ("ExistsAnd", "Frob", ["ExistsAnd"]):
+            step = {"rule": rule, "path": path}
+            data = {"schema": "prenexify.trace/1", "degree": 0, "start": "P(x)", "steps": [step]}
+            expected = _read_outcome(_json_as_before, rule, path, None)
+            assert _read_outcome(lambda: trace_from_json(data).steps[0]) == expected, step
