@@ -49,16 +49,8 @@ line ``Rule@/path`` per step with an optional `` fresh=name``, or as
 JSON.  A path is "/" followed by the selectors (``l``, ``r``, ``b``),
 one after each further slash.  A step's rule is checked first, then its
 fresh name, then its path.  The text reader reads a well-formed path by
-slicing the matched line: its odd characters are its selectors.  Only
-another path of slashes and selectors (``/lr``, ``//``, ``/l/``) goes to
-``parse_position``, which decides its error; a line with any other
-character is no step line.  The JSON reader reads a string path that
-``format_position`` writes back from its odd characters by slicing too,
-and hands ``parse_position`` every other path, a non-string one
-included.  The readers and the normalizer build each step as a plain
-tuple (``tuple.__new__``), and the writers join each path's text inline,
-so that writing a step, or reading a step line, calls no Python function
-but ``is_variable`` on a fresh name.
+slicing the step line; ``parse_position`` reads every other path, and
+every JSON one, and words the error of a malformed one.
 """
 
 from __future__ import annotations
@@ -458,18 +450,11 @@ _STEP_RE = re.compile(r"\s*([A-Za-z]+)@(/[lrb/]*)(?:\s+fresh=([^\s#]+))?\s*(?:#.
 
 
 def _step(rule: str, path: str, fresh: Optional[str]) -> RewriteStep:
-    """The step a trace names, its rule, fresh name and path checked in
-    that order.  A string path that ``format_position`` writes for its odd
-    characters is read as them; ``parse_position`` reads any other."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
     if fresh is not None and not (isinstance(fresh, str) and is_variable(fresh)):
         raise ValueError(f"fresh name {fresh!r} is not a variable")
-    if type(path) is str:
-        position = tuple(path[1::2])
-        if _SELECTORS.issuperset(position) and format_position(position) == path:
-            return tuple.__new__(RewriteStep, (rule, position, fresh))
-    return tuple.__new__(RewriteStep, (rule, parse_position(path), fresh))
+    return RewriteStep(rule, parse_position(path), fresh)
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -537,9 +522,8 @@ def trace_to_json(trace: Trace) -> dict:
         "schema": TRACE_SCHEMA,
         "degree": trace.n,
         "start": render(trace.start),
-        # ``format_position``, written out: no call per step
         "steps": [
-            {"rule": rule, "path": "/" + "/".join(position), "fresh": fresh}
+            {"rule": rule, "path": format_position(position), "fresh": fresh}
             for rule, position, fresh in trace.steps
         ],
     }
