@@ -4,12 +4,18 @@ Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
 formulas that nothing outside the table refers to.  Building a node costs
-its intern key, whether it is quantifier-free and its prenex code; its
-sorted tuples of free variables (``free``) and of all variables
-(``vars``) are each filled on first read, for the node and every node
-below it that lacks that tuple, and then kept.  Negation is not a
-primitive; ``~p`` is represented as ``Imp(p, Falsum)``.  Quantifiers bind
-exactly one variable per node and terms are restricted to variables.
+its intern key, whether it is quantifier-free and its prenex code.
+Negation is not a primitive; ``~p`` is represented as ``Imp(p, Falsum)``.
+Quantifiers bind exactly one variable per node and terms are restricted
+to variables.
+
+A node's free variables and all its variables are two ``int`` bit masks
+over a name table, filled together on first read by one iterative walk;
+``free`` and ``vars`` decode them, and other modules test bits only
+through this module's readers.  A sweep frees each bit that no live
+node's filled mask holds, and a new name takes the lowest free bit, so
+code may keep a mask across a node construction (which may sweep) only if
+it is the filled mask of a node that stays alive.
 
 A formula is prenex when it is an alternation of non-empty quantifier
 blocks over a quantifier-free matrix.  Each node's ``_shape`` slot holds
@@ -28,7 +34,6 @@ when ``k >= prenex_floors(phi)[1]``.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from math import inf
 from typing import Iterator, Optional
 
@@ -68,6 +73,12 @@ Position = tuple[str, ...]
 
 _interned: dict[tuple, "Formula"] = {}
 
+# The name table: each name's bit (a power of two), the name of each bit
+# index (None when free), and the free indices, lowest last.
+_bits: dict[str, int] = {}
+_names: list[Optional[str]] = []
+_spare: list[int] = []
+
 # The table is swept once it has grown by _GROWTH since the last sweep, and
 # not before it holds _SWEEP_FLOOR entries.  Without sys.getrefcount no
 # node can be told dead, and the table is never swept.
@@ -91,8 +102,8 @@ class Formula:
     __slots__ = ("_free", "_vars", "is_qf", "_canon", "_shape")
 
     is_qf: bool
-    # _free backs ``free`` and _vars backs ``vars``: set when an atom is
-    # built, None in a compound node until the first read fills it, then
+    # _free and _vars are the masks of the free variables and of all
+    # variables: None (0 in Falsum) until the first read fills both, then
     # kept.  _canon caches alpha_canonical: True on a node that is its own
     # canonical form, so none refers to itself; _shape holds the prenex
     # code (see the module docstring), set when the node is built.
@@ -100,14 +111,12 @@ class Formula:
     @property
     def free(self) -> tuple[str, ...]:
         """The free variables, sorted."""
-        free = self._free
-        return free if free is not None else _fill_free(self)
+        return _decode(_free_mask(self))
 
     @property
     def vars(self) -> tuple[str, ...]:
         """Every variable occurring (free or bound), sorted."""
-        names = self._vars
-        return names if names is not None else _fill_vars(self)
+        return _decode(_vars_mask(self))
 
     def __str__(self) -> str:
         from .parser import render
@@ -128,26 +137,41 @@ def _intern(key: tuple, node: Formula) -> Formula:
 
 
 def _sweep() -> None:
-    """Drop every interned node that nothing outside the table refers to.
+    """Drop every interned node that nothing outside the table refers to,
+    then free the bits that no live node's mask holds.
 
     Entries are popped newest first.  A node is inserted after its
     operands, so a dead parent, whose key and fields hold its operands, is
     released before they are read, and one pass frees a whole dead subtree
-    without recursion.  The live entries go back in their old order.
+    without recursion.  The live entries go back in their old order.  The
+    one reference to a newer node is a ``_canon``, which a pass reads after
+    that node: a pass that drops a node holding one is followed by another.
     """
-    global _sweep_at
+    global _sweep_at, _bits
     table = _interned
     count = _getrefcount
     idle = _IDLE
-    keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
-    while table:
-        key, node = table.popitem()
-        if count(node) > idle:
-            keys.append(key)
-            nodes.append(node)
-    table.clear()  # frees the emptied hash table
-    table.update(zip(reversed(keys), reversed(nodes)))
+    again = True
+    while again:
+        again = False
+        keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
+        while table:
+            key, node = table.popitem()
+            if count(node) > idle:
+                keys.append(key)
+                nodes.append(node)
+            elif isinstance(node._canon, Formula):
+                again = True
+        table.clear()  # frees the emptied hash table
+        table.update(zip(reversed(keys), reversed(nodes)))
     _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
+    live = 0
+    for node in nodes:
+        live |= node._vars or 0
+    held = bin(live)[:1:-1]  # bin() reversed: held[i] == "1" when bit i is live
+    _names[:] = [name if c == "1" else None for name, c in zip(_names, held)]
+    _bits = {name: 1 << i for i, name in enumerate(_names) if name is not None}
+    _spare[:] = [i for i in range(len(_names) - 1, -1, -1) if _names[i] is None]
 
 
 def _idle_count() -> int:
@@ -172,7 +196,7 @@ class Prime(Formula):
         self = object.__new__(cls)
         self.name = name
         self.args = args
-        self._free = self._vars = tuple(sorted(set(args)))
+        self._free = self._vars = None
         self.is_qf = True
         self._canon = True
         self._shape = 0
@@ -190,7 +214,7 @@ class Falsum(Formula):
         if cached is not None:
             return cached
         self = object.__new__(cls)
-        self._free = self._vars = ()
+        self._free = self._vars = 0
         self.is_qf = True
         self._canon = True
         self._shape = 0
@@ -299,79 +323,77 @@ def prenex_floors(phi: Formula) -> tuple:
     return level, (level + 1 if code else level)
 
 
-def _merge(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    """The sorted union of two sorted tuples without repeats."""
-    if len(b) < len(a):
-        a, b = b, a
-    if not a:
-        return b
-    if len(a) == 1:
-        # one name into a sorted tuple: a search and a copy, not a sort
-        i = bisect_left(b, a[0])
-        return b if i < len(b) and b[i] == a[0] else b[:i] + a + b[i:]
-    return tuple(sorted(set(a) | set(b)))
+def _bit(name: str) -> int:
+    """The mask bit of ``name``; a new name takes the lowest free bit."""
+    bit = _bits.get(name)
+    if bit is None:
+        index = _spare.pop() if _spare else len(_names)
+        _names[index:index + 1] = (name,)  # fills a free entry, or appends
+        bit = _bits[name] = 1 << index
+    return bit
 
 
-def _fill_free(phi: Formula) -> tuple[str, ...]:
-    """Set ``_free`` on ``phi`` and on every node below it that lacks it.
-
-    The walk peeks at the top of an explicit stack: a node whose operands
-    all have theirs is popped and given its own, otherwise the operands
-    still lacking it are pushed.  Atoms have theirs from the start, so only
-    compound nodes are pushed.  A node pending under two parents may be
-    pushed twice; its second visit finds it filled and pops it, so the
-    walk costs one visit per edge of the DAG.
-    """
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if node._free is None:
-            if isinstance(node, _Binary):
-                left, right = node.left._free, node.right._free
-                if left is None or right is None:
-                    if left is None:
-                        stack.append(node.left)
-                    if right is None:
-                        stack.append(node.right)
-                    continue
-                node._free = _merge(left, right)
-            else:
-                free, var = node.body._free, node.var
-                if free is None:
-                    stack.append(node.body)
-                    continue
-                i = bisect_left(free, var)
-                if i < len(free) and free[i] == var:
-                    free = free[:i] + free[i + 1:]
-                node._free = free
-        stack.pop()
+def _free_mask(phi: Formula) -> int:
+    """The mask of ``phi``'s free variables."""
+    if phi._free is None:
+        _fill(phi)
     return phi._free
 
 
-def _fill_vars(phi: Formula) -> tuple[str, ...]:
-    """Set ``_vars`` on ``phi`` and on every node below it that lacks it,
-    by the walk of ``_fill_free``."""
+def _vars_mask(phi: Formula) -> int:
+    """The mask of every variable of ``phi``."""
+    if phi._vars is None:
+        _fill(phi)
+    return phi._vars
+
+
+def _is_free(name: str, phi: Formula) -> bool:
+    """Whether ``name`` is free in ``phi``."""
+    if phi._free is None:
+        _fill(phi)
+    return _bits.get(name, 0) & phi._free != 0  # read after the fill, which may assign it
+
+
+def _decode(mask: int) -> tuple[str, ...]:
+    """The names of the bits of ``mask``, sorted."""
+    return tuple(sorted([_names[i] for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]))
+
+
+def _fill(phi: Formula) -> None:
+    """Set both masks on ``phi`` and on every node below it that lacks them.
+
+    The walk peeks at the top of an explicit stack: a node whose operands
+    all have theirs is popped and given its own, otherwise the operands
+    still lacking them are pushed.  A node pending under two parents may be
+    pushed twice; its second visit finds it filled and pops it, so the walk
+    costs one visit per edge of the DAG.
+    """
     stack = [phi]
     while stack:
         node = stack[-1]
         if node._vars is None:
             if isinstance(node, _Binary):
-                left, right = node.left._vars, node.right._vars
-                if left is None or right is None:
-                    if left is None:
-                        stack.append(node.left)
-                    if right is None:
-                        stack.append(node.right)
+                left, right = node.left, node.right
+                if left._vars is None or right._vars is None:
+                    if left._vars is None:
+                        stack.append(left)
+                    if right._vars is None:
+                        stack.append(right)
                     continue
-                node._vars = _merge(left, right)
-            else:
-                names = node.body._vars
-                if names is None:
-                    stack.append(node.body)
+                node._free = left._free | right._free
+                node._vars = left._vars | right._vars
+            elif isinstance(node, _Quant):
+                body = node.body
+                if body._vars is None:
+                    stack.append(body)
                     continue
-                node._vars = _merge((node.var,), names)
+                bit = _bit(node.var)
+                free = body._free
+                node._free = free ^ bit if free & bit else free
+                node._vars = body._vars | bit
+            else:  # a prime formula (Falsum is built with its masks)
+                node._free = node._vars = sum({_bit(name) for name in node.args})
         stack.pop()
-    return phi._vars
 
 
 def _child(node: Formula, sel: str):
@@ -451,7 +473,11 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 
 def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
     """Replace free occurrences of variable ``old`` by ``new``, without
-    recursion; a subformula in which ``old`` is not free is kept as is."""
+    recursion; a subformula in which ``old`` is not free is kept as is.
+    Its bit outlives the nodes built here: ``phi``'s filled mask holds it."""
+    if not _is_free(old, phi):
+        return phi
+    bit = _bits[old]
     values: list[Formula] = []
     stack: list = [phi]
     while stack:
@@ -463,7 +489,7 @@ def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
                 values[-1] = type(node)(values[-1], right)
             else:
                 values[-1] = type(node)(node.var, values[-1])
-        elif old not in task.free:
+        elif not task._free & bit:  # phi is filled, so all below it is
             values.append(task)
         elif isinstance(task, Prime):
             args = tuple(new if a == old else a for a in task.args)
@@ -487,16 +513,18 @@ def rename_bound(phi: Formula, fresh: str) -> Formula:
     """
     if not isinstance(phi, _Quant):
         raise ValueError("rename_bound expects a quantified formula")
-    if fresh in phi.body.vars:
+    if _vars_mask(phi.body) & _bit(fresh):
         raise ValueError(f"variable {fresh} already appears in the body")
     return type(phi)(fresh, _substitute_var(phi.body, phi.var, fresh))
 
 
-def fresh_variable(avoid) -> str:
-    """Smallest ``v0, v1, ...`` not contained in ``avoid``."""
-    avoid = set(avoid)
+def fresh_variable(avoid, taken: int = 0) -> str:
+    """Smallest ``v0, v1, ...`` not contained in ``avoid`` whose bit is
+    not in the mask ``taken`` either."""
+    for name in avoid:
+        taken |= _bit(name)
     i = 0
-    while f"v{i}" in avoid:
+    while _bits.get(f"v{i}", 0) & taken:
         i += 1
     return f"v{i}"
 
@@ -517,11 +545,13 @@ def alpha_canonical(phi: Formula) -> Formula:
     # Nodes are entered in preorder from an explicit stack, so binders are
     # named in preorder; a node is built once its operands' canonical forms
     # are on ``values``.  ``env`` maps each variable bound above the current
-    # node to its new name; a binder's entry is undone when its body is
-    # built, so no map is copied.
-    reserved = set(phi.free)
+    # node to its new name, and ``bound`` is the mask of its keys; a
+    # binder's entry is undone when its body is built, so no map is copied.
+    # Filling ``phi`` fills every node below it, with bits ``phi`` keeps.
+    reserved = _free_mask(phi)
     counter = 0
     env: dict[str, str] = {}
+    bound = 0
     values: list[Formula] = []
     stack: list = [phi]
     while stack:
@@ -534,10 +564,11 @@ def alpha_canonical(phi: Formula) -> Formula:
             kind, name, var, outer = task  # a binder whose body is built
             if outer is None:
                 del env[var]
+                bound ^= _bits[var]
             else:
                 env[var] = outer
             values[-1] = kind(name, values[-1])
-        elif task.is_qf and not any(v in env for v in task.free):
+        elif task.is_qf and not task._free & bound:
             values.append(task)  # nothing in it to rename
         elif isinstance(task, Prime):
             values.append(Prime(task.name, tuple(env.get(a, a) for a in task.args)))
@@ -548,11 +579,15 @@ def alpha_canonical(phi: Formula) -> Formula:
         else:
             name = sys.intern(f"v{counter}")
             counter += 1
-            while name in reserved:
+            while _bits.get(name, 0) & reserved:
                 name = sys.intern(f"v{counter}")
                 counter += 1
-            stack.append((type(task), name, task.var, env.get(task.var)))
-            env[task.var] = name
+            var = task.var
+            outer = env.get(var)
+            stack.append((type(task), name, var, outer))
+            if outer is None:
+                bound |= _bits[var]
+            env[var] = name
             stack.append(task.body)
 
     canon = values[0]

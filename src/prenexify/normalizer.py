@@ -65,6 +65,7 @@ from .formula import (
     Formula,
     Imp,
     Or,
+    _free_mask,
     _Quant,
     is_prenex,
     prenex_floors,
@@ -139,7 +140,7 @@ def _result(
     output, steps = prenex_form(phi, k, n, target, checker or Classifier())
     if k < prenex_floors(output)[0 if target == SIGMA else 1]:
         raise AssertionError("normalizer output left the target class")
-    if output.free != phi.free:
+    if _free_mask(output) != _free_mask(phi):
         raise AssertionError("free variables not preserved")
     return NormalizationResult(phi, k, n, target, output, Trace(phi, steps, n))
 

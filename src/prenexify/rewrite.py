@@ -73,10 +73,13 @@ from .formula import (
     Position,
     Prime,
     _Binary,
+    _bit,
     _child,
     _dangling,
+    _is_free,
     _Quant,
     _rebuild,
+    _vars_mask,
     _with_child,
     fresh_variable,
     is_prenex,
@@ -273,10 +276,10 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
             if _side_condition(rule, quant, delta, n) is not None:
                 continue
             fresh = None
-            if quant.var in delta.free:
+            if _is_free(quant.var, delta):
                 if avoid is None:
-                    avoid = phi.vars
-                fresh = fresh_variable(avoid)
+                    avoid = _vars_mask(phi)
+                fresh = fresh_variable((), avoid)
             found.append((index, RewriteStep(rule.name, pos, fresh)))
     # a redex's operands are prenex and hold no redex, so the reverse of
     # the node-right-left walk is leftmost order: the stable sort keeps it
@@ -288,7 +291,7 @@ def hoist(node: Formula, n: int, order: tuple[_Rule, ...], avoid: list[str]) -> 
     ``rewrite_node`` would apply at degree ``n``, making each of its checks
     once: ``(rule, fresh, hoisted)``, or ``None`` when no rule is valid.  A
     bound variable free in the other operand is renamed to ``fresh``, the
-    first name in neither ``avoid`` nor ``node``'s variables."""
+    first name in neither ``avoid`` (names) nor ``node``'s variables."""
     if not _strategy_ok(node):
         return None
     for rule in order:
@@ -297,7 +300,7 @@ def hoist(node: Formula, n: int, order: tuple[_Rule, ...], avoid: list[str]) -> 
             continue
         quant, delta = m
         if _side_condition(rule, quant, delta, n) is None:
-            fresh = fresh_variable([*avoid, *node.vars]) if quant.var in delta.free else None
+            fresh = fresh_variable(avoid, _vars_mask(node)) if _is_free(quant.var, delta) else None
             return rule, fresh, _apply(rule, quant, delta, fresh)
     return None
 
@@ -307,13 +310,13 @@ def _apply(rule: _Rule, quant: _Quant, delta: Formula, fresh: Optional[str]) -> 
     ``rule``, ``quant`` renamed to ``fresh`` first when given.  Raises
     SideConditionError when a variable condition fails, not the degree one."""
     if fresh is not None:
-        if fresh in quant.body.vars:
+        if _vars_mask(quant.body) & _bit(fresh):
             raise SideConditionError(
                 f"{rule.name}: fresh {fresh} already appears in the "
                 "quantified operand"
             )
         quant = rename_bound(quant, fresh)
-    if quant.var in delta.free:
+    if _is_free(quant.var, delta):
         raise SideConditionError(
             f"{rule.name}: bound variable {quant.var} occurs free in the "
             "other operand (no or unusable fresh rename)"
@@ -344,7 +347,7 @@ def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
         # Standalone renaming.
         if step.fresh is None:
             raise SideConditionError(f"{step.rule} requires a fresh variable")
-        if step.fresh in node.body.vars:
+        if _vars_mask(node.body) & _bit(step.fresh):
             raise SideConditionError(f"{step.rule}: {step.fresh} already appears in the body")
         return rename_bound(node, step.fresh)
 

@@ -76,6 +76,7 @@ from .formula import (
     Imp,
     Or,
     Prime,
+    _free_mask,
     prenex_floors,
     subformulas,
 )
@@ -234,7 +235,7 @@ def _check_normal_forms(corpus: list[Formula], n: int, k_max: int) -> CriterionR
     checker = Classifier()
     for phi in corpus:
         k_j, k_r = checker.levels(phi, n)
-        free = phi.free
+        free = _free_mask(phi)  # phi's filled mask: kept while phi lives
         replays: dict = {}  # phi's normal forms at degree n, see below
         for k in range(k_max + 1):
             if k >= k_j:
@@ -251,13 +252,13 @@ def _check_normal_form(
     n: int,
     target: str,
     checker: Classifier,
-    free: tuple,
+    free: int,
     replays: dict,
 ) -> None:
     """One normalization of ``phi`` at (k, n), checked against the replay
     of its trace.  What is checked of a normal form depends only on its
     steps and output, and ``replays`` serves one ``phi`` (whose free
-    variables are ``free``) at one ``n``, so it keeps, per distinct
+    variables' mask is ``free``) at one ``n``, so it keeps, per distinct
     ``(steps, output)`` pair keyed by identity, the replayed formula or
     the exception the replay raised, the output's Sigma+ and Pi+ floors
     and whether its free variables are ``free``.  The pair is kept with
@@ -281,7 +282,7 @@ def _check_normal_form(
             output,
             replayed,
             prenex_floors(output),
-            output.free == free,
+            _free_mask(output) == free,
         )
     _, _, replayed, floors, same_free = seen
     if isinstance(replayed, Exception):
@@ -575,7 +576,7 @@ def _check_rewrite_conformance(seed: int) -> CriterionResult:
         psi = apply_step(phi, step, n)
         applied += 1
         result.checks += 3
-        if psi.free != phi.free:
+        if _free_mask(psi) != _free_mask(phi):
             result.fail(f"free variables changed: {render(phi)} via {step.rule}")
         if measure(psi) != measure(phi) - 1:
             result.fail(f"measure not decreased by 1: {render(phi)} via {step.rule}")

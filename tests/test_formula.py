@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import random
 import subprocess
@@ -190,6 +191,33 @@ def test_replace_roundtrip(phi):
 @given(formulas())
 def test_fresh_variable_not_in_formula(phi):
     assert fresh_variable(phi.vars) not in phi.vars
+
+
+def test_the_mask_fresh_choice_is_fresh_variable():
+    # seeded name sets, v-names among them, read back as a node's mask
+    rng = random.Random(35)
+    pool = [f"v{i}" for i in range(8)] + ["x", "y", "v10", "w0"]
+    for draw in range(500):
+        names = rng.sample(pool, rng.randrange(len(pool) + 1))
+        phi = Prime(f"Fresh{draw}", tuple(names))
+        expected = next(f"v{i}" for i in range(len(pool) + 1) if f"v{i}" not in names)
+        assert fresh_variable(names) == expected
+        assert fresh_variable((), formula._vars_mask(phi)) == expected
+        assert fresh_variable(names[:2], formula._vars_mask(phi)) == expected
+
+
+def test_the_canonical_form_of_a_5000_deep_distinct_binder_chain_reads_its_vars():
+    # every binder gets its own canonical name, so the root has 5,002
+    # variables; each node keeps two ints, not a tuple of its names
+    phi = And(Exists("y", Prime("DeepP", ("y",))), Exists("y", Prime("DeepQ", ("y",))))
+    for _ in range(5000):
+        phi = Exists("x", phi)
+    canon = alpha_canonical(phi)
+    assert canon.vars == tuple(sorted(f"v{i}" for i in range(5002)))
+    assert canon.free == ()
+    nodes = _postorder([canon])
+    assert len(nodes) == 5005
+    assert all(type(node._vars) is int and type(node._free) is int for node in nodes)
 
 
 # The sweep tests call formula._sweep() themselves, so that what they check
@@ -399,23 +427,41 @@ def test_lazy_sets_match_the_eager_fold_on_5000_deep_chains():
     _check_lazy_sets(lambda tag: _chains(tag, 5000), "Chain")
 
 
-def test_a_shared_dag_fills_each_set_once_per_node(monkeypatch):
-    # 81 distinct nodes, 2**40 paths from the root to the atom
+def _fill_visits(read):
+    """How many times the fill walk visits a node while ``read()`` runs:
+    line events at the top of its loop."""
+    code = formula._fill.__code__
+    lines, first = inspect.getsourcelines(formula._fill)
+    top = first + next(i for i, line in enumerate(lines) if "node = stack[-1]" in line)
+    visits = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == top:
+            visits[0] += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        read()
+    finally:
+        sys.settrace(None)
+    return visits[0]
+
+
+def test_a_shared_dag_fills_each_set_once_per_node():
+    # 81 distinct nodes, 120 edges, 2**40 paths from the root to the atom
     phi = Prime("Dag", ("x", "y"))
     for _ in range(40):
         phi = And(phi, Exists("x", phi))
-    distinct = len(_postorder([phi]))
-    merges = [0]
-    merge = formula._merge
-
-    def counting(a, b):
-        merges[0] += 1
-        assert merges[0] <= 2 * distinct, "the fill walks paths, not nodes"
-        return merge(a, b)
-
-    monkeypatch.setattr(formula, "_merge", counting)
+    order = _postorder([phi])
+    edges = sum(len(_operands(node)) for node in order)
+    # a node is pushed once per edge of the DAG at most, and visited once
+    # when pushed and once when popped
+    visits = _fill_visits(lambda: phi.free)
+    assert len(order) < visits <= 2 * (edges + 1), "the fill walks paths, not nodes"
     assert phi.free == ("x", "y")
-    merges[0] = 0
+    # the one walk filled both masks
+    assert _fill_visits(lambda: phi.vars) == 0
     assert phi.vars == ("x", "y")
 
 
@@ -429,7 +475,8 @@ def test_a_100000_deep_chain_reads_its_sets():
 
 
 def test_building_and_classifying_the_size_5_corpus_merges_nothing(tmp_path):
-    # a fresh process, so that every node is built from the text
+    # a fresh process, so that every node is built from the text: neither
+    # fills a mask or assigns a name a bit
     corpus = tmp_path / "size5.txt"
     lines = [render(phi) for phi in enumerate_formulas(default_signature(5))]
     corpus.write_text("sig P/1 Q/1\n" + "\n".join(lines) + "\n")
@@ -437,18 +484,21 @@ def test_building_and_classifying_the_size_5_corpus_merges_nothing(tmp_path):
 import contextlib, io, sys
 from prenexify import cli, formula
 from prenexify.parser import parse_corpus
-merges = [0]
-merge = formula._merge
-def counting(a, b):
-    merges[0] += 1
-    return merge(a, b)
-formula._merge = counting
+fills = [0]
+fill = formula._fill
+def counting(phi):
+    fills[0] += 1
+    return fill(phi)
+formula._fill = counting
+def filled():
+    return sum(node._vars is not None for node in formula._interned.values())
 with open(sys.argv[1]) as f:
     _, formulas, errors = parse_corpus(f)
-built = merges[0]
+built = fills[0], len(formula._bits), filled()
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["classify", sys.argv[1], "--n", "0,1,2", "--k-max", "4"])
-print(len(formulas), len(errors), built, code, out.getvalue().count("\\n"), merges[0])
+print(len(formulas), len(errors), *built, code, out.getvalue().count("\\n"),
+      fills[0], len(formula._bits), filled())
 """
     src = os.path.dirname(os.path.dirname(formula.__file__))
     proc = subprocess.run(
@@ -458,4 +508,6 @@ print(len(formulas), len(errors), built, code, out.getvalue().count("\\n"), merg
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(len(lines)), "0", "0", "0", str(len(lines)), "0"]
+    # FALSUM alone is built with its (empty) masks
+    expected = [str(len(lines)), "0", "0", "0", "1", "0", str(len(lines)), "0", "0", "1"]
+    assert proc.stdout.split() == expected
