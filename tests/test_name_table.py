@@ -93,11 +93,10 @@ def under_a_sweep_per_construction() -> None:
     print(json.dumps([wide, random_digest, checks, sweeps[0]]))
 
 
-def test_masks_survive_a_sweep_at_every_node_construction():
-    # imported here: the fresh process must not hold its corpus
-    from test_byte_identity import WIDE_TRACES_SHA256
-
-    script = "import test_name_table as t; t.under_a_sweep_per_construction()"
+def _in_a_fresh_process(function: str):
+    """What ``function`` of this module prints last, as JSON, run in a new
+    interpreter: its intern table holds only what it builds."""
+    script = f"import test_name_table as t; t.{function}()"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -105,7 +104,14 @@ def test_masks_survive_a_sweep_at_every_node_construction():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])},
     )
     assert proc.returncode == 0, proc.stderr
-    wide, random_digest, checks, sweeps = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_masks_survive_a_sweep_at_every_node_construction():
+    # imported here: the fresh process must not hold its corpus
+    from test_byte_identity import WIDE_TRACES_SHA256
+
+    wide, random_digest, checks, sweeps = _in_a_fresh_process("under_a_sweep_per_construction")
     assert wide == {conn.__name__: digest for conn, digest in WIDE_TRACES_SHA256.items()}
     assert random_digest == random_normalizations()
     assert checks == SIZE4_CHECKS
@@ -121,9 +127,11 @@ def _live_names() -> set[str]:
     return set(formula._decode(live))
 
 
-def test_the_name_table_holds_the_names_of_live_nodes():
-    # 3,000 formulas, each a conjunction of ten quantified atoms over names
-    # no other formula uses, so 30,000 names pass through the table
+def thirty_thousand_names() -> None:
+    """Print, as JSON, what the name table holds while and after 3,000
+    formulas, each a conjunction of ten quantified atoms over names no
+    other formula uses, are normalized and replayed: run in a fresh
+    process, so that the sweeps come as they do at its table's size."""
     formula._sweep()
     kept = None
     widest = 0
@@ -138,15 +146,27 @@ def test_the_name_table_holds_the_names_of_live_nodes():
         widest = max(widest, len(formula._names))
         kept = result  # the last one stays alive
     formula._sweep()
-    assert set(formula._bits) == _live_names()
-    assert {f"u2999_{j}" for j in range(10)} <= set(formula._bits)
-    assert not any(name.startswith("u2998_") for name in formula._bits)
-    assert kept.output.free == ("u2999_0",)
+    masks = [node._vars for node in formula._interned.values() if node._vars]
+    print(json.dumps({
+        "names": sorted(formula._bits),
+        "live": sorted(_live_names()),
+        "free": kept.output.free,
+        "widest_table": widest,
+        "widest_mask": max(mask.bit_length() for mask in masks),
+    }))
+
+
+def test_the_name_table_holds_the_names_of_live_nodes():
+    table = _in_a_fresh_process("thirty_thousand_names")
+    # the last formula stays alive, and the table holds its names alone
+    assert table["names"] == table["live"]
+    assert {f"u2999_{j}" for j in range(10)} <= set(table["names"])
+    assert not any(name.startswith("u2998_") for name in table["names"])
+    assert table["free"] == ["u2999_0"]
     # the table is as wide as the names the unswept nodes hold, not the
     # 30,000 the loop used
-    assert widest < 3_000
-    masks = [node._vars for node in formula._interned.values() if node._vars]
-    assert max(mask.bit_length() for mask in masks) < 3_000
+    assert table["widest_table"] < 3_000
+    assert table["widest_mask"] < 3_000
 
 
 def test_one_sweep_frees_every_dead_canonical_form():
