@@ -46,11 +46,12 @@ rules (a one-sided ``_ORDER`` entry): no rule hoisting from the
 quantifier-free one can match, so the first valid rule is the same.  Each
 pass is one call into the rewrite engine (``rewrite.hoist``), which
 applies the first rule of that order valid at the connective, with every
-rule, strategy, variable and degree-n side-condition check that step
+match, strategy, variable and degree-n side-condition check that step
 replay (``rewrite_node``) makes, and checks no rule after it; so an
-invalid schedule cannot survive unnoticed.  No ancestor of the redex is
-rebuilt: the loop wraps its hoisted prefix around the connective once,
-when it ends.
+invalid schedule cannot survive unnoticed.  The loop holds the
+connective as ``(conn, left, right)`` and the hoisted binders as a list,
+and ``hoist`` returns the new operands without building a node: the
+merge builds its final connective and its prefix once, when it ends.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .formula import (
 )
 from .hierarchy import PI, SIGMA
 from .parser import formula_to_dict, render
-from .rewrite import RULES, RewriteStep, Trace, hoist, trace_to_json
+from .rewrite import RULES, RewriteError, RewriteStep, Trace, hoist, trace_to_json
 from .semiclassical import J, R, Classifier, _check_levels
 
 __all__ = [
@@ -225,12 +226,15 @@ def _build(goal: tuple, forms: list, n: int) -> _NormalForm:
         return _NormalForm(type(phi)(phi.var, body.output), (), (("b", body),))
 
     left, right = forms
-    node = type(phi)(
+    # phi is not prenex, so an operand is quantified and the loop hoists
+    output, hoists = _hoist_prefixes(
+        type(phi),
         phi.left if left is None else left.output,
         phi.right if right is None else right.output,
+        _KIND[side],
+        k,
+        n,
     )
-    # phi is not prenex, so an operand is quantified and the loop hoists
-    output, hoists = _hoist_prefixes(node, _KIND[side], k, n)
     children = tuple((sel, form) for sel, form in zip("lr", forms) if form is not None)
     return _NormalForm(output, tuple(hoists), children)
 
@@ -273,35 +277,35 @@ _ORDER = {
 
 
 def _hoist_prefixes(
-    node: Formula, kind: type, budget: int, n: int
+    conn: type, left: Formula, right: Formula, kind: type, budget: int, n: int
 ) -> tuple[Formula, list[tuple[str, Optional[str]]]]:
     """Hoist the quantifier prefixes of the operands of the connective
-    ``node`` above it, after a block of kind ``kind`` and within ``budget``
-    new blocks; both operands stay prenex.  Each pass hoists the first
-    valid rule of ``_ORDER`` at the connective, its redex, which moves one
-    operand's head quantifier above it and slides the connective down one
-    body position.  Returns the merged formula, with the prefix wrapped
-    around the connective once, at the end, and the hoists' ``(rule,
-    fresh)`` pairs."""
-    prefix: list[_Quant] = []
-    # exactly the variables of the prefix over the node: a name renamed
-    # away must drop out, or the fresh names would change
+    ``conn(left, right)`` above it, after a block of kind ``kind`` and
+    within ``budget`` new blocks; both operands stay prenex.  Each pass
+    hoists the first valid rule of ``_ORDER`` at the connective, its
+    redex, which moves one operand's head quantifier above it and slides
+    the connective down one body position.  Returns the merged formula,
+    the only nodes built, and the hoists' ``(rule, fresh)`` pairs."""
+    kinds: list[type] = []
+    # exactly the variables of the prefix over the connective: a name
+    # renamed away must drop out, or the fresh names would change
     binders: list[str] = []
     hoists: list[tuple[str, Optional[str]]] = []
-    while not (node.left.is_qf and node.right.is_qf):
-        if node.left.is_qf or node.right.is_qf:
+    while not (left.is_qf and right.is_qf):
+        if left.is_qf or right.is_qf:
             # no rule hoists from a quantifier-free operand
-            side = "r" if node.left.is_qf else "l"
+            side = "r" if left.is_qf else "l"
         else:
-            side = _or_rank(node.left, node.right, kind, n) if type(node) is Or else None
-        found = hoist(node, n, _ORDER[type(node), kind, side], binders)
-        if found is None:
-            raise AssertionError("no valid hoist; merge preconditions broken")
-        rule, fresh, hoisted = found
+            side = _or_rank(left, right, kind, n) if conn is Or else None
+        try:
+            rule, fresh, var, left, right = hoist(
+                conn, left, right, n, _ORDER[conn, kind, side], avoid=binders
+            )
+        except RewriteError as exc:
+            raise AssertionError("no valid hoist; merge preconditions broken") from exc
         hoists.append((rule.name, fresh))
-        prefix.append(hoisted)
-        binders.append(hoisted.var)
-        node = hoisted.body
+        kinds.append(rule.out)
+        binders.append(var)
         # A quantifier of the current kind continues its block; one of the
         # other kind opens a new block and spends one level.
         if rule.out is not kind:
@@ -309,8 +313,9 @@ def _hoist_prefixes(
                 raise AssertionError("merge level budget exhausted")
             kind = rule.out
             budget -= 1
-    for quant in reversed(prefix):
-        node = type(quant)(quant.var, node)
+    node = conn(left, right)
+    for out, var in zip(reversed(kinds), reversed(binders)):
+        node = out(var, node)
     return node, hoists
 
 

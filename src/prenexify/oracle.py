@@ -149,7 +149,11 @@ def can_reach(
 
     Returns "yes" with a shortest witnessing trace (ties broken by rule
     then position order), "no" only when the closure is exhausted, and
-    "unknown" when the node budget was hit first.
+    "unknown" when the node budget was hit first.  Every search step
+    lowers ``rewrite.measure`` by exactly 1, so a member's depth is the
+    drop of the measure from ``phi`` to it, and every trace to one member
+    is as long.  For a prenex target every trace is as short as any, of
+    ``measure(phi)`` steps: the ties decide which trace, not its length.
     """
     closure, found = _closure(phi, n, node_budget, {}, predicate)
     if not found:

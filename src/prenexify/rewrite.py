@@ -30,11 +30,14 @@ which is what the implementation checks.  So ``xi`` and ``delta`` are
 prenex, and there ``U_n+`` (= R_n^n) is Pi_n+ and ``C_n+`` (= D_n^n) is
 Sigma_n+ u Pi_n+: the side conditions read the prenex hierarchy, not the
 classifier, so the rewrite search checks the classifier independently.
-One function, ``_side_condition``, states the four degree conditions.
-``applicable_steps`` (the search), ``rewrite_node`` (step replay) and
-``hoist`` (the normalizer's hoist) all read them there.  ``rewrite_node``
-and ``hoist`` apply a connective rule through one function, ``_apply``,
-which renames, checks the variable condition and builds the result.
+One function, ``_side_condition``, states the four degree conditions,
+and the search (``applicable_steps``) and ``hoist`` read them there.
+``hoist`` is the one function that applies a connective rule: it takes
+the connective as ``(conn, left, right)``, makes every check of a step
+and returns the hoisted binder and the new operands, building no node.
+Step replay (``rewrite_node``, ``apply_step``) builds its result from
+them, a trace replay (``verify_trace``) builds a run of hoists at
+successive body positions once, and the normalizer a whole merge.
 
 A step may carry a ``fresh`` variable.  For the two Var rules it is the
 new bound name.  For the other rules it folds an implicit renaming of the
@@ -79,6 +82,7 @@ from .formula import (
     _is_free,
     _Quant,
     _rebuild,
+    _substitute_var,
     _vars_mask,
     _with_child,
     fresh_variable,
@@ -206,28 +210,22 @@ class Trace:
     n: int
 
 
-def _strategy_ok(redex: Formula) -> bool:
-    # All proper subformulas of the redex are prenex iff its immediate
-    # children are (subformulas of prenex formulas are prenex).
-    if isinstance(redex, _Binary):
-        # each reads the operand's prenex code, one slot set when it was
-        # built: every step and hoist passes here
-        return is_prenex(redex.left) and is_prenex(redex.right)
-    # else a quantifier: the callers pass a connective or a redex ``_match`` accepted
-    return is_prenex(redex.body)
+def _strategy_ok(left: Formula, right: Formula) -> bool:
+    # All proper subformulas of a connective redex are prenex iff its
+    # operands are (subformulas of prenex formulas are prenex).  Each test
+    # reads the operand's prenex code, one slot set when it was built.
+    return is_prenex(left) and is_prenex(right)
 
 
-def _match(rule: _Rule, node: Formula) -> Optional[tuple[_Quant, Formula]]:
-    """Split the redex into (quantified operand, delta); None on mismatch."""
-    if rule.conn is None:
-        return (node, node) if isinstance(node, rule.qkind) else None
-    if not isinstance(node, rule.conn):
+def _match(
+    rule: _Rule, conn: type, left: Formula, right: Formula
+) -> Optional[tuple[_Quant, Formula]]:
+    """Split the connective ``conn(left, right)`` into the quantified
+    operand and delta of ``rule``; None on mismatch."""
+    if conn is not rule.conn:
         return None
-    quant = node.left if rule.qside == "l" else node.right
-    delta = node.right if rule.qside == "l" else node.left
-    if not isinstance(quant, rule.qkind):
-        return None
-    return quant, delta
+    quant, delta = (left, right) if rule.qside == "l" else (right, left)
+    return (quant, delta) if type(quant) is rule.qkind else None
 
 
 def _side_condition(rule: _Rule, quant: _Quant, delta: Formula, n: int) -> Optional[str]:
@@ -269,7 +267,7 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
         stack.append((pos + (LEFT,), left))
         stack.append((pos + (RIGHT,), right))
         candidates = _CANDIDATES[type(node), type(left), type(right)]
-        if not candidates or not _strategy_ok(node):
+        if not candidates or not _strategy_ok(left, right):
             continue
         for index, rule in candidates:  # each matches the redex
             quant, delta = (left, right) if rule.qside == "l" else (right, left)
@@ -286,78 +284,108 @@ def applicable_steps(phi: Formula, n: int) -> list[RewriteStep]:
     return [step for _, step in sorted(reversed(found), key=lambda item: item[0])]
 
 
-def hoist(node: Formula, n: int, order: tuple[_Rule, ...], avoid: list[str]) -> Optional[tuple]:
-    """Apply at the connective ``node`` the first rule of ``order`` that
-    ``rewrite_node`` would apply at degree ``n``, making each of its checks
-    once: ``(rule, fresh, hoisted)``, or ``None`` when no rule is valid.  A
-    bound variable free in the other operand is renamed to ``fresh``, the
-    first name in neither ``avoid`` (names) nor ``node``'s variables."""
-    if not _strategy_ok(node):
-        return None
+def hoist(
+    conn: type,
+    left: Formula,
+    right: Formula,
+    n: int,
+    order: tuple[_Rule, ...],
+    fresh: Optional[str] = None,
+    avoid: Optional[list[str]] = None,
+) -> tuple[_Rule, Optional[str], str, Formula, Formula]:
+    """Apply to the connective ``conn(left, right)``, which is not built,
+    the first rule of ``order`` that ``rewrite_node`` applies at degree
+    ``n``: ``(rule, fresh, var, left', right')``, the hoisted binder
+    ``rule.out`` over ``var`` and the operands of the connective below it.
+
+    Each rule gets every check of a step, in ``rewrite_node``'s order:
+    match, strategy, the variable conditions, then the degree condition.
+    A rule that does not match, or fails the degree condition, passes to
+    the next; a failed strategy or variable condition is raised at once.
+    When no rule applies, the connective is built for the message and the
+    error of the order's last rule is raised: a RuleMismatchError or a
+    SideConditionError, as ``rewrite_node`` raises them.
+
+    The quantified operand's bound variable is renamed to ``fresh`` when
+    it is given.  With ``avoid`` (names), the normalizer's hoist, the
+    engine chooses it: when the variable is free in the other operand,
+    the first name in neither ``avoid`` nor the operands, else no rename;
+    without a rename that test is the variable condition, made once.
+    """
+    refusal = None  # the last rule's failed degree condition, if any
     for rule in order:
-        m = _match(rule, node)
+        m = _match(rule, conn, left, right)
         if m is None:
+            refusal = None
             continue
-        quant, delta = m
-        if _side_condition(rule, quant, delta, n) is None:
-            fresh = fresh_variable(avoid, _vars_mask(node)) if _is_free(quant.var, delta) else None
-            return rule, fresh, _apply(rule, quant, delta, fresh)
-    return None
-
-
-def _apply(rule: _Rule, quant: _Quant, delta: Formula, fresh: Optional[str]) -> Formula:
-    """The connective redex split into ``quant`` and ``delta`` rewritten by
-    ``rule``, ``quant`` renamed to ``fresh`` first when given.  Raises
-    SideConditionError when a variable condition fails, not the degree one."""
-    if fresh is not None:
-        if _vars_mask(quant.body) & _bit(fresh):
-            raise SideConditionError(
-                f"{rule.name}: fresh {fresh} already appears in the "
-                "quantified operand"
+        if not _strategy_ok(left, right):
+            raise StrategyViolationError(
+                f"{rule.name}: proper subformulas of {conn(left, right)} are not all prenex"
             )
-        quant = rename_bound(quant, fresh)
-    if _is_free(quant.var, delta):
-        raise SideConditionError(
-            f"{rule.name}: bound variable {quant.var} occurs free in the "
-            "other operand (no or unusable fresh rename)"
-        )
-    left, right = (quant.body, delta) if rule.qside == "l" else (delta, quant.body)
-    return rule.out(quant.var, rule.conn(left, right))
+        quant, delta = m
+        var = quant.var
+        if avoid is not None:  # the normalizer's hoist renames a variable free in delta
+            fresh = None
+            if _is_free(var, delta):
+                fresh = fresh_variable(avoid, _vars_mask(left) | _vars_mask(right))
+        if fresh is not None:
+            if _vars_mask(quant.body) & _bit(fresh):
+                raise SideConditionError(
+                    f"{rule.name}: fresh {fresh} already appears in the "
+                    "quantified operand"
+                )
+            var = fresh
+        # without a rename, the normalizer's hoist has just made this test
+        if (fresh is not None or avoid is None) and _is_free(var, delta):
+            raise SideConditionError(
+                f"{rule.name}: bound variable {var} occurs free in the "
+                "other operand (no or unusable fresh rename)"
+            )
+        refusal = _side_condition(rule, quant, delta, n)
+        if refusal is not None:
+            continue
+        body = quant.body if fresh is None else _substitute_var(quant.body, quant.var, fresh)
+        if rule.qside == "l":
+            return rule, fresh, var, body, delta
+        return rule, fresh, var, delta, body
+    if refusal is None:
+        raise RuleMismatchError(f"{rule.name} does not match {conn(left, right)}")
+    raise SideConditionError(f"{rule.name}: {refusal}")
+
+
+# each connective rule's name -> the order of that rule alone
+_ALONE: dict[str, tuple[_Rule]] = {
+    name: (rule,) for name, rule in RULES.items() if rule.conn is not None
+}
 
 
 def rewrite_node(node: Formula, step: RewriteStep, n: int) -> Formula:
     """The redex ``node`` rewritten by ``step`` at degree ``n``.
 
     Every check of a step reads the redex alone, so ``step.position`` is
-    not consulted: the caller has already descended to it.  Raises
-    RuleMismatchError, StrategyViolationError or SideConditionError.
+    not consulted: the caller has already descended to it.  A connective
+    rule is applied by ``hoist``.  Raises RuleMismatchError,
+    StrategyViolationError or SideConditionError.
     """
+    order = _ALONE.get(step.rule)
+    if order is not None and isinstance(node, _Binary):
+        rule, _, var, left, right = hoist(type(node), node.left, node.right, n, order, step.fresh)
+        return rule.out(var, rule.conn(left, right))
     rule = RULES.get(step.rule)
     if rule is None:
         raise RuleMismatchError(f"unknown rule {step.rule!r}")
-    m = _match(rule, node)
-    if m is None:
+    # a connective rule off a connective, or a Var rule off its quantifier
+    if order is not None or not isinstance(node, rule.qkind):
         raise RuleMismatchError(f"{step.rule} does not match {node}")
-    if not _strategy_ok(node):
+    if not is_prenex(node.body):
         raise StrategyViolationError(
             f"{step.rule}: proper subformulas of {node} are not all prenex"
         )
-
-    if rule.conn is None:
-        # Standalone renaming.
-        if step.fresh is None:
-            raise SideConditionError(f"{step.rule} requires a fresh variable")
-        if _vars_mask(node.body) & _bit(step.fresh):
-            raise SideConditionError(f"{step.rule}: {step.fresh} already appears in the body")
-        return rename_bound(node, step.fresh)
-
-    # the variable conditions are reported before the degree condition
-    quant, delta = m
-    hoisted = _apply(rule, quant, delta, step.fresh)
-    reason = _side_condition(rule, quant, delta, n)
-    if reason is not None:
-        raise SideConditionError(f"{step.rule}: {reason}")
-    return hoisted
+    if step.fresh is None:
+        raise SideConditionError(f"{step.rule} requires a fresh variable")
+    if _vars_mask(node.body) & _bit(step.fresh):
+        raise SideConditionError(f"{step.rule}: {step.fresh} already appears in the body")
+    return rename_bound(node, step.fresh)
 
 
 def apply_step(phi: Formula, step: RewriteStep, n: int) -> Formula:
@@ -370,47 +398,98 @@ def apply_step(phi: Formula, step: RewriteStep, n: int) -> Formula:
     return replace_at(phi, step.position, rewrite_node(node, step, n))
 
 
+def _built(spine: list, conn: type, left: Formula, right: Formula) -> Formula:
+    """The pending connective ``conn(left, right)`` built under the pending
+    quantifiers on top of ``spine``, which it pops."""
+    node = conn(left, right)
+    while spine and type(spine[-1]) is tuple:
+        kind, var = spine.pop()
+        node = kind(var, node)
+    return node
+
+
 def verify_trace(trace: Trace, checker=None) -> Formula:
     """Replay a trace, re-validating each step; returns the final formula.
 
-    The replay keeps a cursor: the position of the last redex and the
-    ancestors along it.  A step pops the cursor to the common prefix of
-    its position, rebuilding only the ancestors it leaves, descends to its
-    redex and rewrites it there; the rest of the spine is rebuilt once at
-    the end.  The result, and the step index, type and message of any
-    failure, are those of folding ``apply_step`` from the root.
-    ``checker`` is ignored: the rules' side conditions read no classifier.
+    The replay keeps a cursor: a position and the ancestors along it.  A
+    step pops the cursor to the common prefix of its position, rebuilding
+    only the ancestors it leaves, and descends to its redex.  A connective
+    step is applied by ``hoist`` to the redex's connective and operands,
+    and builds nothing: its hoisted binder stays on the spine as a pending
+    ``(kind, var)`` and the cursor moves to the new connective, one body
+    position down, kept as a pending ``(conn, left, right)``.  So a run of
+    connective steps at successive body positions, a merge, builds no
+    intermediate node.  The pending nodes are built when the cursor leaves
+    the run, when a non-connective step comes, or when the trace ends; a
+    step that pops back to a connective ancestor reads it as ``(conn, left,
+    right)`` without building it.  The result, and the step index, type
+    and message of any failure, are those of folding ``apply_step`` from
+    the root.  ``checker`` is ignored: the rules' side conditions read no
+    classifier.
     """
-    spine: list[Formula] = []  # the ancestors of the cursor, root first
+    n = trace.n
+    spine: list = []  # the ancestors of the cursor, root first
     path: Position = ()  # the cursor's position
-    node = trace.start  # the node at the cursor
+    node = trace.start  # the node at the cursor; None while it is pending
+    conn = left = right = None  # the pending connective, while node is None
     for index, step in enumerate(trace.steps):
         pos = step.position
+        order = _ALONE.get(step.rule)
         try:
-            # one prefix test: a step at or below the cursor keeps its spine
-            common = len(path)
-            if pos[:common] != path:
-                common = 0
-                while common < len(pos) and pos[common] == path[common]:
-                    common += 1
-            while len(spine) > common:
-                node = _with_child(spine.pop(), path[len(spine)], node)
-            for sel in pos[common:]:
-                child = _child(node, sel)
-                if child is None:
-                    raise _dangling(_rebuild(spine, pos, node), pos)
-                spine.append(node)
-                node = child
-            path = pos
-            node = rewrite_node(node, step, trace.n)
+            # a connective step at the pending connective continues the run;
+            # any other step builds the run first
+            if node is None and (order is None or pos != path):
+                node = _built(spine, conn, left, right)
+                path = path[: len(spine)]
+            if node is not None:
+                # one prefix test: a step at or below the cursor keeps its spine
+                common = len(path)
+                if pos[:common] != path:
+                    common = 0
+                    while common < len(pos) and pos[common] == path[common]:
+                        common += 1
+                while len(spine) > common:
+                    parent = spine.pop()
+                    sel = path[len(spine)]
+                    if len(spine) == common == len(pos) and order is not None and sel != BODY:
+                        # back at a connective ancestor, which is the redex
+                        conn = type(parent)
+                        left, right = (node, parent.right) if sel == LEFT else (parent.left, node)
+                        break
+                    node = _with_child(parent, sel, node)
+                else:
+                    for sel in pos[common:]:
+                        child = _child(node, sel)
+                        if child is None:
+                            raise _dangling(_rebuild(spine, pos, node), pos)
+                        spine.append(node)
+                        node = child
+                    if order is None or not isinstance(node, _Binary):
+                        node = rewrite_node(node, step, n)
+                        path = pos
+                        continue
+                    conn, left, right = type(node), node.left, node.right
+            rule, _, var, left, right = hoist(conn, left, right, n, order, step.fresh)
+            spine.append((rule.out, var))
+            path = pos + (BODY,)
+            node = None
         except Exception as exc:  # noqa: BLE001 - rewrap with the step index
             raise TraceStepError(index, exc) from exc
+    if node is None:
+        node = _built(spine, conn, left, right)
     return _rebuild(spine, path, node)
 
 
 def measure(phi: Formula) -> int:
     """Sum over quantifier occurrences of the number of connective nodes
-    strictly above them.  Every non-renaming step decreases this by one."""
+    strictly above them: the step potential.
+
+    Every connective step moves one quantifier above one connective, so it
+    lowers the measure by exactly 1; a Var step keeps it, and it is 0
+    exactly on prenex formulas.  So every trace from ``phi`` to a prenex
+    ``goal`` has ``measure(phi) - measure(goal)`` connective steps, at any
+    degree: the normalizer's traces, which rename only inside a step, and
+    ``can_reach``'s are as short as any."""
     total = 0
     stack = [(phi, 0)]
     while stack:

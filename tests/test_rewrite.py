@@ -418,6 +418,76 @@ def test_cursor_replay_matches_the_fold_from_the_root(start, n, rng):
     assert (index, reason) == (i, PositionError) and "invalid for" in message
 
 
+# two merges as the normalizer traces them: a run of six hoists at
+# successive body positions below /l, then a run of six at the root, the
+# first two with renames
+_TWO_RUNS = trace_from_text(
+    "degree: 2\n"
+    "start: ((exists a. forall b. exists c. P(a, b, c))"
+    " | (forall d. exists e. forall f. Q(d, e, f))) & R(a, d)\n"
+    "ExistsOr@/l\nOrForallN@/l/b\nForallOrN@/l/b/b\n"
+    "OrExists@/l/b/b/b\nExistsOr@/l/b/b/b/b\nOrForallN@/l/b/b/b/b/b\n"
+    "ExistsAnd@/ fresh=v0\nForallAnd@/b fresh=v1\nForallAnd@/b/b\n"
+    "ExistsAnd@/b/b/b\nExistsAnd@/b/b/b/b\nForallAnd@/b/b/b/b/b\n"
+)
+
+
+def _planted(index, step, insert=False):
+    """``_TWO_RUNS`` with ``step`` in place of, or inserted before, step
+    ``index``."""
+    steps = list(_TWO_RUNS.steps)
+    steps[index:index + (not insert)] = [step]
+    return Trace(_TWO_RUNS.start, tuple(steps), _TWO_RUNS.n)
+
+
+def test_a_fault_inside_a_run_is_reported_as_the_fold_reports_it():
+    # the replay keeps a run's hoisted binders and connective unbuilt; a
+    # fault planted inside the run gives the fold's step index, exception
+    # type and message, so the pending nodes are built before any report
+    assert verify_trace(_TWO_RUNS) is _fold(_TWO_RUNS)
+    steps = _TWO_RUNS.steps
+    cases = [
+        # a dangling position below a pending quantifier, and below the
+        # pending connective
+        (_planted(3, RewriteStep("OrExists", ("l", "b", "r"))), 3, PositionError),
+        (_planted(3, steps[3]._replace(position=steps[3].position + ("l",) * 4)), 3, PositionError),
+        # a rule mismatch at a pending connective
+        (_planted(3, steps[3]._replace(rule="AndExists")), 3, RuleMismatchError),
+        (_planted(9, steps[9]._replace(rule="AndForall")), 9, RuleMismatchError),
+        # a fresh name that already occurs in the quantified operand, and
+        # no rename where its bound variable is free in the other operand
+        (_planted(3, steps[3]._replace(fresh="f")), 3, SideConditionError),
+        (_planted(8, steps[8]._replace(fresh="c")), 8, SideConditionError),
+        (_planted(7, steps[7]._replace(fresh=None)), 7, SideConditionError),
+        # the degree condition fails in the middle of the first run
+        (Trace(_TWO_RUNS.start, steps, 1), 1, SideConditionError),
+        # a step back at an ancestor of the run: at the root connective and
+        # at one of the run's binders, over the run's connective, which is
+        # not prenex; and at the run's first binder once the run is done
+        (_planted(4, RewriteStep("ExistsAnd", ()), insert=True), 4, StrategyViolationError),
+        (_planted(4, RewriteStep("ForallVar", ("l", "b"), "w"), insert=True), 4, StrategyViolationError),
+        (_planted(6, RewriteStep("ExistsVar", ("l",), "w"), insert=True), None, None),
+        # and at the root's other operand, below the ancestor
+        (_planted(4, RewriteStep("ExistsAnd", ("r",)), insert=True), 4, RuleMismatchError),
+    ]
+    for bad, index, reason in cases:
+        outcome = _outcome(verify_trace, bad)
+        assert outcome == _outcome(_fold, bad)
+        if reason is None:
+            assert outcome is verify_trace(_TWO_RUNS)  # the next step renames it to v0
+        else:
+            assert outcome[:2] == (index, reason)
+    # the fold applies its steps with hoist too: two messages read off the
+    # formula before the planted step instead
+    before = _fold(Trace(_TWO_RUNS.start, steps[:3], 2))
+    redex = subformula_at(before, steps[3].position)
+    assert _outcome(verify_trace, cases[2][0])[2] == f"AndExists does not match {redex}"
+    assert _outcome(verify_trace, cases[8][0])[2] == (
+        f"ExistsAnd: proper subformulas of {_fold(Trace(_TWO_RUNS.start, steps[:4], 2))} "
+        "are not all prenex"
+    )
+
+
 def _first_rewrite(node, n, order, avoid):
     """The first rule of ``order`` whose step ``rewrite_node`` applies at
     ``node``, renaming as the normalizer does, as ``(rule, fresh,
@@ -432,6 +502,17 @@ def _first_rewrite(node, n, order, avoid):
         except RewriteError:
             continue
     return None
+
+
+def _hoisted(conn, left, right, n, order, avoid):
+    """What ``hoist`` gives at ``conn(left, right)`` as the normalizer
+    calls it, rebuilt into ``(rule, fresh, hoisted)``; ``None`` when it
+    raises a step error."""
+    try:
+        rule, fresh, var, new_left, new_right = hoist(conn, left, right, n, order, avoid=avoid)
+    except RewriteError:
+        return None
+    return rule, fresh, rule.out(var, conn(new_left, new_right))
 
 
 _QF = st.recursive(
@@ -464,13 +545,14 @@ _PRENEX = st.builds(
 )
 def test_hoist_agrees_with_the_first_rule_rewrite_node_applies(conn, left, right, avoid):
     # the normalizer's one engine call per hoist makes the checks of
-    # rewrite_node, each once: same rule, fresh name and hoisted node, and
-    # None exactly when rewrite_node refuses every rule of the order (a
+    # rewrite_node: same rule, fresh name and hoisted node, rebuilt, and an
+    # error exactly when rewrite_node refuses every rule of the order (a
     # left operand that is not prenex refuses them all)
     node = conn(left, right)
     for order in _ORDER.values():
         for n in range(4):
-            assert hoist(node, n, order, avoid) == _first_rewrite(node, n, order, avoid)
+            found = _hoisted(conn, left, right, n, order, avoid)
+            assert found == _first_rewrite(node, n, order, avoid)
 
 
 @seed(34)
@@ -485,12 +567,12 @@ def test_hoist_agrees_with_the_first_rule_rewrite_node_applies(conn, left, right
 def test_the_one_sided_order_hoists_as_the_whole_order(conn, qf, quantified, qf_left, avoid):
     # with one operand quantifier-free, the normalizer passes hoist only
     # the rules that hoist from the other one: the same first valid rule,
-    # fresh name and hoisted node, and None in the same cases
-    node, side = (conn(qf, quantified), "r") if qf_left else (conn(quantified, qf), "l")
+    # fresh name and hoisted node, and an error in the same cases
+    left, right, side = (qf, quantified, "r") if qf_left else (quantified, qf, "l")
     for kind in (Exists, Forall):
         for n in range(4):
-            whole = hoist(node, n, _ORDER[conn, kind, None], avoid)
-            assert hoist(node, n, _ORDER[conn, kind, side], avoid) == whole
+            whole = _hoisted(conn, left, right, n, _ORDER[conn, kind, None], avoid)
+            assert _hoisted(conn, left, right, n, _ORDER[conn, kind, side], avoid) == whole
 
 
 def test_a_step_is_an_immutable_value():
