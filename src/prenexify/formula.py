@@ -4,18 +4,26 @@ Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
 formulas that nothing outside the table refers to.  Building a node costs
-its intern key, whether it is quantifier-free and its prenex code.
+its intern key, whether it is quantifier-free, its prenex code and, over
+operands that have their variable masks, its own.
 Negation is not a primitive; ``~p`` is represented as ``Imp(p, Falsum)``.
 Quantifiers bind exactly one variable per node and terms are restricted
 to variables.
 
 A node's free variables and all its variables are two ``int`` bit masks
-over a name table, filled together on first read by one iterative walk;
-``free`` and ``vars`` decode them, and other modules test bits only
-through this module's readers.  A sweep frees each bit that no live
-node's filled mask holds, and a new name takes the lowest free bit, so
-code may keep a mask across a node construction (which may sweep) only if
-it is the filled mask of a node that stays alive.
+over a name table.  A node built over operands that have their masks
+gets them at construction: a connective their union, a quantifier its
+body's with the binder's bit set in ``_vars`` and cleared in ``_free``;
+a renaming (``_substitute_var``) builds its renamed atoms with theirs.
+Any other node, an atom or ``Falsum`` included, is built without them, so
+a process that only parses and classifies fills no mask and assigns no
+bit; one iterative walk fills both on a node's first read.  ``free`` and ``vars`` decode them, and other
+modules test bits only through this module's readers.  A sweep frees
+each bit that no live node's filled mask holds, and a new name takes the
+lowest free bit, so code may keep a mask across a node construction
+(which may sweep) only if it is the filled mask of a node that stays
+alive; a constructor sets a bit on the node it builds before interning
+it, so the node holds the bit through the sweep that may follow.
 
 A formula is prenex when it is an alternation of non-empty quantifier
 blocks over a quantifier-free matrix.  Each node's ``_shape`` slot holds
@@ -103,10 +111,11 @@ class Formula:
 
     is_qf: bool
     # _free and _vars are the masks of the free variables and of all
-    # variables: None (0 in Falsum) until the first read fills both, then
-    # kept.  _canon caches alpha_canonical: True on a node that is its own
-    # canonical form, so none refers to itself; _shape holds the prenex
-    # code (see the module docstring), set when the node is built.
+    # variables: set when the node is built over filled operands, else None
+    # until the first read fills both, then kept.  _canon caches
+    # alpha_canonical: True on a node that is its own canonical form, so
+    # none refers to itself; _shape holds the prenex code (see the module
+    # docstring), set when the node is built.
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -144,34 +153,58 @@ def _sweep() -> None:
     operands, so a dead parent, whose key and fields hold its operands, is
     released before they are read, and one pass frees a whole dead subtree
     without recursion.  The live entries go back in their old order.  The
-    one reference to a newer node is a ``_canon``, which a pass reads after
-    that node: a pass that drops a node holding one is followed by another.
+    one reference to a newer node is a ``_canon``, which the pass may
+    already have read: the canonical form a dropped node held goes on a
+    worklist, which keeps it through the pass.  Then each worklist node
+    that only the table holds is dropped, and its operands and canonical
+    form go on the worklist, so whatever only they held is freed without
+    reading the table again.
     """
     global _sweep_at, _bits
     table = _interned
     count = _getrefcount
     idle = _IDLE
-    again = True
-    while again:
-        again = False
-        keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
-        while table:
-            key, node = table.popitem()
-            if count(node) > idle:
-                keys.append(key)
-                nodes.append(node)
-            elif isinstance(node._canon, Formula):
-                again = True
-        table.clear()  # frees the emptied hash table
-        table.update(zip(reversed(keys), reversed(nodes)))
+    work = []
+    keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
+    while table:
+        key, node = table.popitem()
+        if count(node) > idle:
+            keys.append(key)
+            nodes.append(node)
+        elif isinstance(node._canon, Formula):
+            work.append(node._canon)
+    table.clear()  # frees the emptied hash table
+    table.update(zip(reversed(keys), reversed(nodes)))
+    del keys, nodes  # from here the table holds each live node once
+    while work:
+        node = work.pop()
+        if count(node) > idle + 1:  # held by more than the table
+            continue
+        key = _key(node)
+        del table[key]
+        work.extend(part for part in key if isinstance(part, Formula))
+        if isinstance(node._canon, Formula):
+            work.append(node._canon)
+        del key  # it holds the operands, which the next count reads
     _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
     live = 0
-    for node in nodes:
+    for node in table.values():
         live |= node._vars or 0
     held = bin(live)[:1:-1]  # bin() reversed: held[i] == "1" when bit i is live
     _names[:] = [name if c == "1" else None for name, c in zip(_names, held)]
     _bits = {name: 1 << i for i, name in enumerate(_names) if name is not None}
     _spare[:] = [i for i in range(len(_names) - 1, -1, -1) if _names[i] is None]
+
+
+def _key(node: Formula) -> tuple:
+    """The intern key of ``node``, as its constructor builds it."""
+    if isinstance(node, _Binary):
+        return node._tag, node.left, node.right
+    if isinstance(node, _Quant):
+        return node._tag, node.var, node.body
+    if isinstance(node, Prime):
+        return "P", node.name, node.args
+    return ("F",)
 
 
 def _idle_count() -> int:
@@ -214,7 +247,7 @@ class Falsum(Formula):
         if cached is not None:
             return cached
         self = object.__new__(cls)
-        self._free = self._vars = 0
+        self._free = self._vars = None
         self.is_qf = True
         self._canon = True
         self._shape = 0
@@ -238,7 +271,11 @@ class _Binary(Formula):
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        self._free = self._vars = None
+        if left._vars is None or right._vars is None:
+            self._free = self._vars = None
+        else:  # over filled operands: their union
+            self._free = left._free | right._free
+            self._vars = left._vars | right._vars
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
         self._shape = 0 if self.is_qf else False  # over a quantifier: not prenex
@@ -273,7 +310,13 @@ class _Quant(Formula):
         self = object.__new__(cls)
         self.var = var
         self.body = body
-        self._free = self._vars = None
+        if body._vars is None:
+            self._free = self._vars = None
+        else:  # over a filled body: its masks, with the binder's bit
+            bit = _bit(var)
+            free = body._free
+            self._free = free ^ bit if free & bit else free
+            self._vars = body._vars | bit
         self.is_qf = False
         self._canon = None
         code = body._shape
@@ -391,8 +434,10 @@ def _fill(phi: Formula) -> None:
                 free = body._free
                 node._free = free ^ bit if free & bit else free
                 node._vars = body._vars | bit
-            else:  # a prime formula (Falsum is built with its masks)
+            elif isinstance(node, Prime):
                 node._free = node._vars = sum({_bit(name) for name in node.args})
+            else:  # Falsum
+                node._free = node._vars = 0
         stack.pop()
 
 
@@ -492,8 +537,10 @@ def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
         elif not task._free & bit:  # phi is filled, so all below it is
             values.append(task)
         elif isinstance(task, Prime):
-            args = tuple(new if a == old else a for a in task.args)
-            values.append(Prime(task.name, args))
+            atom = Prime(task.name, tuple(new if a == old else a for a in task.args))
+            if atom._vars is None:  # task's variables, with new in place of old
+                atom._free = atom._vars = (task._free ^ bit) | _bit(new)
+            values.append(atom)
         elif isinstance(task, _Binary):
             stack.append((task,))
             stack.append(task.right)

@@ -34,7 +34,9 @@ replay, its Sigma+ / Pi+ floors and its free variables.  Criteria 1 and
 5 build one classifier and one transition cache per degree and drop
 both when the degree ends; criterion 2 builds its own classifier per
 degree, and criteria 3 and 4 share one.  Criterion 7 draws its data
-from ``getrandbits`` alone.
+from ``getrandbits`` alone, and compares the trace each step's text is
+read back to with the trace it was written from: formulas are
+hash-consed, so equal traces start at one node and have one text.
 
 The calling process runs criteria 1 and 5, one degree at a time.  Every
 other piece of work is a task in a fixed list: criterion 7, criterion 2
@@ -580,9 +582,10 @@ def _check_rewrite_conformance(seed: int) -> CriterionResult:
             result.fail(f"free variables changed: {render(phi)} via {step.rule}")
         if measure(psi) != measure(phi) - 1:
             result.fail(f"measure not decreased by 1: {render(phi)} via {step.rule}")
-        text = trace_to_text(Trace(phi, (step,), n))
-        reparsed = trace_from_text(text)
-        if trace_to_text(reparsed) != text:
+        # formulas are hash-consed, so equal traces have one start node
+        trace = Trace(phi, (step,), n)
+        reparsed = trace_from_text(trace_to_text(trace))
+        if reparsed != trace:
             result.fail(f"trace text round-trip unstable for {render(phi)}")
         elif verify_trace(reparsed) is not psi:
             result.fail(f"trace replay diverges for {render(phi)}")

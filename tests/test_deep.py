@@ -1,8 +1,8 @@
 """The deep run: ``prenexify selftest --size 7`` and its check counts.
 
-It took 73-80 s (two runs) on a 2-CPU machine with Python 3.11.7, and
-its largest process, of the caller and the forked workers that take the
-criteria from a shared queue, peaked at 576 MB of resident memory
+It took 65 s (one run) on a 2-CPU machine with Python 3.11.7, and its
+largest process, of the caller and the forked workers that take the
+criteria from a shared queue, peaked at 577 MB of resident memory
 (a worker counts the pages it still shares with the caller).  So it is
 opt-in: set ``PRENEXIFY_DEEP=1`` to run it.  The default test run skips
 it.

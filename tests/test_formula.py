@@ -26,9 +26,12 @@ from prenexify.formula import (
     subformula_at,
     subformulas,
 )
+from prenexify.normalizer import normalize_J, normalize_R
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import parse, render
+from prenexify.rewrite import trace_from_text, trace_to_text, verify_trace
 from prenexify.selftest import default_signature
+from prenexify.semiclassical import INF, Classifier
 
 Px = Prime("P", ("x",))
 Py = Prime("P", ("y",))
@@ -383,6 +386,39 @@ def test_lazy_sets_match_the_eager_fold_on_the_size_5_corpus():
     _check_lazy_sets(lambda tag: _tagged(corpus, tag), "Corpus")
 
 
+def test_masks_set_while_normalizing_match_the_eager_fold(monkeypatch):
+    # the merges, renamed bodies and replayed runs are built over filled
+    # operands, so over filled inputs every node they build comes filled;
+    # no sweep may drop a node meanwhile
+    monkeypatch.setattr(formula, "_sweep_at", sys.maxsize)
+    # the corpus binds v0, v1, ..., the fresh names, so a renamed atom is
+    # new only in the random formulas, over x, y and z
+    before = set(formula._interned.values())
+    corpus = _tagged(list(enumerate_formulas(default_signature(5))), "Normalized")
+    rng = random.Random(37)
+    corpus += [_random_formula(rng, rng.randrange(1, 30), "Normalized") for _ in range(300)]
+    read = set(formula._interned.values()) - before
+    for phi in corpus:  # so that an intern hit on an input node is filled
+        formula._fill(phi)
+    for n in range(3):
+        checker = Classifier()
+        for phi in corpus:
+            for k, normalize in zip(checker.levels(phi, n), (normalize_J, normalize_R)):
+                if k == INF:
+                    continue
+                result = normalize(phi, k, n, checker)
+                assert verify_trace(trace_from_text(trace_to_text(result.trace))) is result.output
+    new = [node for node in formula._interned.values() if node not in before]
+    built = [node for node in new if node not in read]
+    assert len(read) > 10_000 and len(built) > 2_000
+    assert sum(isinstance(node, Prime) for node in built) > 50  # renamed atoms
+    assert all(node._vars is not None for node in built)
+    filled = [node for node in new if node._vars is not None]
+    reference = _reference_sets(_postorder(filled))
+    for node in filled:
+        assert (formula._decode(node._free), formula._decode(node._vars)) == reference[node]
+
+
 def _random_formula(rng, budget, tag):
     if budget <= 1:
         name, arity = rng.choice((("P", 1), ("Q", 1), ("R", 2), ("F", 0)))
@@ -508,6 +544,7 @@ print(len(formulas), len(errors), *built, code, out.getvalue().count("\\n"),
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    # FALSUM alone is built with its (empty) masks
-    expected = [str(len(lines)), "0", "0", "0", "1", "0", str(len(lines)), "0", "0", "1"]
+    # no node is filled, FALSUM included: it is filled on first read, so no
+    # node built over it is built filled
+    expected = [str(len(lines)), "0", "0", "0", "0", "0", str(len(lines)), "0", "0", "0"]
     assert proc.stdout.split() == expected

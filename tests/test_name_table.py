@@ -184,3 +184,73 @@ def test_one_sweep_frees_every_dead_canonical_form():
     finally:
         if enabled:
             gc.enable()
+
+
+class _CountingTable(dict):
+    """The intern table, counting the entries ``popitem`` pops."""
+
+    pops = 0
+
+    def popitem(self):
+        self.pops += 1
+        return super().popitem()
+
+
+def _one_more_pass() -> int:
+    """How many nodes a further pass of the table, as a sweep reads it,
+    finds that only the table holds: the table's entries stay."""
+    table = formula._interned
+    keys, nodes = [], []
+    dead = 0
+    while table:
+        key, node = table.popitem()
+        dead += sys.getrefcount(node) <= formula._IDLE
+        keys.append(key)
+        nodes.append(node)
+    table.update(zip(reversed(keys), reversed(nodes)))
+    return dead
+
+
+def sweeps_after_reachability_searches() -> None:
+    """Print, as JSON, per sweep while ``reachable_set`` closes the size-5
+    corpus at n <= 2 as criterion 1 does: the entries before it, the
+    entries it popped, the entries left, and how many of those a further
+    pass would drop.  Run in a fresh process: its table holds only what
+    it builds, and the sweep settings it lowers are its own."""
+    from prenexify.oracle import enumerate_formulas, reachable_set
+    from prenexify.selftest import default_signature
+
+    formula._interned = _CountingTable(formula._interned)
+    records = []
+    sweep = formula._sweep
+
+    def recorded():
+        table = formula._interned
+        before, table.pops = len(table), 0
+        sweep()
+        records.append([before, table.pops, len(table), _one_more_pass()])
+
+    formula._sweep = recorded
+    corpus = list(enumerate_formulas(default_signature(5)))
+    formula._sweep()
+    formula._SWEEP_FLOOR = 0
+    formula._GROWTH = 1.05  # so that sweeps come while the searches run
+    formula._sweep_at = int(1.05 * len(formula._interned))
+    for n in range(3):
+        transitions = {}  # one per degree, as criterion 1 keeps them
+        for phi in corpus:
+            reachable_set(phi, n, transitions=transitions)
+        del transitions
+        formula._sweep()
+    print(json.dumps(records))
+
+
+def test_a_sweep_reads_the_table_once_and_frees_what_repeated_passes_free():
+    # a dead successor's _canon holds its canonical form, built after it:
+    # the sweep frees both without a second pass over the table
+    records = _in_a_fresh_process("sweeps_after_reachability_searches")
+    assert len(records) > 10
+    assert sum(after < before for before, _, after, _ in records) > 5
+    for before, pops, after, dead in records:
+        assert pops == before  # every entry popped once
+        assert dead == 0  # a further pass drops nothing: the live set is final

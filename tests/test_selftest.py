@@ -33,6 +33,7 @@ from prenexify import forked, oracle, selftest, semiclassical
 from prenexify.formula import And, Exists, Or
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import ParseError, parse, render
+from prenexify.rewrite import Trace
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -265,6 +266,19 @@ def test_criterion_7_counts(seed, checks):
     c7 = selftest._check_rewrite_conformance(seed)
     assert c7.passed, c7.line()
     assert c7.checks == checks
+
+
+def test_criterion_7_catches_a_reader_that_drops_a_fresh_name(monkeypatch):
+    read = selftest.trace_from_text
+
+    def dropping(text):
+        trace = read(text)
+        return Trace(trace.start, tuple(s._replace(fresh=None) for s in trace.steps), trace.n)
+
+    monkeypatch.setattr(selftest, "trace_from_text", dropping)
+    c7 = selftest._check_rewrite_conformance(selftest.DEFAULT_SEED)
+    assert not c7.passed and c7.checks == 59290
+    assert c7.failures[0].startswith("trace text round-trip unstable for ")
 
 
 forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
