@@ -25,7 +25,14 @@ from .formula import (
 )
 from .hierarchy import PrenexShape, classify_prenex
 from .normalizer import NormalizationResult, NotInClassError, normalize_J, normalize_R
-from .oracle import ReachableSet, SearchResult, Signature, can_reach, enumerate_formulas, reachable_set
+from .oracle import (
+    ReachableSet,
+    SearchResult,
+    Signature,
+    can_reach,
+    enumerate_formulas,
+    reachable_set,
+)
 from .parser import ArityError, ParseError, parse, render
 from .rewrite import (
     RewriteStep,

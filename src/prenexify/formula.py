@@ -4,26 +4,23 @@ Formulas are immutable and hash-consed: structurally equal live formulas
 are always the *same* object, so ``==`` and ``hash`` are identity-based
 and cheap.  The intern table is swept as it grows, and a sweep drops the
 formulas that nothing outside the table refers to.  Building a node costs
-its intern key, whether it is quantifier-free, its prenex code and, over
-operands that have their variable masks, its own.
+its intern key, whether it is quantifier-free, its prenex code and its
+two variable masks.
 Negation is not a primitive; ``~p`` is represented as ``Imp(p, Falsum)``.
 Quantifiers bind exactly one variable per node and terms are restricted
 to variables.
 
 A node's free variables and all its variables are two ``int`` bit masks
-over a name table.  A node built over operands that have their masks
-gets them at construction: a connective their union, a quantifier its
-body's with the binder's bit set in ``_vars`` and cleared in ``_free``;
-a renaming (``_substitute_var``) builds its renamed atoms with theirs.
-Any other node, an atom or ``Falsum`` included, is built without them, so
-a process that only parses and classifies fills no mask and assigns no
-bit; one iterative walk fills both on a node's first read.  ``free`` and ``vars`` decode them, and other
-modules test bits only through this module's readers.  A sweep frees
-each bit that no live node's filled mask holds, and a new name takes the
-lowest free bit, so code may keep a mask across a node construction
-(which may sweep) only if it is the filled mask of a node that stays
-alive; a constructor sets a bit on the node it builds before interning
-it, so the node holds the bit through the sweep that may follow.
+over a name table, set when the node is built: an atom's are the bits of
+its arguments, ``Falsum``'s are 0, a connective's the union of its
+operands' and a quantifier's its body's with the binder's bit set in
+``_vars`` and cleared in ``_free``.  ``free`` and ``vars`` decode them,
+and other modules test bits only through this module's readers.  A sweep
+frees each bit that no live node's mask holds, and a new name takes the
+lowest free bit.  So a constructor takes a new name's bit before
+``_intern``, which may sweep, and the node holds it through that sweep;
+and code may keep a mask across a node construction only if it is the
+mask of a node that stays alive.
 
 A formula is prenex when it is an alternation of non-empty quantifier
 blocks over a quantifier-free matrix.  Each node's ``_shape`` slot holds
@@ -110,12 +107,10 @@ class Formula:
     __slots__ = ("_free", "_vars", "is_qf", "_canon", "_shape")
 
     is_qf: bool
-    # _free and _vars are the masks of the free variables and of all
-    # variables: set when the node is built over filled operands, else None
-    # until the first read fills both, then kept.  _canon caches
-    # alpha_canonical: True on a node that is its own canonical form, so
-    # none refers to itself; _shape holds the prenex code (see the module
-    # docstring), set when the node is built.
+    # Every slot but _canon is set when the node is built: _free and _vars
+    # are the masks of the free variables and of all variables, _shape the
+    # prenex code (see the module docstring).  _canon caches alpha_canonical:
+    # True on a node that is its own canonical form, so none refers to itself.
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -189,7 +184,7 @@ def _sweep() -> None:
     _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
     live = 0
     for node in table.values():
-        live |= node._vars or 0
+        live |= node._vars
     held = bin(live)[:1:-1]  # bin() reversed: held[i] == "1" when bit i is live
     _names[:] = [name if c == "1" else None for name, c in zip(_names, held)]
     _bits = {name: 1 << i for i, name in enumerate(_names) if name is not None}
@@ -229,7 +224,10 @@ class Prime(Formula):
         self = object.__new__(cls)
         self.name = name
         self.args = args
-        self._free = self._vars = None
+        mask = 0
+        for arg in args:
+            mask |= _bits.get(arg) or _bit(arg)
+        self._free = self._vars = mask
         self.is_qf = True
         self._canon = True
         self._shape = 0
@@ -247,7 +245,7 @@ class Falsum(Formula):
         if cached is not None:
             return cached
         self = object.__new__(cls)
-        self._free = self._vars = None
+        self._free = self._vars = 0
         self.is_qf = True
         self._canon = True
         self._shape = 0
@@ -271,11 +269,8 @@ class _Binary(Formula):
         self = object.__new__(cls)
         self.left = left
         self.right = right
-        if left._vars is None or right._vars is None:
-            self._free = self._vars = None
-        else:  # over filled operands: their union
-            self._free = left._free | right._free
-            self._vars = left._vars | right._vars
+        self._free = left._free | right._free
+        self._vars = left._vars | right._vars
         self.is_qf = left.is_qf and right.is_qf
         self._canon = None
         self._shape = 0 if self.is_qf else False  # over a quantifier: not prenex
@@ -310,13 +305,10 @@ class _Quant(Formula):
         self = object.__new__(cls)
         self.var = var
         self.body = body
-        if body._vars is None:
-            self._free = self._vars = None
-        else:  # over a filled body: its masks, with the binder's bit
-            bit = _bit(var)
-            free = body._free
-            self._free = free ^ bit if free & bit else free
-            self._vars = body._vars | bit
+        bit = _bits.get(var) or _bit(var)
+        free = body._free
+        self._free = free ^ bit if free & bit else free
+        self._vars = body._vars | bit
         self.is_qf = False
         self._canon = None
         code = body._shape
@@ -378,67 +370,22 @@ def _bit(name: str) -> int:
 
 def _free_mask(phi: Formula) -> int:
     """The mask of ``phi``'s free variables."""
-    if phi._free is None:
-        _fill(phi)
     return phi._free
 
 
 def _vars_mask(phi: Formula) -> int:
     """The mask of every variable of ``phi``."""
-    if phi._vars is None:
-        _fill(phi)
     return phi._vars
 
 
 def _is_free(name: str, phi: Formula) -> bool:
     """Whether ``name`` is free in ``phi``."""
-    if phi._free is None:
-        _fill(phi)
-    return _bits.get(name, 0) & phi._free != 0  # read after the fill, which may assign it
+    return _bits.get(name, 0) & phi._free != 0
 
 
 def _decode(mask: int) -> tuple[str, ...]:
     """The names of the bits of ``mask``, sorted."""
     return tuple(sorted([_names[i] for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]))
-
-
-def _fill(phi: Formula) -> None:
-    """Set both masks on ``phi`` and on every node below it that lacks them.
-
-    The walk peeks at the top of an explicit stack: a node whose operands
-    all have theirs is popped and given its own, otherwise the operands
-    still lacking them are pushed.  A node pending under two parents may be
-    pushed twice; its second visit finds it filled and pops it, so the walk
-    costs one visit per edge of the DAG.
-    """
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if node._vars is None:
-            if isinstance(node, _Binary):
-                left, right = node.left, node.right
-                if left._vars is None or right._vars is None:
-                    if left._vars is None:
-                        stack.append(left)
-                    if right._vars is None:
-                        stack.append(right)
-                    continue
-                node._free = left._free | right._free
-                node._vars = left._vars | right._vars
-            elif isinstance(node, _Quant):
-                body = node.body
-                if body._vars is None:
-                    stack.append(body)
-                    continue
-                bit = _bit(node.var)
-                free = body._free
-                node._free = free ^ bit if free & bit else free
-                node._vars = body._vars | bit
-            elif isinstance(node, Prime):
-                node._free = node._vars = sum({_bit(name) for name in node.args})
-            else:  # Falsum
-                node._free = node._vars = 0
-        stack.pop()
 
 
 def _child(node: Formula, sel: str):
@@ -519,7 +466,7 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
 def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
     """Replace free occurrences of variable ``old`` by ``new``, without
     recursion; a subformula in which ``old`` is not free is kept as is.
-    Its bit outlives the nodes built here: ``phi``'s filled mask holds it."""
+    Its bit outlives the nodes built here: ``phi``'s mask holds it."""
     if not _is_free(old, phi):
         return phi
     bit = _bits[old]
@@ -534,13 +481,10 @@ def _substitute_var(phi: Formula, old: str, new: str) -> Formula:
                 values[-1] = type(node)(values[-1], right)
             else:
                 values[-1] = type(node)(node.var, values[-1])
-        elif not task._free & bit:  # phi is filled, so all below it is
+        elif not task._free & bit:
             values.append(task)
         elif isinstance(task, Prime):
-            atom = Prime(task.name, tuple(new if a == old else a for a in task.args))
-            if atom._vars is None:  # task's variables, with new in place of old
-                atom._free = atom._vars = (task._free ^ bit) | _bit(new)
-            values.append(atom)
+            values.append(Prime(task.name, tuple(new if a == old else a for a in task.args)))
         elif isinstance(task, _Binary):
             stack.append((task,))
             stack.append(task.right)
@@ -594,7 +538,6 @@ def alpha_canonical(phi: Formula) -> Formula:
     # are on ``values``.  ``env`` maps each variable bound above the current
     # node to its new name, and ``bound`` is the mask of its keys; a
     # binder's entry is undone when its body is built, so no map is copied.
-    # Filling ``phi`` fills every node below it, with bits ``phi`` keeps.
     reserved = _free_mask(phi)
     counter = 0
     env: dict[str, str] = {}

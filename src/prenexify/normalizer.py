@@ -137,14 +137,11 @@ def normalize_R(
 def _result(
     phi: Formula, k: int, n: int, target: str, checker: Optional[Classifier]
 ) -> NormalizationResult:
-    # filled first, so that every node the merges build over it is built
-    # filled; phi stays alive, so its mask may be kept
-    free = _free_mask(phi)
     # no process-global store: without a checker, nothing outlives the call
     output, steps = prenex_form(phi, k, n, target, checker or Classifier())
     if k < prenex_floors(output)[0 if target == SIGMA else 1]:
         raise AssertionError("normalizer output left the target class")
-    if _free_mask(output) != free:
+    if _free_mask(output) != _free_mask(phi):
         raise AssertionError("free variables not preserved")
     return NormalizationResult(phi, k, n, target, output, Trace(phi, steps, n))
 

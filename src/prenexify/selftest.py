@@ -28,15 +28,18 @@ Criterion 2 takes each positive verdict's normal form from
 ``normalizer.prenex_form``, the path ``normalize_J`` / ``normalize_R``
 wrap, and checks it itself: the replay of its trace must be the output
 itself, in the target class at the verdict's level, with the input's
-free variables.  It reads a formula's free variables once, and checks
-each distinct (steps, output) pair of a formula at a degree once: its
-replay, its Sigma+ / Pi+ floors and its free variables.  Criteria 1 and
-5 build one classifier and one transition cache per degree and drop
-both when the degree ends; criterion 2 builds its own classifier per
-degree, and criteria 3 and 4 share one.  Criterion 7 draws its data
-from ``getrandbits`` alone, and compares the trace each step's text is
-read back to with the trace it was written from: formulas are
-hash-consed, so equal traces start at one node and have one text.
+free variables, and the trace must take ``measure(phi) -
+measure(output)`` steps: every connective step lowers the measure by
+one, and the normalizer makes no other step.  It reads a formula's
+measure once per degree, and checks each distinct (steps, output) pair
+of a formula at a degree once: its replay, its Sigma+ / Pi+ floors, its
+free variables and its length.  Criteria 1 and 5 build one classifier
+and one transition cache per degree and drop both when the degree ends;
+criterion 2 builds its own classifier per degree, and criteria 3 and 4
+share one.  Criterion 7 draws its data from ``getrandbits`` alone, and
+compares the trace each step's text is read back to with the trace it
+was written from: formulas are hash-consed, so equal traces start at
+one node and have one text.
 
 The calling process runs criteria 1 and 5, one degree at a time.  Every
 other piece of work is a task in a fixed list: criterion 7, criterion 2
@@ -237,13 +240,13 @@ def _check_normal_forms(corpus: list[Formula], n: int, k_max: int) -> CriterionR
     checker = Classifier()
     for phi in corpus:
         k_j, k_r = checker.levels(phi, n)
-        free = _free_mask(phi)  # phi's filled mask: kept while phi lives
+        potential = measure(phi)
         replays: dict = {}  # phi's normal forms at degree n, see below
         for k in range(k_max + 1):
             if k >= k_j:
-                _check_normal_form(result, phi, k, n, SIGMA, checker, free, replays)
+                _check_normal_form(result, phi, k, n, SIGMA, checker, potential, replays)
             if k >= k_r:
-                _check_normal_form(result, phi, k, n, PI, checker, free, replays)
+                _check_normal_form(result, phi, k, n, PI, checker, potential, replays)
     return result
 
 
@@ -254,18 +257,19 @@ def _check_normal_form(
     n: int,
     target: str,
     checker: Classifier,
-    free: int,
+    potential: int,
     replays: dict,
 ) -> None:
     """One normalization of ``phi`` at (k, n), checked against the replay
     of its trace.  What is checked of a normal form depends only on its
-    steps and output, and ``replays`` serves one ``phi`` (whose free
-    variables' mask is ``free``) at one ``n``, so it keeps, per distinct
-    ``(steps, output)`` pair keyed by identity, the replayed formula or
-    the exception the replay raised, the output's Sigma+ and Pi+ floors
-    and whether its free variables are ``free``.  The pair is kept with
-    them, so neither id can be reused while ``replays`` lives; an equal
-    pair of other objects is checked again."""
+    steps and output, and ``replays`` serves one ``phi`` (whose measure
+    is ``potential``) at one ``n``, so it keeps, per distinct ``(steps,
+    output)`` pair keyed by identity, the replayed formula or the
+    exception the replay raised, the output's Sigma+ and Pi+ floors,
+    whether its free variables are ``phi``'s and the drop in measure
+    from ``phi`` to it.  The pair is kept with them, so neither id can be
+    reused while ``replays`` lives; an equal pair of other objects is
+    checked again."""
     result.checks += 1
     try:
         output, steps = prenex_form(phi, k, n, target, checker)
@@ -284,9 +288,10 @@ def _check_normal_form(
             output,
             replayed,
             prenex_floors(output),
-            _free_mask(output) == free,
+            _free_mask(output) == _free_mask(phi),
+            potential - measure(output),
         )
-    _, _, replayed, floors, same_free = seen
+    _, _, replayed, floors, same_free, drop = seen
     if isinstance(replayed, Exception):
         result.fail(f"trace replay failed for {render(phi)} k={k} n={n}: {replayed}")
         return
@@ -300,6 +305,8 @@ def _check_normal_form(
         )
     elif not same_free:
         result.fail(f"free variables changed for {render(phi)} k={k} n={n}")
+    elif len(steps) != drop:
+        result.fail(f"{len(steps)} steps for a measure drop of {drop}: {render(phi)} k={k} n={n}")
 
 
 def _check_backward_closure(

@@ -32,9 +32,10 @@ the same key looks it up.
 
 Why a few candidate levels suffice.  Take a formula with quantifiers,
 so in no level 0.  Below the first level k0 >= 1 at which some
-generation clause applies, the lift clause cannot apply either, so k0 is the lesser least level and the other side follows at
-k0 or k0 + 1 by lift.  A clause predicate, as a function of k, reads
-the operands' memberships at level k (true from an operand's own least
+generation clause applies, the lift clause cannot apply either, so k0
+is the lesser least level and the other side follows at k0 or k0 + 1
+by lift.  A clause predicate, as a function of k, reads the
+operands' memberships at level k (true from an operand's own least
 level on), at n or at n + 1 (constant in k), and switches case at
 k = n + 1 and k = n + 2.  It is therefore constant between consecutive
 points of {1, the operands' finite least levels, n + 1, n + 2}, and k0,

@@ -1,15 +1,14 @@
+import contextlib
 import gc
-import inspect
-import os
+import io
 import random
-import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prenexify import formula
+from prenexify import cli, formula
 from prenexify.formula import (
     FALSUM,
     And,
@@ -294,9 +293,10 @@ def test_no_canonical_form_refers_to_itself():
     assert not [node for node in formula._interned.values() if node._canon is node]
 
 
-# Variable sets are filled on first read.  Each check below builds its own
-# nodes, with predicate names no other test uses, so that no set is filled
-# before it is read.
+# Every node gets its masks when it is built.  Each check below runs one
+# way of building nodes with no sweep, and checks every node the run
+# interned, and every node under what it returned, against an eager fold
+# of the variable sets over the tree.
 
 
 def _operands(node):
@@ -353,70 +353,44 @@ def _reference_sets(order):
     return {node: (tuple(sorted(f)), tuple(sorted(v))) for node, (f, v) in sets.items()}
 
 
-_READ_ORDERS = [
-    (sets, nodes) for sets in ("free first", "vars first") for nodes in ("root first", "root last")
-]
+def _assert_masks_are_the_eager_fold(roots):
+    """Every node under ``roots`` carries the masks of its free variables
+    and of all its variables, as the eager fold reads them."""
+    order = _postorder(roots)
+    reference = _reference_sets(order)
+    decoded = [(formula._decode(node._free), formula._decode(node._vars)) for node in order]
+    # indices, not nodes: a deep node's text would swamp the failure report
+    assert [i for i, node in enumerate(order) if decoded[i] != reference[node]] == []
 
 
-def _check_lazy_sets(build, label):
-    """Build fresh copies of ``build(tag)`` and read their sets in each of
-    the four orders, against the eager reference."""
-    for i, (sets, nodes) in enumerate(_READ_ORDERS):
-        roots = build(f"{label}{i}")
-        order = _postorder(roots)
-        # every atom carries the tag, so a compound node above one is new
-        fresh = set()
-        for node in order:
-            if isinstance(node, Prime) or any(c in fresh for c in _operands(node)):
-                fresh.add(node)
-        compound = [node for node in fresh if _operands(node)]
-        assert compound, label
-        assert all(node._free is None and node._vars is None for node in compound)
-        reference = _reference_sets(order)
-        if nodes == "root first":
-            order.reverse()
-        for index in ((0, 1) if sets == "free first" else (1, 0)):
-            for node in order:
-                read = node.free if index == 0 else node.vars
-                assert read == reference[node][index], (label, sets, nodes, node)
-
-
-def test_lazy_sets_match_the_eager_fold_on_the_size_5_corpus():
-    corpus = list(enumerate_formulas(default_signature(5)))
-    _check_lazy_sets(lambda tag: _tagged(corpus, tag), "Corpus")
-
-
-def test_masks_set_while_normalizing_match_the_eager_fold(monkeypatch):
-    # the merges, renamed bodies and replayed runs are built over filled
-    # operands, so over filled inputs every node they build comes filled;
-    # no sweep may drop a node meanwhile
+def _interned_by(run, monkeypatch):
+    """What ``run()`` returns, and the nodes it interned, with no sweep
+    meanwhile."""
     monkeypatch.setattr(formula, "_sweep_at", sys.maxsize)
-    # the corpus binds v0, v1, ..., the fresh names, so a renamed atom is
-    # new only in the random formulas, over x, y and z
     before = set(formula._interned.values())
-    corpus = _tagged(list(enumerate_formulas(default_signature(5))), "Normalized")
-    rng = random.Random(37)
-    corpus += [_random_formula(rng, rng.randrange(1, 30), "Normalized") for _ in range(300)]
-    read = set(formula._interned.values()) - before
-    for phi in corpus:  # so that an intern hit on an input node is filled
-        formula._fill(phi)
-    for n in range(3):
-        checker = Classifier()
-        for phi in corpus:
-            for k, normalize in zip(checker.levels(phi, n), (normalize_J, normalize_R)):
-                if k == INF:
-                    continue
-                result = normalize(phi, k, n, checker)
-                assert verify_trace(trace_from_text(trace_to_text(result.trace))) is result.output
-    new = [node for node in formula._interned.values() if node not in before]
-    built = [node for node in new if node not in read]
-    assert len(read) > 10_000 and len(built) > 2_000
-    assert sum(isinstance(node, Prime) for node in built) > 50  # renamed atoms
-    assert all(node._vars is not None for node in built)
-    filled = [node for node in new if node._vars is not None]
-    reference = _reference_sets(_postorder(filled))
-    for node in filled:
-        assert (formula._decode(node._free), formula._decode(node._vars)) == reference[node]
+    roots = run()
+    return roots, [node for node in formula._interned.values() if node not in before]
+
+
+def test_masks_built_by_parse_and_classify_match_the_eager_fold(monkeypatch, tmp_path):
+    # the corpus's text with predicate names of its own, so that the
+    # classify command's parse builds every node
+    lines = [
+        render(phi).replace("P(", "ParsedP(").replace("Q(", "ParsedQ(")
+        for phi in enumerate_formulas(default_signature(5))
+    ]
+    corpus = tmp_path / "parsed.txt"
+    corpus.write_text("sig ParsedP/1 ParsedQ/1\n" + "\n".join(lines) + "\n")
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["classify", str(corpus), "--n", "0,1,2", "--k-max", "4"])
+        assert code == 0 and out.getvalue().count("\n") == len(lines)
+        return [parse(line) for line in lines]  # each an intern hit
+
+    parsed, new = _interned_by(run, monkeypatch)
+    assert len(new) > 5_000
+    _assert_masks_are_the_eager_fold(parsed + new)
 
 
 def _random_formula(rng, budget, tag):
@@ -436,12 +410,43 @@ def _random_formula(rng, budget, tag):
     )
 
 
-def test_lazy_sets_match_the_eager_fold_on_random_formulas():
-    def build(tag):
-        rng = random.Random(2020)
-        return [_random_formula(rng, rng.randrange(1, 40), tag) for _ in range(300)]
+def _corpus_and_random(tag):
+    """The size-5 corpus and 300 random formulas, with predicate names of
+    their own."""
+    corpus = _tagged(list(enumerate_formulas(default_signature(5))), tag)
+    rng = random.Random(37)
+    return corpus + [_random_formula(rng, rng.randrange(1, 30), tag) for _ in range(300)]
 
-    _check_lazy_sets(build, "Random")
+
+def test_masks_set_while_normalizing_match_the_eager_fold(monkeypatch):
+    # the merges, renamed bodies and replayed runs; the corpus binds v0,
+    # v1, ..., the fresh names, so a renamed atom is new only in the
+    # random formulas, over x, y and z
+    corpus = _corpus_and_random("Normalized")
+
+    def run():
+        for n in range(3):
+            checker = Classifier()
+            for phi in corpus:
+                for k, normalize in zip(checker.levels(phi, n), (normalize_J, normalize_R)):
+                    if k == INF:
+                        continue
+                    result = normalize(phi, k, n, checker)
+                    replayed = verify_trace(trace_from_text(trace_to_text(result.trace)))
+                    assert replayed is result.output
+        return corpus
+
+    _, new = _interned_by(run, monkeypatch)
+    assert len(new) > 2_000
+    assert sum(isinstance(node, Prime) for node in new) > 50  # renamed atoms
+    _assert_masks_are_the_eager_fold(corpus + new)
+
+
+def test_masks_built_by_alpha_canonical_match_the_eager_fold(monkeypatch):
+    corpus = _corpus_and_random("Canonical")
+    canons, new = _interned_by(lambda: [alpha_canonical(phi) for phi in corpus], monkeypatch)
+    assert len(new) > 2_000
+    _assert_masks_are_the_eager_fold(canons + new)
 
 
 def _chains(tag, depth):
@@ -459,92 +464,17 @@ def _chains(tag, depth):
     return [exists, alternation, spine]
 
 
-def test_lazy_sets_match_the_eager_fold_on_5000_deep_chains():
-    _check_lazy_sets(lambda tag: _chains(tag, 5000), "Chain")
-
-
-def _fill_visits(read):
-    """How many times the fill walk visits a node while ``read()`` runs:
-    line events at the top of its loop."""
-    code = formula._fill.__code__
-    lines, first = inspect.getsourcelines(formula._fill)
-    top = first + next(i for i, line in enumerate(lines) if "node = stack[-1]" in line)
-    visits = [0]
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == top:
-            visits[0] += 1
-        return local
-
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        read()
-    finally:
-        sys.settrace(None)
-    return visits[0]
-
-
-def test_a_shared_dag_fills_each_set_once_per_node():
-    # 81 distinct nodes, 120 edges, 2**40 paths from the root to the atom
-    phi = Prime("Dag", ("x", "y"))
-    for _ in range(40):
-        phi = And(phi, Exists("x", phi))
-    order = _postorder([phi])
-    edges = sum(len(_operands(node)) for node in order)
-    # a node is pushed once per edge of the DAG at most, and visited once
-    # when pushed and once when popped
-    visits = _fill_visits(lambda: phi.free)
-    assert len(order) < visits <= 2 * (edges + 1), "the fill walks paths, not nodes"
-    assert phi.free == ("x", "y")
-    # the one walk filled both masks
-    assert _fill_visits(lambda: phi.vars) == 0
-    assert phi.vars == ("x", "y")
+def test_masks_built_on_5000_deep_chains_match_the_eager_fold(monkeypatch):
+    chains, new = _interned_by(lambda: _chains("Chain", 5000), monkeypatch)
+    assert len(new) > 3 * 5000
+    _assert_masks_are_the_eager_fold(chains)
 
 
 def test_a_100000_deep_chain_reads_its_sets():
     phi = Prime("Deep100k", ("x", "y"))
     for i in range(100_000):
         phi = (Exists, Forall)[i % 2]("x", phi)
+    _assert_masks_are_the_eager_fold([phi])
     assert phi.free == ("y",)
     assert phi.vars == ("x", "y")
     assert phi.body.free == ("y",)
-
-
-def test_building_and_classifying_the_size_5_corpus_merges_nothing(tmp_path):
-    # a fresh process, so that every node is built from the text: neither
-    # fills a mask or assigns a name a bit
-    corpus = tmp_path / "size5.txt"
-    lines = [render(phi) for phi in enumerate_formulas(default_signature(5))]
-    corpus.write_text("sig P/1 Q/1\n" + "\n".join(lines) + "\n")
-    script = """
-import contextlib, io, sys
-from prenexify import cli, formula
-from prenexify.parser import parse_corpus
-fills = [0]
-fill = formula._fill
-def counting(phi):
-    fills[0] += 1
-    return fill(phi)
-formula._fill = counting
-def filled():
-    return sum(node._vars is not None for node in formula._interned.values())
-with open(sys.argv[1]) as f:
-    _, formulas, errors = parse_corpus(f)
-built = fills[0], len(formula._bits), filled()
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = cli.main(["classify", sys.argv[1], "--n", "0,1,2", "--k-max", "4"])
-print(len(formulas), len(errors), *built, code, out.getvalue().count("\\n"),
-      fills[0], len(formula._bits), filled())
-"""
-    src = os.path.dirname(os.path.dirname(formula.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(corpus)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
-    # no node is filled, FALSUM included: it is filled on first read, so no
-    # node built over it is built filled
-    expected = [str(len(lines)), "0", "0", "0", "0", "0", str(len(lines)), "0", "0", "0"]
-    assert proc.stdout.split() == expected

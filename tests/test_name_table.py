@@ -1,10 +1,12 @@
 """The name table under sweeps.  A sweep may run at any node construction
-and frees the bits that no live node's filled mask holds, so a mask kept
-across a construction that is not such a mask would read another name's
-bit.  These tests sweep at every construction and check that nothing
-changes, and check that the table holds only the names of live nodes."""
+and frees the bits that no live node's mask holds, so a mask kept across
+a construction that is not such a mask would read another name's bit.
+These tests sweep at every construction and check that nothing changes,
+and check that the table holds only the names of live nodes."""
 
+import contextlib
 import gc
+import io
 import hashlib
 import json
 import os
@@ -15,12 +17,13 @@ from pathlib import Path
 
 from test_classify_cache import random_formula
 
-from prenexify import formula
-from prenexify.formula import And, Exists, Forall, Imp, Or, Prime
+from prenexify import cli, formula
+from prenexify.formula import And, Exists, Forall, Imp, Or, Prime, subformulas
 from prenexify.normalizer import normalize_J, normalize_R
+from prenexify.oracle import enumerate_formulas
 from prenexify.parser import render
 from prenexify.rewrite import trace_from_text, trace_to_text, verify_trace
-from prenexify.selftest import run_selftest
+from prenexify.selftest import default_signature, run_selftest
 from prenexify.semiclassical import INF, Classifier
 
 SRC = Path(formula.__file__).resolve().parent.parent
@@ -93,10 +96,10 @@ def under_a_sweep_per_construction() -> None:
     print(json.dumps([wide, random_digest, checks, sweeps[0]]))
 
 
-def _in_a_fresh_process(function: str):
-    """What ``function`` of this module prints last, as JSON, run in a new
-    interpreter: its intern table holds only what it builds."""
-    script = f"import test_name_table as t; t.{function}()"
+def _in_a_fresh_process(function: str, *args: str):
+    """What ``function(*args)`` of this module prints last, as JSON, run in
+    a new interpreter: its intern table holds only what it builds."""
+    script = f"import test_name_table as t; t.{function}(*{list(args)!r})"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -119,11 +122,10 @@ def test_masks_survive_a_sweep_at_every_node_construction():
 
 
 def _live_names() -> set[str]:
-    """The names of the bits of every filled mask in the intern table."""
+    """The names of the bits of every mask in the intern table."""
     live = 0
     for node in formula._interned.values():
-        if node._vars:
-            live |= node._vars
+        live |= node._vars
     return set(formula._decode(live))
 
 
@@ -146,7 +148,7 @@ def thirty_thousand_names() -> None:
         widest = max(widest, len(formula._names))
         kept = result  # the last one stays alive
     formula._sweep()
-    masks = [node._vars for node in formula._interned.values() if node._vars]
+    masks = [node._vars for node in formula._interned.values()]
     print(json.dumps({
         "names": sorted(formula._bits),
         "live": sorted(_live_names()),
@@ -167,6 +169,30 @@ def test_the_name_table_holds_the_names_of_live_nodes():
     # 30,000 the loop used
     assert table["widest_table"] < 3_000
     assert table["widest_mask"] < 3_000
+
+
+def classified_corpus_names(path: str) -> None:
+    """Print, as JSON, the classify command's exit code on the corpus file
+    at ``path`` and the names the name table holds after it: run in a
+    fresh process, so that the command builds every node."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["classify", path, "--n", "0,1,2", "--k-max", "4"])
+    print(json.dumps([code, sorted(formula._bits)]))
+
+
+def test_classifying_the_size_5_corpus_gives_bits_to_its_names_alone(tmp_path):
+    # every node gets its masks when the parser builds it, so the table
+    # holds each of the corpus's variables, free or bound, and no other
+    corpus = list(enumerate_formulas(default_signature(5)))
+    path = tmp_path / "size5.txt"
+    path.write_text("sig P/1 Q/1\n" + "".join(f"{render(phi)}\n" for phi in corpus))
+    names = set()
+    for node in (node for phi in corpus for node in subformulas(phi)):
+        if isinstance(node, Prime):
+            names.update(node.args)
+        elif isinstance(node, (Exists, Forall)):
+            names.add(node.var)
+    assert _in_a_fresh_process("classified_corpus_names", str(path)) == [0, sorted(names)]
 
 
 def test_one_sweep_frees_every_dead_canonical_form():

@@ -330,32 +330,18 @@ def test_trace_steps_cost_constant_calls_on_a_wide_alternating_conjunction(monke
     # A per-step call put back fails here; every node the replay builds is
     # interned by a first replay, and no sweep may fire meanwhile, so the
     # counts do not depend on the intern table's history.
-    # The masks are filled once: the fill walks reach the input's 42
-    # distinct nodes, and every node a merge, a rename or the replay
-    # builds comes with its masks.  The predicate is the test's own, so no
-    # earlier test has filled these nodes.
     monkeypatch.setattr(formula, "_sweep_at", sys.maxsize)
-    filled = [0]
-    fill = formula._fill
-
-    def counting(phi):
-        filled[0] += len({id(node) for node in subformulas(phi) if node._vars is None})
-        fill(phi)
-
-    monkeypatch.setattr(formula, "_fill", counting)
     operands = [(Exists, Forall)[i % 2]("x", Prime("Alternating", ("x",))) for i in range(40)]
     phi = operands.pop()
     while operands:
         phi = And(operands.pop(), phi)
     trace = normalize_J(phi, 2, 1).trace
-    assert filled[0] == 42
     steps = len(trace.steps)
     fresh = sum(step.fresh is not None for step in trace.steps)
     assert (steps, fresh) == (819, 39)
     bare = Trace(trace.start, (), trace.n)
     text, bare_text = trace_to_text(trace), trace_to_text(bare)
     assert verify_trace(trace) is verify_trace(trace_from_text(text))
-    assert filled[0] == 42  # the replays fill none
 
     def per_steps(function, full, empty):
         return _python_calls(function, full) - _python_calls(function, empty)

@@ -1,6 +1,6 @@
 """The variable masks are stated in one module.  Each node's ``_free`` and
 ``_vars`` slots hold bit masks over the name table (``_bits``, ``_names``,
-``_spare``) that ``formula`` fills, sweeps and decodes; every other module
+``_spare``) that ``formula`` sets, sweeps and decodes; every other module
 asks its readers (``_free_mask``, ``_vars_mask``, ``_is_free``, ``_bit``,
 ``fresh_variable``, ``free``, ``vars``), so the masks' format and the rule
 for holding one are stated once and no other module touches the slots or

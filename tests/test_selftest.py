@@ -30,10 +30,10 @@ import time
 import pytest
 
 from prenexify import forked, oracle, selftest, semiclassical
-from prenexify.formula import And, Exists, Or
+from prenexify.formula import And, Exists, Forall, Or, fresh_variable
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import ParseError, parse, render
-from prenexify.rewrite import Trace
+from prenexify.rewrite import RewriteStep, Trace, apply_step
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -198,6 +198,13 @@ def _input_returned_with_no_steps(phi, output, steps):
     return phi, ()
 
 
+def _root_var_rename_appended(phi, output, steps):
+    # a replayable step that renames alone: only the trace's length is wrong
+    rule = "ForallVar" if isinstance(output, Forall) else "ExistsVar"
+    step = RewriteStep(rule, (), fresh_variable(output.vars))
+    return apply_step(output, step, 0), steps + (step,)
+
+
 NORMAL_FORM_FAULTS = {
     fault.__name__: (fault, first)
     for fault, first in [
@@ -212,6 +219,10 @@ NORMAL_FORM_FAULTS = {
             _input_returned_with_no_steps,
             "output false & exists v0. false not in target class (sigma 2) "
             "for false & exists v0. false n=0",
+        ),
+        (
+            _root_var_rename_appended,
+            "2 steps for a measure drop of 1: false & exists v0. false k=2 n=0",
         ),
     ]
 }
