@@ -92,6 +92,10 @@ _SWEEP_FLOOR = 16_384
 _getrefcount = getattr(sys, "getrefcount", None)
 _sweep_at = _SWEEP_FLOOR if _getrefcount is not None else sys.maxsize
 
+# A formula whose tree has more nodes than this has a repr of its type and
+# node count, not its text, which doubles with each level of sharing.
+_REPR_NODES = 500
+
 
 class PositionError(Exception):
     """Raised when a position does not denote a node of the formula."""
@@ -109,8 +113,8 @@ class Formula:
     is_qf: bool
     # Every slot but _canon is set when the node is built: _free and _vars
     # are the masks of the free variables and of all variables, _shape the
-    # prenex code (see the module docstring).  _canon caches alpha_canonical:
-    # True on a node that is its own canonical form, so none refers to itself.
+    # prenex code (see the module docstring).  _canon is True on a node that
+    # alpha_canonical found to be its own canonical form, else None.
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -128,6 +132,9 @@ class Formula:
         return render(self)
 
     def __repr__(self) -> str:
+        size = _tree_size(self)
+        if size > _REPR_NODES:
+            return f"<{type(self).__name__} of {size} nodes>"
         return f"<{type(self).__name__} {self}>"
 
 
@@ -145,61 +152,31 @@ def _sweep() -> None:
     then free the bits that no live node's mask holds.
 
     Entries are popped newest first.  A node is inserted after its
-    operands, so a dead parent, whose key and fields hold its operands, is
-    released before they are read, and one pass frees a whole dead subtree
-    without recursion.  The live entries go back in their old order.  The
-    one reference to a newer node is a ``_canon``, which the pass may
-    already have read: the canonical form a dropped node held goes on a
-    worklist, which keeps it through the pass.  Then each worklist node
-    that only the table holds is dropped, and its operands and canonical
-    form go on the worklist, so whatever only they held is freed without
-    reading the table again.
+    operands, and no node refers to a newer one, so a dead parent, whose
+    key and fields hold its operands, is released before they are read,
+    and one pass frees a whole dead subtree without recursion.  The live
+    entries go back in their old order.
     """
     global _sweep_at, _bits
     table = _interned
     count = _getrefcount
     idle = _IDLE
-    work = []
     keys, nodes = [], []  # not (key, node) pairs: no tracked object per entry
     while table:
         key, node = table.popitem()
         if count(node) > idle:
             keys.append(key)
             nodes.append(node)
-        elif isinstance(node._canon, Formula):
-            work.append(node._canon)
     table.clear()  # frees the emptied hash table
     table.update(zip(reversed(keys), reversed(nodes)))
-    del keys, nodes  # from here the table holds each live node once
-    while work:
-        node = work.pop()
-        if count(node) > idle + 1:  # held by more than the table
-            continue
-        key = _key(node)
-        del table[key]
-        work.extend(part for part in key if isinstance(part, Formula))
-        if isinstance(node._canon, Formula):
-            work.append(node._canon)
-        del key  # it holds the operands, which the next count reads
     _sweep_at = max(_SWEEP_FLOOR, _GROWTH * len(table))
     live = 0
-    for node in table.values():
+    for node in nodes:
         live |= node._vars
     held = bin(live)[:1:-1]  # bin() reversed: held[i] == "1" when bit i is live
     _names[:] = [name if c == "1" else None for name, c in zip(_names, held)]
     _bits = {name: 1 << i for i, name in enumerate(_names) if name is not None}
     _spare[:] = [i for i in range(len(_names) - 1, -1, -1) if _names[i] is None]
-
-
-def _key(node: Formula) -> tuple:
-    """The intern key of ``node``, as its constructor builds it."""
-    if isinstance(node, _Binary):
-        return node._tag, node.left, node.right
-    if isinstance(node, _Quant):
-        return node._tag, node.var, node.body
-    if isinstance(node, Prime):
-        return "P", node.name, node.args
-    return ("F",)
 
 
 def _idle_count() -> int:
@@ -388,6 +365,26 @@ def _decode(mask: int) -> tuple[str, ...]:
     return tuple(sorted([_names[i] for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]))
 
 
+def _tree_size(phi: Formula) -> int:
+    """The number of nodes of ``phi``'s tree, repeats counted, from one
+    count per distinct node, without recursion."""
+    sizes: dict[Formula, int] = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, _Binary):
+            parts: tuple = (node.left, node.right)
+        else:
+            parts = (node.body,) if isinstance(node, _Quant) else ()
+        todo = [part for part in parts if part not in sizes]
+        if todo:
+            stack.extend(todo)
+        else:
+            sizes[node] = 1 + sum(sizes[part] for part in parts)
+            stack.pop()
+    return sizes[phi]
+
+
 def _child(node: Formula, sel: str):
     """The ``sel`` child of ``node``, or ``None`` if ``node`` has none."""
     if isinstance(node, _Binary):
@@ -527,11 +524,12 @@ def alpha_canonical(phi: Formula) -> Formula:
     binders appear in a preorder walk (outermost first, left before right),
     skipping names that occur free anywhere in ``phi``.  Free variables are
     untouched, shapes are preserved, and the map is idempotent.  The new
-    names are interned strings, so canonical binders share them.
+    names are interned strings, so canonical binders share them.  The
+    result is marked, and a marked node is returned at once; nothing is
+    stored on any other node, so no node refers to a newer one.
     """
-    cached = phi._canon
-    if cached is not None:
-        return phi if cached is True else cached
+    if phi._canon:
+        return phi
 
     # Nodes are entered in preorder from an explicit stack, so binders are
     # named in preorder; a node is built once its operands' canonical forms
@@ -582,7 +580,5 @@ def alpha_canonical(phi: Formula) -> Formula:
 
     canon = values[0]
     canon._canon = True
-    if canon is not phi:
-        phi._canon = canon
     return canon
 

@@ -3,6 +3,7 @@ import gc
 import io
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,26 @@ def test_the_mask_fresh_choice_is_fresh_variable():
         assert fresh_variable(names[:2], formula._vars_mask(phi)) == expected
 
 
+def test_repr_gives_a_small_formula_s_text_and_a_large_one_s_size():
+    small = And(Prime("P", ("x",)), Exists("y", Prime("P", ("x",))))
+    assert repr(small) == "<And P(x) & exists y. P(x)>"
+    # the tree of a 40-level DAG has 3 * 2**40 - 2 nodes, and its text doubles
+    # with each level; its repr reads each distinct node once
+    phi = Prime("P", ("x",))
+    for _ in range(40):
+        phi = And(phi, Exists("x", phi))
+    start = time.perf_counter()
+    text = repr(phi)
+    assert time.perf_counter() - start < 0.5
+    assert text == f"<And of {3 * 2**40 - 2} nodes>"
+    # the bound is on the tree's node count: one node more shows the size
+    chain = Prime("P", ("x",))
+    for _ in range(formula._REPR_NODES - 1):  # a tree of _REPR_NODES nodes
+        chain = Exists("x", chain)
+    assert repr(chain) == f"<Exists {chain}>"
+    assert repr(Exists("x", chain)) == f"<Exists of {formula._REPR_NODES + 1} nodes>"
+
+
 def test_the_canonical_form_of_a_5000_deep_distinct_binder_chain_reads_its_vars():
     # every binder gets its own canonical name, so the root has 5,002
     # variables; each node keeps two ints, not a tuple of its names
@@ -285,8 +306,8 @@ def test_alpha_canonical_forms_survive_a_sweep():
 
 
 def test_no_canonical_form_refers_to_itself():
-    # a node that is its own canonical form is marked True, so a sweep
-    # reads its reference count as it is
+    # _canon is a mark: True on a node that is its own canonical form, and
+    # never a node, so it holds no reference, to itself or to another node
     canons = [alpha_canonical(phi) for phi in enumerate_formulas(default_signature(4))]
     assert all(canon._canon is True for canon in canons)
     assert all(alpha_canonical(canon) is canon for canon in canons)

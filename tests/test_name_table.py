@@ -196,8 +196,9 @@ def test_classifying_the_size_5_corpus_gives_bits_to_its_names_alone(tmp_path):
 
 
 def test_one_sweep_frees_every_dead_canonical_form():
-    # a formula's _canon points at a node built after it, which a sweep
-    # reads first; the one sweep must still free both
+    # _canon is a mark, so every node refers only to nodes interned before
+    # it: one newest-first pass frees a dead node before it reads the
+    # nodes it held, and a second sweep finds nothing more to free
     run_selftest(size=4)
     gc.collect()
     enabled = gc.isenabled()
@@ -272,11 +273,47 @@ def sweeps_after_reachability_searches() -> None:
 
 
 def test_a_sweep_reads_the_table_once_and_frees_what_repeated_passes_free():
-    # a dead successor's _canon holds its canonical form, built after it:
-    # the sweep frees both without a second pass over the table
+    # the searches canonicalize every successor, and a successor stores
+    # nothing that refers to its newer canonical form: the one pass frees
+    # what repeated passes over the table free
     records = _in_a_fresh_process("sweeps_after_reachability_searches")
     assert len(records) > 10
     assert sum(after < before for before, _, after, _ in records) > 5
     for before, pops, after, dead in records:
         assert pops == before  # every entry popped once
         assert dead == 0  # a further pass drops nothing: the live set is final
+
+
+def marks_and_order_after_closures() -> None:
+    """Print, as JSON, after the size-4 corpus's closures at n <= 2, run as
+    criterion 1 runs them, with one transitions dict per degree: the
+    number of interned nodes, the types of ``_canon`` values other than
+    True and None, and the nodes with an operand that is not interned
+    before them.  Run in a fresh process, so the table holds only what the
+    closures build."""
+    from prenexify.oracle import DEFAULT_NODE_BUDGET, reachable_set
+
+    corpus = list(enumerate_formulas(default_signature(4)))
+    for n in range(3):
+        transitions = {}
+        for phi in corpus:
+            reachable_set(phi, n, DEFAULT_NODE_BUDGET, transitions=transitions)
+    order = {node: i for i, node in enumerate(formula._interned.values())}
+    marks = {type(node._canon).__name__ for node in order if node._canon not in (True, None)}
+    late = 0
+    for node, i in order.items():
+        if isinstance(node, (And, Or, Imp)):
+            operands = node.left, node.right
+        else:
+            operands = (node.body,) if isinstance(node, (Exists, Forall)) else ()
+        late += any(order.get(operand, i) >= i for operand in operands)
+    print(json.dumps([len(order), sorted(marks), late]))
+
+
+def test_every_node_refers_only_to_nodes_interned_before_it():
+    # _canon is a mark (True or None), never a node, and each node's
+    # operands precede it in the table: what one newest-first sweep needs
+    nodes, marks, late = _in_a_fresh_process("marks_and_order_after_closures")
+    assert nodes > 1_000
+    assert marks == []
+    assert late == 0

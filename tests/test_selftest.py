@@ -7,8 +7,9 @@ one place the classifier computes a node's least levels (k_J, k_R) at a
 degree, so every membership the criterion reads sees them.  Criterion
 2's faults are planted in ``prenex_form`` as the selftest calls it, only
 at levels above a formula's least one, where its normal form is the one
-already checked at the least level.  Criterion 7's seeded data is pinned
-by a digest, so a change to how it is drawn shows.
+already checked at the least level.  Criterion 7's faults are planted
+in the ``apply_step`` and ``trace_from_text`` it calls, and its seeded
+data is pinned by a digest, so a change to how it is drawn shows.
 
 The calling process runs criteria 1 and 5; every other task (criterion
 7, criterion 2 at each degree, criteria 3 and 4, criterion 6) is taken
@@ -33,7 +34,7 @@ from prenexify import forked, oracle, selftest, semiclassical
 from prenexify.formula import And, Exists, Forall, Or, fresh_variable
 from prenexify.oracle import enumerate_formulas
 from prenexify.parser import ParseError, parse, render
-from prenexify.rewrite import RewriteStep, Trace, apply_step
+from prenexify.rewrite import RewriteStep, Trace, applicable_steps, apply_step
 from prenexify.selftest import _check_monotonicity, default_signature, run_selftest
 
 CORPUS = list(enumerate_formulas(default_signature(4)))
@@ -290,6 +291,26 @@ def test_criterion_7_catches_a_reader_that_drops_a_fresh_name(monkeypatch):
     c7 = selftest._check_rewrite_conformance(selftest.DEFAULT_SEED)
     assert not c7.passed and c7.checks == 59290
     assert c7.failures[0].startswith("trace text round-trip unstable for ")
+
+
+def _two_steps(phi, step, n):
+    # the hoisted quantifier goes on past the connective above it, where a
+    # rule lets it: one step more than was asked for
+    psi = apply_step(phi, step, n)
+    above = step.position[:-1]
+    for again in applicable_steps(psi, n) if step.position else ():
+        if again.position == above:
+            return apply_step(psi, again, n)
+    return psi
+
+
+def test_criterion_7_catches_a_step_that_moves_a_quantifier_past_two_connectives(monkeypatch):
+    monkeypatch.setattr(selftest, "apply_step", _two_steps)
+    c7 = selftest._check_rewrite_conformance(selftest.DEFAULT_SEED)
+    assert not c7.passed and c7.checks == 59290
+    assert c7.failures[0] == (
+        "measure not decreased by 1: P(y) | (exists x. P(x)) -> Q(x) via OrExists"
+    )
 
 
 forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
