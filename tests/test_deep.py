@@ -23,7 +23,7 @@ SIZE_7_CHECKS = {
     "criterion-2 normalizer soundness": 9_393_978,
     "criterion-3 stabilization": 7_999_376,
     "criterion-4 monotonicity suites": 25_198_611,
-    "criterion-5 backward closure": 27_637_060,
+    "criterion-5 backward closure": 14_225_850,
     "criterion-6 pinned negatives": 16,
     "criterion-7 rewrite conformance": 59_290,
 }

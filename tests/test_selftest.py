@@ -95,7 +95,7 @@ def test_criterion_1_reports_each_level_and_side_of_a_planted_fault(monkeypatch)
     c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
     budget = oracle.DEFAULT_NODE_BUDGET
     for n in range(N_MAX + 1):
-        selftest._check_degree(c1, c5, CORPUS, n, N_MAX, K_MAX, budget, None)
+        selftest._check_degree(c1, c5, CORPUS, n, K_MAX, budget, None)
     assert c1.checks == 2 * len(CORPUS) * (N_MAX + 1) * (K_MAX + 1) == 26520
     assert c1.failures[:4] == [
         f"{side} mismatch exists v0. false k={k} n=0: classifier=False oracle=True"
@@ -145,16 +145,58 @@ def test_criterion_4_catches_an_or_below_its_operand(monkeypatch):
     assert result.failures[0] == f"subformula closure fails {render(phi)} k=1 n=0"
 
 
-def test_criterion_5_checks_each_cached_successor_at_each_higher_degree():
-    # each successor cached at a degree is checked at that degree and at
-    # every higher one
+def test_criterion_5_checks_each_cached_successor_once_at_its_own_degree():
+    # each successor cached at a degree is checked at that degree alone;
+    # the higher degrees' tables hold it again (see the test below)
     c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
     c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
     budget = oracle.DEFAULT_NODE_BUDGET
     for n in range(N_MAX + 1):
-        selftest._check_degree(c1, c5, CORPUS, n, N_MAX, K_MAX, budget, None)
+        selftest._check_degree(c1, c5, CORPUS, n, K_MAX, budget, None)
     assert (c1.passed, c5.passed) == (True, True)
-    assert c5.checks == 24150
+    assert c5.checks == 12250
+
+
+def _is_subsequence(short, long) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def test_each_degree_s_edges_are_edges_at_every_higher_degree(monkeypatch):
+    # the lemma criterion 5 rests on: a degree-n step is a step at n + 1,
+    # so each degree's table is within the next one's, and checking each
+    # table at its own degree makes every check that checking it at each
+    # higher degree made
+    tables = {}
+    check = selftest._check_backward_closure
+
+    def recorded(result, expanded, n, k_max, checker):
+        tables[n] = dict(expanded)
+        check(result, expanded, n, k_max, checker)
+
+    monkeypatch.setattr(selftest, "_check_backward_closure", recorded)
+    c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
+    c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
+    for n in range(N_MAX + 1):
+        selftest._check_degree(c1, c5, CORPUS, n, K_MAX, oracle.DEFAULT_NODE_BUDGET, None)
+    assert sorted(tables) == list(range(N_MAX + 1))
+    for n, table in tables.items():
+        for state in table:
+            assert _is_subsequence(applicable_steps(state, n), applicable_steps(state, n + 1))
+        if n < N_MAX:
+            higher = tables[n + 1]
+            assert all(_is_subsequence(table[s], higher.get(s, ())) for s in table)
+            assert table.keys() <= higher.keys()
+    checked = {(s, t, n) for n, table in tables.items() for s in table for t in table[s]}
+    each_higher_degree = {
+        (s, t, m)
+        for n, table in tables.items()
+        for s in table
+        for t in table[s]
+        for m in range(n, N_MAX + 1)
+    }
+    assert checked == each_higher_degree
+    assert c5.checks == 2 * (K_MAX + 1) * len(checked) == 12250
 
 
 def _and_in_no_class_at_0(conn, n, pairs):
@@ -167,10 +209,29 @@ def test_criterion_5_catches_a_planted_classifier_fault(monkeypatch):
     monkeypatch.setattr(semiclassical, "_least_levels", _and_in_no_class_at_0)
     c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
     c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
-    selftest._check_degree(c1, c5, CORPUS, 0, N_MAX, K_MAX, oracle.DEFAULT_NODE_BUDGET, None)
+    selftest._check_degree(c1, c5, CORPUS, 0, K_MAX, oracle.DEFAULT_NODE_BUDGET, None)
     assert not c5.passed
     assert c5.failures[0] == (
         "J not backward closed: false & exists v0. false ~> exists v0. false & false k=1 n=0"
+    )
+
+
+def _and_in_no_class_at_1(conn, n, pairs):
+    k_j, k_r = _least_levels(conn, n, pairs)
+    return (math.inf, math.inf) if conn is And and n == 1 else (k_j, k_r)
+
+
+def test_criterion_5_catches_a_fault_at_degree_1_alone(monkeypatch):
+    # the degree-0 edge that shows the fault is checked at degree 1 from
+    # degree 1's own table
+    monkeypatch.setattr(semiclassical, "_least_levels", _and_in_no_class_at_1)
+    c1 = selftest.CriterionResult("criterion-1 characterization", True, 0)
+    c5 = selftest.CriterionResult("criterion-5 backward closure", True, 0)
+    for n in range(N_MAX + 1):
+        selftest._check_degree(c1, c5, CORPUS, n, K_MAX, oracle.DEFAULT_NODE_BUDGET, None)
+    assert not c5.passed
+    assert c5.failures[0] == (
+        "J not backward closed: false & exists v0. false ~> exists v0. false & false k=1 n=1"
     )
 
 
@@ -310,6 +371,19 @@ def test_criterion_7_catches_a_step_that_moves_a_quantifier_past_two_connectives
     assert not c7.passed and c7.checks == 59290
     assert c7.failures[0] == (
         "measure not decreased by 1: P(y) | (exists x. P(x)) -> Q(x) via OrExists"
+    )
+
+
+def _hoist_dropped(phi, step, n):
+    return phi
+
+
+def test_criterion_7_catches_a_dropped_hoist(monkeypatch):
+    monkeypatch.setattr(selftest, "apply_step", _hoist_dropped)
+    c7 = selftest._check_rewrite_conformance(selftest.DEFAULT_SEED)
+    assert not c7.passed and c7.checks == 59290
+    assert c7.failures[0] == (
+        "measure not decreased by 1: (forall y. exists x. P(x) & false) & P(y) via ForallAnd"
     )
 
 
